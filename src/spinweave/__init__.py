@@ -10,7 +10,6 @@ fitting.
 from .operators import (
     expm_hermitian,
     frobenius_magnitude,
-    kron,
     unitary_root,
 )
 from .spins import (

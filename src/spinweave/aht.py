@@ -7,10 +7,10 @@ exponential-matching recursion (Dyson terms in, Magnus terms out).
 
 For delta pulses the toggling Hamiltonian is exactly piecewise constant, so
 every integral is evaluated in closed form; there is no quadrature error
-even at high order.  Finite-width pulses are sliced into short constant
-sub-segments (configurable), which is a documented approximation.
-Compensated (Kahan) accumulation keeps roundoff growth in check for
-high-order runs.
+even at high order.  Finite-width pulses are sliced into
+:data:`PULSE_SLICES` short constant sub-segments, which is a documented
+approximation.  Sums accumulate in plain floating point; their roundoff
+shows in each term's recorded hermiticity residual.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .operators import (
     hermiticity_defect,
     require_hermitian,
     spectral_norm,
-    HermitianPropagator,
 )
 from .sequences import PulseSequence, schedule, validate_cyclic
-from .spins import SpinSystem, collective_operator, internal_hamiltonian
+from .spins import SpinSystem, collective_rotation, internal_hamiltonian
 
 __all__ = [
     "TogglingSegment",
@@ -47,6 +46,7 @@ __all__ = [
     "NEGLIGIBLE_MAGNITUDE",
     "DEFAULT_ORDER_CAP",
     "SHORT_SEQUENCE_ORDER_CAP",
+    "PULSE_SLICES",
 ]
 
 # Normalized magnitudes below this are reported as numerically negligible.
@@ -57,6 +57,9 @@ DEFAULT_ORDER_CAP = 8
 SHORT_SEQUENCE_ORDER_CAP = 72
 _SHORT_SEQUENCE_PULSES = 8
 _HARD_ORDER_CAP = 72
+
+# Constant sub-segments per finite-width pulse in the toggling frame.
+PULSE_SLICES = 32
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,6 @@ def toggling_segments(
     seq: PulseSequence,
     tau: float,
     pulse_width: float = 0.0,
-    pulse_slices: int = 32,
 ) -> list[TogglingSegment]:
     """Piecewise-constant toggling-frame Hamiltonian over one cycle.
 
@@ -123,17 +125,11 @@ def toggling_segments(
     used) or a Hermitian matrix in rad/s.  For delta pulses each delay
     window becomes one segment with ``H_k = R_k^dag H R_k``, ``R_k`` the
     accumulated pulse rotation.  Finite-width pulses contribute
-    ``pulse_slices`` sub-segments each, sampled at slice midpoints.
+    :data:`PULSE_SLICES` sub-segments each, sampled at slice midpoints.
     """
     h_int = _resolve_h_int(system)
     validate_cyclic(seq)
     n_spins = int(round(np.log2(h_int.shape[0])))
-    ops = {a: collective_operator(n_spins, a) for a in ("x", "y")}
-
-    def phase_op(phase_deg: float) -> Operator:
-        phi = np.deg2rad(phase_deg)
-        return np.cos(phi) * ops["x"] + np.sin(phi) * ops["y"]
-
     segments: list[TogglingSegment] = []
     u_rf = np.eye(h_int.shape[0], dtype=np.complex128)
     for kind, value in schedule(seq, tau, pulse_width):
@@ -141,20 +137,15 @@ def toggling_segments(
             h_toggled = u_rf.conj().T @ h_int @ u_rf
             segments.append(TogglingSegment(h_toggled, value))
             continue
-        s_phi = phase_op(value)
-        if pulse_width == 0.0:
-            prop = HermitianPropagator(s_phi)
-            u_rf = prop.at(np.pi / 2) @ u_rf
-            continue
-        prop = HermitianPropagator(s_phi)
-        omega1 = (np.pi / 2) / pulse_width
-        dt = pulse_width / pulse_slices
-        for k in range(pulse_slices):
-            u_mid = prop.at(omega1 * dt * (k + 0.5)) @ u_rf
-            segments.append(
-                TogglingSegment(u_mid.conj().T @ h_int @ u_mid, dt)
-            )
-        u_rf = prop.at(np.pi / 2) @ u_rf
+        if pulse_width > 0.0:
+            dt = pulse_width / PULSE_SLICES
+            for k in range(PULSE_SLICES):
+                angle = (np.pi / 2) * (k + 0.5) / PULSE_SLICES
+                u_mid = collective_rotation(n_spins, value, angle) @ u_rf
+                segments.append(
+                    TogglingSegment(u_mid.conj().T @ h_int @ u_mid, dt)
+                )
+        u_rf = collective_rotation(n_spins, value, np.pi / 2) @ u_rf
     if not segments:
         raise ValueError("sequence produced no toggling segments")
     return segments
@@ -183,13 +174,6 @@ def average_h(segments: list[TogglingSegment], order: int) -> Operator:
     return acc * (-1j / (2.0 * t_c))
 
 
-def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray):
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
 def dyson_terms(segments: list[TogglingSegment], n_max: int) -> list[Operator]:
     """Nested time-ordered integrals P_1..P_n of the segment Hamiltonian.
 
@@ -213,14 +197,10 @@ def dyson_terms(segments: list[TogglingSegment], n_max: int) -> list[Operator]:
         for j in range(1, n_max + 1):
             a = (a @ gen) / j
             powers.append(a)
-        new = []
-        for n in range(n_max + 1):
-            total = np.zeros_like(eye)
-            comp = np.zeros_like(eye)
-            for j in range(n + 1):
-                total, comp = _kahan_add(total, comp, powers[j] @ d[n - j])
-            new.append(total)
-        d = new
+        d = [
+            sum(powers[j] @ d[n - j] for j in range(n + 1))
+            for n in range(n_max + 1)
+        ]
     return [(1j) ** n * d[n] for n in range(1, n_max + 1)]
 
 
@@ -243,16 +223,11 @@ def burum_terms(dyson: list[Operator], cycle_time: float) -> MagnusSeries:
     powers: dict[tuple[int, int], np.ndarray] = {}  # (k, n) -> order-n part of W^k
     for n in range(1, n_terms + 1):
         correction = np.zeros_like(d[1])
-        comp = np.zeros_like(d[1])
         for k in range(2, n + 1):
-            total = np.zeros_like(d[1])
-            tcomp = np.zeros_like(d[1])
-            for m in range(1, n - k + 2):
-                total, tcomp = _kahan_add(total, tcomp, omega[m] @ powers[(k - 1, n - m)])
-            powers[(k, n)] = total
-            correction, comp = _kahan_add(
-                correction, comp, total / float(math.factorial(k))
+            powers[(k, n)] = sum(
+                omega[m] @ powers[(k - 1, n - m)] for m in range(1, n - k + 2)
             )
+            correction = correction + powers[(k, n)] / float(math.factorial(k))
         omega[n] = d[n] - correction
         powers[(1, n)] = omega[n]
     raw_terms = [(1j / cycle_time) * omega[n + 1] for n in range(n_terms)]
@@ -276,7 +251,6 @@ def magnus_series(
     tau: float,
     orders: int,
     pulse_width: float = 0.0,
-    pulse_slices: int = 32,
     order_cap: int | None = None,
 ) -> MagnusSeries:
     """Effective-Hamiltonian terms H(0)..H(orders) for one cycle.
@@ -299,7 +273,7 @@ def magnus_series(
             f"order {orders} exceeds the cap {order_cap} for sequence "
             f"{seq.name!r}; pass order_cap explicitly for best-effort runs"
         )
-    segments = toggling_segments(system, seq, tau, pulse_width, pulse_slices)
+    segments = toggling_segments(system, seq, tau, pulse_width)
     t_c = seq.cycle_time(tau)
     return burum_terms(dyson_terms(segments, orders + 1), t_c)
 

@@ -29,6 +29,7 @@ from .experiments import (
 from .harness import (
     ConfigError,
     PRESET_NAMES,
+    _fmt,
     config_digest,
     run_preset,
     run_sweep,
@@ -51,10 +52,6 @@ from .spins import SpinSystem, dipolar_hamiltonian, sample_couplings
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _fail_numerical(exc: Exception):
@@ -298,13 +295,12 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
 @exp.command("mqc")
 @click.option("--spins", type=int, default=4, show_default=True)
 @click.option("--tau-dq", type=float, default=1e-4, show_default=True, help="Total double-quantum growth time (s).")
-@click.option("--m-cycles", type=int, default=1, show_default=True)
 @click.option("--phi-count", type=int, default=None, help="Phase-tag grid size (default: power of two >= 4*spins).")
 @click.option("--window", default=None, help="'free:<seconds>' or 'protected:<SEQ>:<cycles>[:<tau>]'.")
 @click.option("--coupling-sigma-hz", type=float, default=5000.0 / 3.0, show_default=True)
 @click.option("--seed", type=int, default=2026, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default="mqc.csv", show_default=True)
-def exp_mqc(spins, tau_dq, m_cycles, phi_count, window, coupling_sigma_hz, seed, output):
+def exp_mqc(spins, tau_dq, phi_count, window, coupling_sigma_hz, seed, output):
     """Multiple-quantum coherence distribution from the tagged-echo protocol.
 
     CSV columns: order, intensity (normalized; they sum to the echo signal
@@ -326,13 +322,12 @@ def exp_mqc(spins, tau_dq, m_cycles, phi_count, window, coupling_sigma_hz, seed,
         except ValueError as exc:
             raise click.UsageError(f"bad --window value {window!r}: {exc}") from exc
     try:
-        result = mqc_experiment(system, tau_dq, m_cycles, phi_count, win)
+        result = mqc_experiment(system, tau_dq, phi_count, win)
     except NumericalDiagnosticError as exc:
         _fail_numerical(exc)
     document = {
         "n_spins": spins,
         "tau_dq_s": tau_dq,
-        "m_cycles": m_cycles,
         "phi_count": result.meta["phi_count"],
         "window": window,
         "coupling_sigma_hz": coupling_sigma_hz,

@@ -37,6 +37,7 @@ from .spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
     collective_operator,
+    collective_rotation,
     internal_hamiltonian,
     sample_couplings,
     sample_disorder,
@@ -137,11 +138,8 @@ def pulse_unitary(
     ``h_int + omega_1 (1 + epsilon) S_phi`` for ``t_w`` with
     ``omega_1 t_w = pi/2``, sandwiched by the same instantaneous edge kicks.
     """
-    s_phi = collective_phase_operator(n_spins, phase_deg)
-    s_trans = collective_phase_operator(n_spins, phase_deg + 90.0)
-    angle_main = (np.pi / 2) * (1.0 + error.rotation_error)
     if error.is_delta:
-        core = expm_hermitian(s_phi, angle_main)
+        u = collective_rotation(n_spins, phase_deg, (np.pi / 2) * (1.0 + error.rotation_error))
     else:
         if h_int is None:
             raise ValueError("finite-width pulses require the internal Hamiltonian")
@@ -153,13 +151,13 @@ def pulse_unitary(
                 WeakPulseWarning,
                 stacklevel=2,
             )
+        s_phi = collective_phase_operator(n_spins, phase_deg)
         generator = h_int + omega1 * (1.0 + error.rotation_error) * s_phi
-        core = expm_hermitian(generator, error.pulse_width)
-    u = core
+        u = expm_hermitian(generator, error.pulse_width)
     if error.transient_leading != 0.0:
-        u = u @ expm_hermitian(s_trans, (np.pi / 2) * error.transient_leading)
+        u = u @ collective_rotation(n_spins, phase_deg + 90.0, (np.pi / 2) * error.transient_leading)
     if error.transient_trailing != 0.0:
-        u = expm_hermitian(s_trans, (np.pi / 2) * error.transient_trailing) @ u
+        u = collective_rotation(n_spins, phase_deg + 90.0, (np.pi / 2) * error.transient_trailing) @ u
     return u
 
 
@@ -168,13 +166,12 @@ def cycle_unitary(
     seq: PulseSequence,
     error: ErrorModel = IDEAL,
     tau: float = 4e-6,
-    check: bool = True,
 ) -> Operator:
     """Propagator of one full cycle: delays under ``H_D + H_offset`` plus pulses.
 
     Pulses are flushed to the end of their delay window so the cycle time is
     ``M tau`` for every pulse width (see :func:`spinweave.sequences.schedule`).
-    The result is checked to be unitary to 1e-10 unless ``check=False``.
+    The result is checked to be unitary to 1e-10.
     """
     h_int = internal_hamiltonian(system)
     free_prop = HermitianPropagator(h_int)
@@ -187,12 +184,11 @@ def cycle_unitary(
             if value not in pulse_cache:
                 pulse_cache[value] = pulse_unitary(value, error, system.n_spins, h_int)
             u = pulse_cache[value] @ u
-    if check:
-        defect = unitarity_defect(u)
-        if defect > 1e-10:
-            raise NumericalDiagnosticError(
-                f"cycle propagator of {seq.name!r} is not unitary (defect {defect:.3e})"
-            )
+    defect = unitarity_defect(u)
+    if defect > 1e-10:
+        raise NumericalDiagnosticError(
+            f"cycle propagator of {seq.name!r} is not unitary (defect {defect:.3e})"
+        )
     return u
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 
 from .control import ErrorModel, IDEAL, cycle_unitary
-from .operators import HermitianPropagator, Operator, as_operator, kron
+from .operators import HermitianPropagator, Operator, as_operator
 from .sequences import PulseSequence
 from .spins import SpinSystem, collective_operator, dq_hamiltonian, internal_hamiltonian
 
@@ -329,7 +329,7 @@ def coherence_intensities(rho: Operator, axis: str = "z") -> CoherenceSpectrum:
     if axis != "z":
         basis = np.eye(1, dtype=np.complex128)
         for _ in range(n_spins):
-            basis = kron(basis, _AXIS_EIGENBASIS[axis])
+            basis = np.kron(basis, _AXIS_EIGENBASIS[axis])
         rho = basis.conj().T @ rho @ basis
     mm = _twice_m_values(n_spins)
     delta = (mm[:, None] - mm[None, :]) // 2 + n_spins
@@ -374,7 +374,6 @@ class MqcResult:
 def mqc_experiment(
     system: SpinSystem,
     tau_dq: float,
-    m_cycles: int = 1,
     phi_count: int | None = None,
     window: FreeWindow | ProtectedWindow | None = None,
 ) -> MqcResult:
@@ -397,8 +396,6 @@ def mqc_experiment(
             f"phi_count={phi_count} aliases coherence orders up to {n_max}; "
             f"need at least {2 * n_max + 2}"
         )
-    if m_cycles < 1:
-        raise ValueError("m_cycles must be >= 1")
     h_dq = dq_hamiltonian(system)
     u_fwd = HermitianPropagator(h_dq).at(tau_dq)
     rho0 = collective_operator(n, "z")
@@ -435,8 +432,6 @@ def mqc_experiment(
         signals=signals,
         meta={
             "tau_dq_s": tau_dq,
-            "m_cycles": m_cycles,
-            "dq_cycle_time_s": tau_dq / m_cycles,
             "phi_count": phi_count,
             "window_s": 0.0 if window is None else window.duration,
             "imag_residual": imag_residual,

@@ -8,9 +8,11 @@ Conventions used throughout the package:
 * Propagators are unitary and dimensionless; evolution under a Hamiltonian
   ``h`` for time ``t`` is ``exp(-i h t)``.
 * Everything is dense ``complex128``.  Dimensions are powers of two up to
-  ``2**MAX_SPINS``; matrix exponentials and roots go through exact
-  eigendecompositions, which at these sizes is both precise and cheap, and
-  lets a single factorization serve repeated evolution times.
+  ``2**MAX_SPINS``; exponentials of general Hamiltonians and unitary roots
+  go through exact eigendecompositions, which at these sizes is both
+  precise and cheap, and lets a single factorization serve repeated
+  evolution times.  Ideal collective RF rotations factor over the spins
+  and are built in closed form by :func:`spinweave.spins.collective_rotation`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "MAX_DIM",
     "BranchCutWarning",
     "as_operator",
-    "kron",
     "commutator",
     "dagger",
     "hermiticity_defect",
@@ -63,15 +64,6 @@ def as_operator(a: npt.ArrayLike) -> Operator:
             f"operator dimension must be a power of two <= {MAX_DIM}, got {dim}"
         )
     return m
-
-
-def kron(a: npt.ArrayLike, b: npt.ArrayLike) -> Operator:
-    """Tensor product of two square operators (dimension ``dim(a) * dim(b)``)."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("kron requires two square matrices")
-    return np.kron(a, b)
 
 
 def commutator(a: npt.ArrayLike, b: npt.ArrayLike) -> Operator:

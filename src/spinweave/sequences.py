@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .operators import Operator
-from .spins import SPIN_HALF, embedded_spin
+from .spins import collective_rotation, embedded_spin
 
 __all__ = [
     "PulseEvent",
@@ -245,12 +245,6 @@ def builtin(name: str) -> PulseSequence:
     return _BUILTIN_CACHE[key]
 
 
-def _pulse_2x2(phase_deg: float, angle: float = np.pi / 2) -> Operator:
-    phi = np.deg2rad(phase_deg)
-    s_phi = np.cos(phi) * SPIN_HALF["x"] + np.sin(phi) * SPIN_HALF["y"]
-    return np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * s_phi
-
-
 def validate_cyclic(seq: PulseSequence, tol: float = 1e-10) -> int:
     """Sign s with the ideal-pulse composite rotation equal to s * identity.
 
@@ -261,7 +255,7 @@ def validate_cyclic(seq: PulseSequence, tol: float = 1e-10) -> int:
     u = np.eye(2, dtype=np.complex128)
     for e in seq.events:
         if e.kind == "pulse":
-            u = _pulse_2x2(e.phase_deg) @ u
+            u = collective_rotation(1, e.phase_deg, np.pi / 2) @ u
     sign = np.trace(u).real / 2.0
     residual = float(np.linalg.norm(u - sign * np.eye(2)))
     if residual > tol or abs(abs(sign) - 1.0) > tol:

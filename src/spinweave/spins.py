@@ -8,7 +8,8 @@ space with the ``|up> = (1, 0)`` single-spin convention and ``S = sigma/2``.
 Matrix elements are assembled directly from basis-state bit patterns (spin
 ``i`` occupies bit ``n - 1 - i``, so spin 0 is the leftmost tensor factor);
 the Kronecker-product route is kept only as ``embedded_spin`` for embedding
-arbitrary single-site operators and for cross-checks.
+arbitrary single-site operators and for cross-checks, and as
+``collective_rotation``, the one builder of ideal collective RF pulses.
 
 Random ensembles use the counter-based Philox generator keyed directly by
 the user seed, so samples are reproducible bit-for-bit across runs and
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .operators import MAX_SPINS, Operator, kron
+from .operators import MAX_SPINS, Operator
 
 __all__ = [
     "SIGMA",
@@ -34,6 +35,7 @@ __all__ = [
     "spin_operator",
     "embedded_spin",
     "collective_operator",
+    "collective_rotation",
     "dipolar_hamiltonian",
     "offset_hamiltonian",
     "internal_hamiltonian",
@@ -76,7 +78,7 @@ def embedded_spin(n_spins: int, site: int, axis: str) -> Operator:
         raise ValueError(f"site {site} outside 0..{n_spins - 1}")
     op = np.eye(1, dtype=np.complex128)
     for k in range(n_spins):
-        op = kron(op, spin_operator(axis) if k == site else np.eye(2))
+        op = np.kron(op, spin_operator(axis) if k == site else np.eye(2))
     return op
 
 
@@ -102,6 +104,24 @@ def collective_operator(n_spins: int, axis: str) -> Operator:
             # <down|S_y|up> = +i/2, <up|S_y|down> = -i/2
             out[flipped, states] += np.where(bits[:, i] == 0, 0.5j, -0.5j)
     return out
+
+
+def collective_rotation(n_spins: int, phase_deg: float, angle: float) -> Operator:
+    """Ideal collective RF rotation ``exp(-i angle S_phi)`` on ``n_spins`` spins.
+
+    ``S_phi = cos(phi) Sx + sin(phi) Sy`` is a sum of commuting single-spin
+    terms, so the rotation is exactly ``r^{(x) n_spins}`` with the closed-form
+    single-spin ``r = cos(angle/2) I - 2i sin(angle/2) s_phi``.
+    """
+    if not 1 <= n_spins <= MAX_SPINS:
+        raise ValueError(f"n_spins must be in 1..{MAX_SPINS}, got {n_spins}")
+    phi = np.deg2rad(phase_deg)
+    s_phi = np.cos(phi) * SPIN_HALF["x"] + np.sin(phi) * SPIN_HALF["y"]
+    r = np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * s_phi
+    u = r
+    for _ in range(n_spins - 1):
+        u = np.kron(u, r)
+    return u
 
 
 @dataclass(frozen=True)

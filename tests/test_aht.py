@@ -4,6 +4,7 @@ import scipy.integrate
 import scipy.linalg
 
 from spinweave.aht import (
+    PULSE_SLICES,
     TogglingSegment,
     average_h,
     burum_terms,
@@ -64,10 +65,10 @@ class TestTogglingSegments:
             toggling_segments(random_system(4), parse_sequence("tau - x - tau"), 1e-6)
 
     def test_finite_width_slicing(self):
-        tau, tw, slices = 4e-6, 1e-6, 8
+        tau, tw = 4e-6, 1e-6
         seq = builtin("WHH")
-        segs = toggling_segments(random_system(5), seq, tau, pulse_width=tw, pulse_slices=slices)
-        assert len(segs) == 5 + 4 * slices
+        segs = toggling_segments(random_system(5), seq, tau, pulse_width=tw)
+        assert len(segs) == 5 + 4 * PULSE_SLICES
         assert sum(s.duration for s in segs) == pytest.approx(seq.cycle_time(tau))
 
     def test_duration_positive(self):

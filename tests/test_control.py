@@ -73,6 +73,12 @@ class TestPulseUnitary:
         oracle = kick @ rotation_2x2("x", -np.pi / 2) @ kick
         assert np.abs(u - oracle).max() < 1e-14
 
+    def test_delta_pulse_factors_over_spins(self):
+        err = ErrorModel(rotation_error=0.04, transient_leading=0.01, transient_trailing=0.03)
+        single = pulse_unitary(90.0, err, 1)
+        oracle = np.kron(np.kron(single, single), np.kron(single, single))
+        assert np.abs(pulse_unitary(90.0, err, 4) - oracle).max() < 1e-13
+
     def test_finite_width_needs_hamiltonian(self):
         with pytest.raises(ValueError, match="internal Hamiltonian"):
             pulse_unitary(0.0, ErrorModel(pulse_width=1e-6), 2, h_int=None)

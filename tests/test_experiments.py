@@ -209,11 +209,6 @@ class TestMqcExperiment:
         assert result.spectrum.total == pytest.approx(1.0, abs=1e-12)
         assert result.meta["imag_residual"] < 1e-12
 
-    def test_dq_cycle_timing_arithmetic(self):
-        system = SpinSystem.create(sample_couplings(15, 2, 500.0))
-        result = mqc_experiment(system, 163.2e-6, m_cycles=3)
-        assert result.meta["dq_cycle_time_s"] == pytest.approx(54.4e-6)
-
     def test_insufficient_phase_resolution(self):
         system = SpinSystem.create(sample_couplings(17, 4, 1000.0))
         with pytest.raises(ValueError, match="alias"):

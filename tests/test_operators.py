@@ -6,47 +6,12 @@ from spinweave.operators import (
     BranchCutWarning,
     expm_hermitian,
     frobenius_magnitude,
-    kron,
     spectral_norm,
     unitary_root,
 )
 from spinweave.spins import SIGMA
 
 from conftest import random_hermitian, random_unitary
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_dimension_arithmetic(self):
-        assert kron(np.eye(4), np.eye(8)).shape == (32, 32)
-
-    def test_sigma_x_sigma_z_entries(self):
-        # hand expansion of the 4x4 tensor product
-        out = kron(SIGMA["x"], SIGMA["z"])
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = 1
-        expected[1, 3] = -1
-        expected[2, 0] = 1
-        expected[3, 1] = -1
-        assert np.array_equal(out, expected)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            kron(np.ones((2, 3)), np.eye(2))
-
-    @given(st.integers(0, 10_000))
-    def test_associativity(self, seed):
-        rng = np.random.default_rng(seed)
-        mats = [
-            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            for d in rng.integers(1, 4, size=3)
-        ]
-        a, b, c = mats
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.abs(left - right).max() <= 1e-14 * max(np.abs(left).max(), 1.0)
 
 
 class TestExpmHermitian:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from spinweave.operators import commutator, frobenius_magnitude, kron
+from spinweave.control import collective_phase_operator
+from spinweave.operators import commutator, expm_hermitian, frobenius_magnitude
 from spinweave.spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
     collective_operator,
+    collective_rotation,
     coupling_from_geometry,
     dipolar_hamiltonian,
     dq_hamiltonian,
@@ -53,6 +55,13 @@ class TestCollectiveOperators:
     def test_matches_kron_embedding(self, n, axis):
         oracle = sum(embedded_spin(n, i, axis) for i in range(n))
         assert np.abs(collective_operator(n, axis) - oracle).max() < 1e-15
+
+    @pytest.mark.parametrize("angle", [np.pi / 2, 1.05 * np.pi / 2, 0.01])
+    @pytest.mark.parametrize("phase_deg", [0.0, 90.0, 180.0, 270.0, 45.0])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_collective_rotation_matches_eigendecomposition(self, n, phase_deg, angle):
+        oracle = expm_hermitian(collective_phase_operator(n, phase_deg), angle)
+        assert np.abs(collective_rotation(n, phase_deg, angle) - oracle).max() < 1e-13
 
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError):
@@ -251,5 +260,5 @@ class TestSpinSystem:
     def test_kron_embedding_oracle_for_single_site(self):
         # embedded_spin agrees with an explicit kron chain
         op = embedded_spin(3, 1, "y")
-        oracle = kron(kron(np.eye(2), spin_operator("y")), np.eye(2))
+        oracle = np.kron(np.kron(np.eye(2), spin_operator("y")), np.eye(2))
         assert np.array_equal(op, oracle)
