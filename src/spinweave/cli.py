@@ -81,7 +81,7 @@ def main():
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE", help="Override a config field, e.g. --set n_spins=4 or --set sweep.parameter=tau_s (JSON values).")
 @click.option("--output", type=click.Path(dir_okay=False), default="sweep.csv", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="Defaults to the output suffix.")
-@click.option("--threads", type=int, default=None, help="Worker threads (default: SPINWEAVE_THREADS or all cores).")
+@click.option("--threads", type=int, default=None, help="Worker threads (default: SPINWEAVE_THREADS or the CPUs in the affinity mask).")
 def sweep(config_path, overrides, output, fmt, threads):
     """Run a one-parameter ensemble-fidelity sweep."""
     doc = {}

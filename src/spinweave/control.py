@@ -24,7 +24,6 @@ import numpy as np
 from .aht import MagnusSeries, magnus_series
 from .operators import (
     Operator,
-    HermitianPropagator,
     as_operator,
     expm_hermitian,
     require_unitary,
@@ -39,6 +38,8 @@ from .spins import (
     collective_operator,
     collective_rotation,
     internal_hamiltonian,
+    kron_power,
+    magnetization_sectors,
     sample_couplings,
     sample_disorder,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "NumericalDiagnosticError",
     "collective_phase_operator",
     "pulse_unitary",
+    "FreeEvolution",
     "cycle_unitary",
     "fidelity",
     "nth_order_fidelity",
@@ -124,6 +126,31 @@ def collective_phase_operator(n_spins: int, phase_deg: float) -> Operator:
     return np.cos(phi) * collective_operator(n_spins, "x") + np.sin(phi) * collective_operator(n_spins, "y")
 
 
+def _warn_if_weak(error: ErrorModel, h_norm: float) -> None:
+    if (np.pi / 2) / error.pulse_width < h_norm:
+        warnings.warn(
+            "pulse drive strength below the internal Hamiltonian scale; "
+            "the pulse is physically weak",
+            WeakPulseWarning,
+            stacklevel=3,
+        )
+
+
+def _pulse(phase_deg: float, error: ErrorModel, n_spins: int, h_int: Operator | None) -> Operator:
+    if error.is_delta:
+        u = collective_rotation(n_spins, phase_deg, (np.pi / 2) * (1.0 + error.rotation_error))
+    else:
+        omega1 = (np.pi / 2) / error.pulse_width
+        s_phi = collective_phase_operator(n_spins, phase_deg)
+        generator = h_int + omega1 * (1.0 + error.rotation_error) * s_phi
+        u = expm_hermitian(generator, error.pulse_width)
+    if error.transient_leading != 0.0:
+        u = u @ collective_rotation(n_spins, phase_deg + 90.0, (np.pi / 2) * error.transient_leading)
+    if error.transient_trailing != 0.0:
+        u = collective_rotation(n_spins, phase_deg + 90.0, (np.pi / 2) * error.transient_trailing) @ u
+    return u
+
+
 def pulse_unitary(
     phase_deg: float,
     error: ErrorModel,
@@ -138,27 +165,45 @@ def pulse_unitary(
     ``h_int + omega_1 (1 + epsilon) S_phi`` for ``t_w`` with
     ``omega_1 t_w = pi/2``, sandwiched by the same instantaneous edge kicks.
     """
-    if error.is_delta:
-        u = collective_rotation(n_spins, phase_deg, (np.pi / 2) * (1.0 + error.rotation_error))
-    else:
+    if not error.is_delta:
         if h_int is None:
             raise ValueError("finite-width pulses require the internal Hamiltonian")
-        omega1 = (np.pi / 2) / error.pulse_width
-        if omega1 < spectral_norm(h_int):
-            warnings.warn(
-                "pulse drive strength below the internal Hamiltonian scale; "
-                "the pulse is physically weak",
-                WeakPulseWarning,
-                stacklevel=2,
-            )
-        s_phi = collective_phase_operator(n_spins, phase_deg)
-        generator = h_int + omega1 * (1.0 + error.rotation_error) * s_phi
-        u = expm_hermitian(generator, error.pulse_width)
-    if error.transient_leading != 0.0:
-        u = u @ collective_rotation(n_spins, phase_deg + 90.0, (np.pi / 2) * error.transient_leading)
-    if error.transient_trailing != 0.0:
-        u = collective_rotation(n_spins, phase_deg + 90.0, (np.pi / 2) * error.transient_trailing) @ u
-    return u
+        _warn_if_weak(error, spectral_norm(h_int))
+    return _pulse(phase_deg, error, n_spins, h_int)
+
+
+class FreeEvolution:
+    """``exp(-i H_int t)`` of one spin system, factored sector by sector.
+
+    ``H_int = H_D + H_offset`` conserves total S_z, so one ``eigh`` per
+    magnetization sector (sizes ``C(N, k)``) diagonalizes it; the sector
+    layout comes from :func:`spinweave.spins.magnetization_sectors`.
+    """
+
+    def __init__(self, system: SpinSystem):
+        self.layout = magnetization_sectors(system.n_spins)
+        self.hamiltonian = internal_hamiltonian(system)
+        order = self.layout.order
+        h = self.hamiltonian[np.ix_(order, order)]
+        self._factors = [np.linalg.eigh(h[span, span]) for span in self.layout.spans]
+
+    @property
+    def spectral_norm(self) -> float:
+        """Largest absolute eigenvalue of ``H_int``."""
+        return max(float(np.abs(w).max()) for w, _ in self._factors)
+
+    def blocks(self, t: float) -> list[Operator]:
+        """Per-sector propagators ``exp(-i H_k t)``, in ``layout.spans`` order."""
+        return [(v * np.exp(-1j * w * t)) @ v.conj().T for w, v in self._factors]
+
+    def at(self, t: float) -> Operator:
+        """Dense ``exp(-i H_int t)`` in the standard basis."""
+        dim = len(self.layout.order)
+        u = np.zeros((dim, dim), dtype=np.complex128)
+        for span, block in zip(self.layout.spans, self.blocks(t)):
+            states = self.layout.order[span]
+            u[np.ix_(states, states)] = block
+        return u
 
 
 def cycle_unitary(
@@ -171,19 +216,58 @@ def cycle_unitary(
 
     Pulses are flushed to the end of their delay window so the cycle time is
     ``M tau`` for every pulse width (see :func:`spinweave.sequences.schedule`).
-    The result is checked to be unitary to 1e-10.
+
+    The product is accumulated with its rows in magnetization-sector order
+    (:class:`FreeEvolution`).  A free step is one matmul per sector block,
+    built once per distinct duration.  A delta pulse with its rotation
+    error and transient kicks is exactly ``r^{(x)N}`` with ``r`` the
+    one-spin pulse, and is applied as two Kronecker factors on ``ceil(N/2)``
+    and ``floor(N/2)`` spins.  Finite-width pulses do not conserve S_z and
+    are applied as dense matrices: one factorization builds the phase-0
+    pulse, and every other phase is that pulse turned about z.  The result
+    is checked to be unitary to 1e-10.
     """
-    h_int = internal_hamiltonian(system)
-    free_prop = HermitianPropagator(h_int)
-    pulse_cache: dict[float, Operator] = {}
+    n = system.n_spins
+    steps = schedule(seq, tau, error.pulse_width)
+    free = FreeEvolution(system)
+    order, inverse, spans = free.layout.order, free.layout.inverse, free.layout.spans
+    phases = {value for kind, value in steps if kind == "pulse"}
+    durations = {value for kind, value in steps if kind == "free"}
+    if error.is_delta:
+        half = (n + 1) // 2
+        pulses = {}
+        for phase in phases:
+            r = pulse_unitary(phase, error, 1)
+            pulses[phase] = (kron_power(r, half), kron_power(r, n - half))
+    else:
+        _warn_if_weak(error, free.spectral_norm)
+        # H_int commutes with S_z, so the pulse of phase phi is the phase-0
+        # pulse turned about z: exp(-i phi S_z) P_0 exp(+i phi S_z)
+        p0 = _pulse(0.0, error, n, free.hamiltonian)[np.ix_(order, order)]
+        m_z = np.concatenate([np.full(s.stop - s.start, n / 2 - k) for k, s in enumerate(spans)])
+        pulses = {}
+        for phase in phases:
+            z = np.exp(-1j * np.deg2rad(phase) * m_z)
+            pulses[phase] = (z[:, None] * p0) * z.conj()
+    free_steps = {t: free.blocks(t) for t in durations}
     u = np.eye(system.dim, dtype=np.complex128)
-    for kind, value in schedule(seq, tau, error.pulse_width):
+    buf = np.empty_like(u)
+    for kind, value in steps:
         if kind == "free":
-            u = free_prop.at(value) @ u
+            for span, block in zip(spans, free_steps[value]):
+                np.matmul(block, u[span], out=buf[span])
+            u, buf = buf, u
+        elif error.is_delta:
+            # rows to the standard basis, A (x) B on the leading axes, rows back
+            a, b = pulses[value]
+            natural = buf.reshape(len(a), len(b), -1)
+            np.take(u, inverse, axis=0, out=buf)
+            np.matmul(b, (a @ buf.reshape(len(a), -1)).reshape(natural.shape), out=natural)
+            np.take(buf, order, axis=0, out=u)
         else:
-            if value not in pulse_cache:
-                pulse_cache[value] = pulse_unitary(value, error, system.n_spins, h_int)
-            u = pulse_cache[value] @ u
+            np.matmul(pulses[value], u, out=buf)
+            u, buf = buf, u
+    u = u[np.ix_(inverse, inverse)]
     defect = unitarity_defect(u)
     if defect > 1e-10:
         raise NumericalDiagnosticError(
@@ -298,12 +382,18 @@ class SweepRow:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Parallelism degree: explicit argument, then the environment, then cores."""
+    """Parallelism degree: explicit argument, then the environment, then usable cores.
+
+    Usable cores are those in the process's CPU affinity mask where the
+    platform reports one, else ``os.cpu_count()``.
+    """
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
 
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .control import ErrorModel, IDEAL, cycle_unitary
+from .control import ErrorModel, FreeEvolution, IDEAL, cycle_unitary
 from .operators import HermitianPropagator, Operator, as_operator
 from .sequences import PulseSequence
-from .spins import SpinSystem, collective_operator, dq_hamiltonian, internal_hamiltonian
+from .spins import SpinSystem, collective_operator, dq_hamiltonian
 
 __all__ = [
     "DecayCurve",
@@ -342,7 +342,12 @@ def coherence_intensities(rho: Operator, axis: str = "z") -> CoherenceSpectrum:
 
 @dataclass(frozen=True)
 class FreeWindow:
-    """Window of free evolution under the internal Hamiltonian."""
+    """Window of free evolution under the internal Hamiltonian.
+
+    Propagated with the sector-blocked factorization of
+    :class:`spinweave.control.FreeEvolution`, the same one that drives the
+    free steps of a cycle.
+    """
 
     duration: float
 
@@ -404,7 +409,7 @@ def mqc_experiment(
     if window is None:
         w = None
     elif isinstance(window, FreeWindow):
-        w = HermitianPropagator(internal_hamiltonian(system)).at(window.duration)
+        w = FreeEvolution(system).at(window.duration)
     elif isinstance(window, ProtectedWindow):
         u_cyc = cycle_unitary(system, window.sequence, window.error, window.tau)
         w = np.linalg.matrix_power(u_cyc, window.cycles)

@@ -13,6 +13,13 @@ Conventions used throughout the package:
   precise and cheap, and lets a single factorization serve repeated
   evolution times.  Ideal collective RF rotations factor over the spins
   and are built in closed form by :func:`spinweave.spins.collective_rotation`.
+* Cycle propagation does not use :class:`HermitianPropagator` for the
+  internal Hamiltonian: that Hamiltonian conserves total S_z, so
+  :class:`spinweave.control.FreeEvolution` factors it one magnetization
+  sector at a time, and delta pulses are applied as Kronecker factors.
+  :class:`HermitianPropagator` serves the generators that mix sectors or
+  are not ``H_int``: the double-quantum Hamiltonian, finite-width pulses
+  and the truncated Magnus sums behind ``nth_order_fidelity``.
 """
 
 from __future__ import annotations
@@ -119,8 +126,7 @@ def expm_hermitian(h: npt.ArrayLike, t: float) -> Operator:
 class HermitianPropagator:
     """Factory for ``exp(-i h t)`` reusing a single eigendecomposition of ``h``.
 
-    Useful when the same Hamiltonian generates propagators for many delays,
-    e.g. every free-evolution window of a pulse cycle.
+    Useful when the same Hamiltonian generates propagators for many delays.
     """
 
     def __init__(self, h: npt.ArrayLike, tol: float = 1e-10):

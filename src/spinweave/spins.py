@@ -9,7 +9,13 @@ Matrix elements are assembled directly from basis-state bit patterns (spin
 ``i`` occupies bit ``n - 1 - i``, so spin 0 is the leftmost tensor factor);
 the Kronecker-product route is kept only as ``embedded_spin`` for embedding
 arbitrary single-site operators and for cross-checks, and as
-``collective_rotation``, the one builder of ideal collective RF pulses.
+``kron_power`` behind ``collective_rotation``, which makes every ideal
+collective RF pulse.
+
+The internal Hamiltonian (secular dipolar plus z offsets) conserves total
+S_z, so it is block-diagonal once the basis is sorted by magnetization
+sector; :func:`magnetization_sectors` gives that ordering and the row span
+of each sector.
 
 Random ensembles use the counter-based Philox generator keyed directly by
 the user seed, so samples are reproducible bit-for-bit across runs and
@@ -19,6 +25,7 @@ platforms for a fixed NumPy version.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 
@@ -36,6 +43,9 @@ __all__ = [
     "embedded_spin",
     "collective_operator",
     "collective_rotation",
+    "kron_power",
+    "SectorLayout",
+    "magnetization_sectors",
     "dipolar_hamiltonian",
     "offset_hamiltonian",
     "internal_hamiltonian",
@@ -118,10 +128,55 @@ def collective_rotation(n_spins: int, phase_deg: float, angle: float) -> Operato
     phi = np.deg2rad(phase_deg)
     s_phi = np.cos(phi) * SPIN_HALF["x"] + np.sin(phi) * SPIN_HALF["y"]
     r = np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * s_phi
-    u = r
-    for _ in range(n_spins - 1):
-        u = np.kron(u, r)
+    return kron_power(r, n_spins)
+
+
+def kron_power(op: Operator, n: int) -> Operator:
+    """``op^{(x)n}``, equal element by element to repeated ``np.kron``.
+
+    The broadcast outer product avoids ``np.kron``'s per-call overhead,
+    which dominates at the 2x2 sizes pulses are built from.
+    """
+    u = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(n):
+        u = (u[:, None, :, None] * op[None, :, None, :]).reshape(len(u) * len(op), -1)
     return u
+
+
+@dataclass(frozen=True)
+class SectorLayout:
+    """Basis ordering that groups states by total magnetization.
+
+    Attributes:
+        order: ``order[p]`` is the basis state at sector-ordered position p.
+        inverse: ``inverse[s]`` is the sector-ordered position of state s.
+        spans: row slice of each sector, ``k = 0..n`` down spins
+            (``S_z = n/2 - k``), of length ``C(n, k)``.
+    """
+
+    order: npt.NDArray[np.intp]
+    inverse: npt.NDArray[np.intp]
+    spans: tuple[slice, ...]
+
+
+@functools.cache
+def magnetization_sectors(n_spins: int) -> SectorLayout:
+    """Sector layout of the ``n_spins`` product space (read-only, built once per n).
+
+    States are sorted by their number of down spins; within a sector they
+    keep ascending basis order.  An operator commuting with total S_z is
+    block-diagonal over ``spans`` after ``a[np.ix_(order, order)]``.
+    """
+    if not 1 <= n_spins <= MAX_SPINS:
+        raise ValueError(f"n_spins must be in 1..{MAX_SPINS}, got {n_spins}")
+    down = _bit_table(n_spins).sum(axis=1)
+    order = np.argsort(down, kind="stable")
+    inverse = np.argsort(order)
+    edges = np.concatenate(([0], np.cumsum(np.bincount(down, minlength=n_spins + 1))))
+    for arr in (order, inverse):
+        arr.flags.writeable = False
+    spans = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
+    return SectorLayout(order=order, inverse=inverse, spans=spans)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from spinweave.control import (
     ErrorModel,
+    FreeEvolution,
     IDEAL,
     SweepSpec,
     WeakPulseWarning,
@@ -17,13 +20,15 @@ from spinweave.control import (
     resolve_threads,
 )
 from spinweave.operators import unitarity_defect
-from spinweave.sequences import builtin, parse_sequence
+from spinweave.sequences import BUILTIN_NAMES, builtin, parse_sequence, schedule
 from spinweave.spins import (
     SIGMA,
     SpinSystem,
     collective_operator,
     dipolar_hamiltonian,
+    internal_hamiltonian,
     sample_couplings,
+    sample_disorder,
 )
 
 from conftest import random_unitary
@@ -153,6 +158,88 @@ class TestCycleUnitary:
         assert unitarity_defect(u) < 1e-10
 
 
+def expm_cycle_oracle(system, seq, error, tau):
+    """Cycle propagator composed step by step from ``scipy.linalg.expm``."""
+    n = system.n_spins
+    h = internal_hamiltonian(system)
+    sx, sy = collective_operator(n, "x"), collective_operator(n, "y")
+
+    def s_phi(phase_deg):
+        phi = np.deg2rad(phase_deg)
+        return np.cos(phi) * sx + np.sin(phi) * sy
+
+    def pulse(phase_deg):
+        quarter = np.pi / 2
+        if error.is_delta:
+            core = scipy.linalg.expm(-1j * quarter * (1 + error.rotation_error) * s_phi(phase_deg))
+        else:
+            omega1 = quarter / error.pulse_width
+            generator = h + omega1 * (1 + error.rotation_error) * s_phi(phase_deg)
+            core = scipy.linalg.expm(-1j * generator * error.pulse_width)
+        lead = scipy.linalg.expm(-1j * quarter * error.transient_leading * s_phi(phase_deg + 90))
+        trail = scipy.linalg.expm(-1j * quarter * error.transient_trailing * s_phi(phase_deg + 90))
+        return trail @ core @ lead
+
+    steps = {}
+    u = np.eye(system.dim, dtype=complex)
+    for kind, value in schedule(seq, tau, error.pulse_width):
+        if (kind, value) not in steps:
+            steps[kind, value] = (
+                scipy.linalg.expm(-1j * h * value) if kind == "free" else pulse(value)
+            )
+        u = steps[kind, value] @ u
+    return u
+
+
+ORACLE_ERRORS = {
+    "ideal": IDEAL,
+    "rotation": ErrorModel(rotation_error=0.03),
+    "transients": ErrorModel(transient_leading=0.01, transient_trailing=0.04),
+    "finite": ErrorModel(
+        pulse_width=1e-6, rotation_error=0.02, transient_leading=0.015, transient_trailing=0.03
+    ),
+}
+
+
+class TestCycleKernelOracle:
+    """The sector-blocked, Kronecker-factored kernel against dense expm products."""
+
+    @pytest.mark.parametrize("n_spins", [3, 5, 6])
+    @pytest.mark.parametrize("error_name", sorted(ORACLE_ERRORS))
+    def test_matches_expm_composition(self, n_spins, error_name):
+        system = SpinSystem.create(
+            sample_couplings(40 + n_spins, n_spins, 5000.0 / 3.0),
+            disorder_hz=sample_disorder(50 + n_spins, n_spins, 200.0),
+            global_offset_hz=300.0,
+        )
+        error = ORACLE_ERRORS[error_name]
+        for name in BUILTIN_NAMES:
+            seq = builtin(name)
+            u = cycle_unitary(system, seq, error, 4e-6)
+            oracle = expm_cycle_oracle(system, seq, error, 4e-6)
+            assert np.abs(u - oracle).max() < 1e-12, name
+
+    def test_weak_finite_pulse_warns_in_cycle(self):
+        system = SpinSystem.create([[0.0, 5e5], [5e5, 0.0]])
+        with pytest.warns(WeakPulseWarning):
+            cycle_unitary(system, builtin("WHH"), ErrorModel(pulse_width=1e-4), 4e-4)
+
+
+class TestFreeEvolution:
+    @pytest.mark.parametrize("n_spins", [2, 3, 5, 7])
+    def test_matches_expm(self, n_spins):
+        system = SpinSystem.create(
+            sample_couplings(60 + n_spins, n_spins, 5000.0 / 3.0),
+            disorder_hz=sample_disorder(70 + n_spins, n_spins, 150.0),
+            global_offset_hz=-400.0,
+        )
+        h = internal_hamiltonian(system)
+        free = FreeEvolution(system)
+        for t in (1e-6, 3.7e-5):
+            assert np.abs(free.at(t) - scipy.linalg.expm(-1j * h * t)).max() < 1e-12
+        assert free.spectral_norm == pytest.approx(np.abs(np.linalg.eigvalsh(h)).max(), rel=1e-12)
+
+
 class TestFidelity:
     def test_identity(self):
         assert fidelity(np.eye(8, dtype=complex)) == 1.0
@@ -268,6 +355,15 @@ class TestLoglogSlope:
     def test_insufficient_points(self):
         with pytest.raises(ValueError, match="noise floor"):
             loglog_slope(np.array([1.0, 2.0]), np.array([1e-15, 1e-16]))
+
+
+def test_resolve_threads_follows_affinity_mask(monkeypatch):
+    monkeypatch.delenv("SPINWEAVE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert resolve_threads() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_threads() == 64
 
 
 def test_resolve_threads_env(monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinweave.control import IDEAL
 from spinweave.experiments import (
@@ -21,7 +22,9 @@ from spinweave.spins import (
     SpinSystem,
     collective_operator,
     dq_hamiltonian,
+    internal_hamiltonian,
     sample_couplings,
+    sample_disorder,
 )
 
 from conftest import random_hermitian
@@ -219,6 +222,27 @@ class TestMqcExperiment:
         base = mqc_experiment(system, 1e-4)
         windowed = mqc_experiment(system, 1e-4, window=FreeWindow(3e-4))
         assert windowed.spectrum.intensity(2) < base.spectrum.intensity(2)
+
+    def test_free_window_matches_expm(self):
+        system = SpinSystem.create(
+            sample_couplings(23, 5, 5000.0 / 3.0),
+            disorder_hz=sample_disorder(24, 5, 200.0),
+            global_offset_hz=150.0,
+        )
+        tau_dq, duration = 1e-4, 2.5e-4
+        result = mqc_experiment(system, tau_dq, window=FreeWindow(duration))
+        # the same growth/tag/window/reversal protocol with expm propagators
+        u_fwd = scipy.linalg.expm(-1j * dq_hamiltonian(system) * tau_dq)
+        w = scipy.linalg.expm(-1j * internal_hamiltonian(system) * duration)
+        rho0 = collective_operator(5, "z")
+        rho_tau = u_fwd @ rho0 @ u_fwd.conj().T
+        twice_m = 2 * np.diag(rho0).real
+        norm = np.trace(rho0 @ rho0).real
+        for phi, signal in zip(result.phases, result.signals):
+            tag = np.diag(np.exp(-1j * phi * twice_m / 2))
+            rho = w @ tag @ rho_tau @ tag.conj().T @ w.conj().T
+            rho = u_fwd.conj().T @ rho @ u_fwd
+            assert signal == pytest.approx(np.trace(rho @ rho0).real / norm, abs=1e-12)
 
     def test_protected_window_preserves_orders(self):
         system = SpinSystem.create(sample_couplings(19, 4, 5000.0 / 3.0))

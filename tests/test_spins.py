@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from spinweave.spins import (
     dq_hamiltonian,
     embedded_spin,
     internal_hamiltonian,
+    kron_power,
+    magnetization_sectors,
     offset_hamiltonian,
     sample_couplings,
     sample_disorder,
@@ -262,3 +266,43 @@ class TestSpinSystem:
         op = embedded_spin(3, 1, "y")
         oracle = np.kron(np.kron(np.eye(2), spin_operator("y")), np.eye(2))
         assert np.array_equal(op, oracle)
+
+
+class TestMagnetizationSectors:
+    @pytest.mark.parametrize("n_spins", range(1, 11))
+    def test_layout_groups_states_by_down_spins(self, n_spins):
+        layout = magnetization_sectors(n_spins)
+        dim = 1 << n_spins
+        assert sorted(layout.order) == list(range(dim))
+        assert np.array_equal(layout.order[layout.inverse], np.arange(dim))
+        assert [s.stop - s.start for s in layout.spans] == [comb(n_spins, k) for k in range(n_spins + 1)]
+        for k, span in enumerate(layout.spans):
+            assert all(bin(int(state)).count("1") == k for state in layout.order[span])
+
+    @pytest.mark.parametrize("n_spins", range(2, 11))
+    def test_internal_hamiltonian_is_block_diagonal(self, n_spins):
+        system = SpinSystem.create(
+            sample_couplings(80 + n_spins, n_spins, DEFAULT_COUPLING_SIGMA_HZ),
+            chemical_shifts_hz=np.linspace(-50.0, 80.0, n_spins),
+            disorder_hz=sample_disorder(90 + n_spins, n_spins, 300.0),
+            global_offset_hz=120.0,
+        )
+        layout = magnetization_sectors(n_spins)
+        h = internal_hamiltonian(system)[np.ix_(layout.order, layout.order)]
+        for span in layout.spans:
+            h[span, span] = 0.0
+        assert not np.any(h)
+
+    def test_layout_is_read_only(self):
+        layout = magnetization_sectors(4)
+        with pytest.raises(ValueError):
+            layout.order[0] = 1
+
+
+def test_kron_power_equals_repeated_kron():
+    rng = np.random.default_rng(5)
+    for op in (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), rng.normal(size=(2, 3))):
+        oracle = np.eye(1, dtype=complex)
+        for n in range(6):
+            assert np.array_equal(kron_power(op, n), oracle)
+            oracle = np.kron(oracle, op)
