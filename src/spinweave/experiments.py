@@ -24,7 +24,7 @@ import scipy.optimize
 from .control import ErrorModel, FreeEvolution, IDEAL, cycle_unitary
 from .operators import HermitianPropagator, Operator, as_operator
 from .sequences import PulseSequence
-from .spins import SpinSystem, collective_operator, dq_hamiltonian
+from .spins import SpinSystem, collective_operator, dq_hamiltonian, internal_hamiltonian_stack
 
 __all__ = [
     "DecayCurve",
@@ -409,7 +409,7 @@ def mqc_experiment(
     if window is None:
         w = None
     elif isinstance(window, FreeWindow):
-        w = FreeEvolution(system).at(window.duration)
+        w = FreeEvolution(internal_hamiltonian_stack([system])).at(window.duration)[0]
     elif isinstance(window, ProtectedWindow):
         u_cyc = cycle_unitary(system, window.sequence, window.error, window.tau)
         w = np.linalg.matrix_power(u_cyc, window.cycles)

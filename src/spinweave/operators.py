@@ -78,7 +78,8 @@ def commutator(a: npt.ArrayLike, b: npt.ArrayLike) -> Operator:
 
 
 def dagger(a: npt.ArrayLike) -> Operator:
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each member of a (B, d, d) stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def hermiticity_defect(h: npt.ArrayLike) -> float:
@@ -118,7 +119,8 @@ def expm_hermitian(h: npt.ArrayLike, t: float) -> Operator:
 
     Computed by eigendecomposition of ``h``, so the result is exact up to
     roundoff for any ``t``.  Inputs with relative asymmetry above 1e-10 are
-    rejected.
+    rejected.  ``h`` may be a (B, d, d) stack; each member is checked and
+    propagated on its own.
     """
     return HermitianPropagator(h).at(t)
 
@@ -127,12 +129,16 @@ class HermitianPropagator:
     """Factory for ``exp(-i h t)`` reusing a single eigendecomposition of ``h``.
 
     Useful when the same Hamiltonian generates propagators for many delays.
+    ``h`` is one matrix or a (B, d, d) stack, factored by one batched
+    ``eigh`` after a member-by-member Hermiticity check.
     """
 
     def __init__(self, h: npt.ArrayLike, tol: float = 1e-10):
-        h = require_hermitian(h, tol)
+        h = np.asarray(h, dtype=np.complex128)
+        for member in h.reshape(-1, *h.shape[-2:]):
+            require_hermitian(member, tol)
         # eigh of the Hermitian average removes the O(tol) asymmetry
-        self._w, self._v = np.linalg.eigh((h + h.conj().T) / 2.0)
+        self._w, self._v = np.linalg.eigh((h + dagger(h)) / 2.0)
 
     @property
     def eigenvalues(self) -> npt.NDArray[np.float64]:
@@ -140,7 +146,7 @@ class HermitianPropagator:
 
     def at(self, t: float) -> Operator:
         phases = np.exp(-1j * self._w * t)
-        return (self._v * phases) @ self._v.conj().T
+        return (self._v * phases[..., None, :]) @ dagger(self._v)
 
 
 def unitary_eigenphases(

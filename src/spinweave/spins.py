@@ -15,7 +15,10 @@ collective RF pulse.
 The internal Hamiltonian (secular dipolar plus z offsets) conserves total
 S_z, so it is block-diagonal once the basis is sorted by magnetization
 sector; :func:`magnetization_sectors` gives that ordering and the row span
-of each sector.
+of each sector.  Its matrix elements are placed from per-N pair tables
+(the ZZ diagonal products and the flip-flop index pairs), cached beside
+the sector layout, so a stack of members is built in a few array
+operations (:func:`internal_hamiltonian_stack`).
 
 Random ensembles use the counter-based Philox generator keyed directly by
 the user seed, so samples are reproducible bit-for-bit across runs and
@@ -27,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,7 @@ __all__ = [
     "dipolar_hamiltonian",
     "offset_hamiltonian",
     "internal_hamiltonian",
+    "internal_hamiltonian_stack",
     "dq_hamiltonian",
     "coupling_from_geometry",
     "sample_couplings",
@@ -294,6 +299,57 @@ class SpinSystem:
         return cls.from_dict(json.loads(text))
 
 
+@dataclass(frozen=True)
+class _PairTables:
+    """Index tables that place every S_z-conserving term of the ``n``-spin space.
+
+    Attributes:
+        pairs: ``(i, j)`` index arrays of the pairs ``i < j``, row-major.
+        diagonal: ``(n_pairs + n, dim)`` rows: ``2 m_i m_j`` of each pair,
+            then ``m_i`` of each spin; coefficients times rows, summed, give
+            the diagonal of ``H_D + H_offset``.
+        flip_rows, flip_cols, flip_pair: the flip-flop elements, one per
+            pair and state whose two spins differ: ``h[row, col]`` takes
+            ``-d/2`` of pair ``flip_pair``.  No two pairs share an element.
+    """
+
+    pairs: tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]
+    diagonal: npt.NDArray[np.float64]
+    flip_rows: npt.NDArray[np.intp]
+    flip_cols: npt.NDArray[np.intp]
+    flip_pair: npt.NDArray[np.intp]
+
+
+@functools.cache
+def _pair_tables(n_spins: int) -> _PairTables:
+    bits = _bit_table(n_spins)
+    m_values = 0.5 - bits
+    i, j = np.triu_indices(n_spins, k=1)
+    diagonal = np.concatenate([2.0 * m_values[:, i] * m_values[:, j], m_values], axis=1).T.copy()
+    states, pair = np.nonzero(bits[:, i] != bits[:, j])
+    masks = (1 << (n_spins - 1 - i)) | (1 << (n_spins - 1 - j))
+    tables = _PairTables(
+        pairs=(i, j), diagonal=diagonal, flip_rows=states ^ masks[pair], flip_cols=states, flip_pair=pair
+    )
+    for arr in (i, j, diagonal, tables.flip_rows, states, pair):
+        arr.flags.writeable = False
+    return tables
+
+
+def _hamiltonian_stack(couplings_hz: np.ndarray, offsets_hz: np.ndarray) -> np.ndarray:
+    """``H_D + sum_i a_i S_z^i`` in rad/s for (B, n, n) couplings and (B, n) offsets."""
+    batch, n = offsets_hz.shape
+    tables = _pair_tables(n)
+    dim = 1 << n
+    d = TWO_PI * couplings_hz[:, tables.pairs[0], tables.pairs[1]]
+    coefficients = np.concatenate([d, TWO_PI * offsets_hz], axis=1)
+    h = np.zeros((batch, dim, dim), dtype=np.complex128)
+    h[:, tables.flip_rows, tables.flip_cols] = -0.5 * d[:, tables.flip_pair]
+    states = np.arange(dim)
+    h[:, states, states] = (coefficients[:, :, None] * tables.diagonal).sum(axis=1)
+    return h
+
+
 def dipolar_hamiltonian(system: SpinSystem) -> Operator:
     """Secular dipolar Hamiltonian in rad/s.
 
@@ -301,36 +357,33 @@ def dipolar_hamiltonian(system: SpinSystem) -> Operator:
     ``d_ij (2 S_z^i S_z^j - (S_+^i S_-^j + S_-^i S_+^j)/2)``.  Traceless and
     commuting with the total z magnetization.
     """
-    n = system.n_spins
-    dim = system.dim
-    bits = _bit_table(n)
-    m_values = 0.5 - bits
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    diag = np.zeros(dim)
-    states = np.arange(dim)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = TWO_PI * system.couplings_hz[i, j]
-            if d == 0.0:
-                continue
-            diag += 2.0 * d * m_values[:, i] * m_values[:, j]
-            mask = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-            src = states[bits[:, i] != bits[:, j]]
-            h[src ^ mask, src] += -d / 2.0
-    h[states, states] += diag
-    return h
+    return _hamiltonian_stack(system.couplings_hz[None], np.zeros((1, system.n_spins)))[0]
 
 
 def offset_hamiltonian(system: SpinSystem) -> Operator:
     """Diagonal offset Hamiltonian ``sum_i a_i S_z^i`` in rad/s."""
-    m_values = 0.5 - _bit_table(system.n_spins)
-    a = TWO_PI * system.total_offsets_hz
-    return np.diag((m_values * a[None, :]).sum(axis=1)).astype(np.complex128)
+    n = system.n_spins
+    return _hamiltonian_stack(np.zeros((1, n, n)), system.total_offsets_hz[None])[0]
 
 
 def internal_hamiltonian(system: SpinSystem) -> Operator:
     """Full internal Hamiltonian ``H_D + H_offset`` in rad/s."""
-    return dipolar_hamiltonian(system) + offset_hamiltonian(system)
+    return internal_hamiltonian_stack([system])[0]
+
+
+def internal_hamiltonian_stack(systems: Sequence[SpinSystem]) -> np.ndarray:
+    """``H_D + H_offset`` of each system, as a (B, d, d) stack in rad/s.
+
+    Member ``k`` equals ``internal_hamiltonian(systems[k])`` bit for bit:
+    both are built from the same cached pair tables.
+    """
+    n = systems[0].n_spins
+    if any(s.n_spins != n for s in systems):
+        raise ValueError("a Hamiltonian stack needs systems of one spin count")
+    return _hamiltonian_stack(
+        np.stack([s.couplings_hz for s in systems]),
+        np.stack([s.total_offsets_hz for s in systems]),
+    )
 
 
 def dq_hamiltonian(system: SpinSystem, couplings_hz: npt.ArrayLike | None = None) -> Operator:

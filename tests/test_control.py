@@ -1,13 +1,16 @@
 import os
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from spinweave.control import (
+    DISORDER_SEED_OFFSET,
     ErrorModel,
     FreeEvolution,
     IDEAL,
+    NumericalDiagnosticError,
     SweepSpec,
     WeakPulseWarning,
     collective_phase_operator,
@@ -19,7 +22,8 @@ from spinweave.control import (
     pulse_unitary,
     resolve_threads,
 )
-from spinweave.operators import unitarity_defect
+from spinweave.control import _eigenphase_fidelity, _ensemble_infidelities
+from spinweave.operators import BranchCutWarning, unitarity_defect
 from spinweave.sequences import BUILTIN_NAMES, builtin, parse_sequence, schedule
 from spinweave.spins import (
     SIGMA,
@@ -27,6 +31,7 @@ from spinweave.spins import (
     collective_operator,
     dipolar_hamiltonian,
     internal_hamiltonian,
+    internal_hamiltonian_stack,
     sample_couplings,
     sample_disorder,
 )
@@ -228,16 +233,23 @@ class TestCycleKernelOracle:
 class TestFreeEvolution:
     @pytest.mark.parametrize("n_spins", [2, 3, 5, 7])
     def test_matches_expm(self, n_spins):
-        system = SpinSystem.create(
-            sample_couplings(60 + n_spins, n_spins, 5000.0 / 3.0),
-            disorder_hz=sample_disorder(70 + n_spins, n_spins, 150.0),
-            global_offset_hz=-400.0,
-        )
-        h = internal_hamiltonian(system)
-        free = FreeEvolution(system)
+        systems = [
+            SpinSystem.create(
+                sample_couplings(60 + n_spins + k, n_spins, 5000.0 / 3.0),
+                disorder_hz=sample_disorder(70 + n_spins + k, n_spins, 150.0),
+                global_offset_hz=-400.0,
+            )
+            for k in range(2)
+        ]
+        free = FreeEvolution(internal_hamiltonian_stack(systems))
         for t in (1e-6, 3.7e-5):
-            assert np.abs(free.at(t) - scipy.linalg.expm(-1j * h * t)).max() < 1e-12
-        assert free.spectral_norm == pytest.approx(np.abs(np.linalg.eigvalsh(h)).max(), rel=1e-12)
+            u = free.at(t)
+            for k, system in enumerate(systems):
+                oracle = scipy.linalg.expm(-1j * internal_hamiltonian(system) * t)
+                assert np.abs(u[k] - oracle).max() < 1e-12
+        for k, system in enumerate(systems):
+            norm = np.abs(np.linalg.eigvalsh(internal_hamiltonian(system))).max()
+            assert free.spectral_norm[k] == pytest.approx(norm, rel=1e-12)
 
 
 class TestFidelity:
@@ -317,6 +329,43 @@ class TestEnsembleFidelity:
         assert [(r.value, r.sequence, r.mean_infidelity) for r in rows1] == [
             (r.value, r.sequence, r.mean_infidelity) for r in rows4
         ]
+        # 4-spin finite pulses with disorder: one stack per grid value
+        spec = SweepSpec(
+            parameter="disorder_sigma_hz",
+            grid=(5.0, 50.0, 500.0),
+            sequences=("WHH", "CORY48", "YXX48"),
+            n_spins=4,
+            n_coupling_sets=2,
+            n_disorder_samples=4,
+            pulse_width=1e-6,
+        )
+        runs = [ensemble_fidelity(spec, threads=t) for t in (1, 2, 3)]
+        for rows in runs[1:]:
+            assert [(r.value, r.sequence, r.mean_infidelity, r.stddev) for r in rows] == [
+                (r.value, r.sequence, r.mean_infidelity, r.stddev) for r in runs[0]
+            ]
+
+    def test_many_threads_run_every_task_once(self):
+        # more threads than cores and a short switch interval: a task lost or
+        # run twice would leave a zero or a mismatch in the member array
+        spec = SweepSpec(
+            parameter="rotation_error",
+            grid=tuple(np.linspace(0.0, 0.05, 12)),
+            sequences=("WHH", "MREV8"),
+            n_spins=3,
+            n_coupling_sets=2,
+            n_disorder_samples=2,
+            disorder_sigma_hz=40.0,
+        )
+        reference = _ensemble_infidelities(spec, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = _ensemble_infidelities(spec, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.all(reference > 0.0)
+        assert np.array_equal(stressed, reference)
 
     def test_disorder_stream_reproducible(self):
         spec = SweepSpec(
@@ -338,6 +387,103 @@ class TestEnsembleFidelity:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
             SweepSpec(parameter="tau", grid=())
+
+
+def member_system(spec, set_idx, dis_idx, disorder_sigma_hz):
+    """Member ``(set_idx, dis_idx)`` of a sweep, built the way a caller would."""
+    disorder = (
+        sample_disorder(spec.base_seed + DISORDER_SEED_OFFSET + dis_idx, spec.n_spins, disorder_sigma_hz)
+        if disorder_sigma_hz > 0.0
+        else np.zeros(spec.n_spins)
+    )
+    return SpinSystem.create(
+        sample_couplings(spec.base_seed + set_idx, spec.n_spins, spec.coupling_sigma_hz),
+        disorder_hz=disorder,
+        global_offset_hz=spec.global_offset_hz,
+    )
+
+
+STACK_SPECS = {
+    # 7 spins stack 4 members at a time: chunks of 4 and 1
+    "7-spin-chunk-boundary": SweepSpec(
+        parameter="rotation_error",
+        grid=(0.0, 0.02),
+        sequences=("WHH", "BR24"),
+        n_spins=7,
+        n_coupling_sets=5,
+        global_offset_hz=120.0,
+        base_seed=31,
+    ),
+    "4-spin-finite-disorder-transients": SweepSpec(
+        parameter="disorder_sigma_hz",
+        grid=(10.0, 300.0),
+        sequences=("WHH", "MREV8", "CORY48", "YXX24"),
+        n_spins=4,
+        n_coupling_sets=3,
+        n_disorder_samples=4,
+        pulse_width=1e-6,
+        transient=0.02,
+        base_seed=32,
+    ),
+}
+
+
+class TestStackedEnsemble:
+    """Every stacked member equals the one-member public calls bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(STACK_SPECS))
+    def test_members_equal_single_calls(self, case):
+        spec = STACK_SPECS[case]
+        stacked = _ensemble_infidelities(spec, threads=1)
+        members = [(s, d) for s in range(spec.n_coupling_sets) for d in range(spec.n_disorder_samples)]
+        assert stacked.shape == (len(spec.grid), len(spec.sequences), len(members))
+        for i, value in enumerate(spec.grid):
+            disorder_sigma = value if spec.parameter == "disorder_sigma_hz" else spec.disorder_sigma_hz
+            rotation = value if spec.parameter == "rotation_error" else spec.rotation_error
+            error = ErrorModel(
+                pulse_width=spec.pulse_width,
+                rotation_error=rotation,
+                transient_leading=spec.transient,
+                transient_trailing=spec.transient,
+            )
+            for j, name in enumerate(spec.sequences):
+                seq = builtin(name)
+                for k, (set_idx, dis_idx) in enumerate(members):
+                    system = member_system(spec, set_idx, dis_idx, disorder_sigma)
+                    single = 1.0 - fidelity(cycle_unitary(system, seq, error, spec.tau), m=seq.cycle_windows)
+                    assert stacked[i, j, k] == single, (value, name, k)
+
+    def test_weak_finite_pulse_warns_in_sweep(self):
+        spec = SweepSpec(
+            parameter="tau",
+            grid=(4e-4,),
+            sequences=("WHH",),
+            n_spins=2,
+            n_coupling_sets=2,
+            coupling_sigma_hz=5e5,
+            pulse_width=1e-4,
+        )
+        with pytest.warns(WeakPulseWarning):
+            ensemble_fidelity(spec, threads=1)
+
+
+class TestEigenphaseFidelity:
+    def test_branch_cut_warns_through_fidelity(self):
+        u = np.diag(np.exp(1j * np.array([np.pi, 0.1, -0.2, 0.3])))
+        with pytest.warns(BranchCutWarning):
+            fidelity(u, m=2)
+
+    def test_member_off_unit_circle_raises(self):
+        stack = np.stack([random_unitary(5, 8), 1.001 * random_unitary(6, 8)])
+        assert _eigenphase_fidelity(stack[:1], 3)[0] <= 1.0
+        with pytest.raises(NumericalDiagnosticError, match="unit circle"):
+            _eigenphase_fidelity(stack, 3)
+
+    def test_stack_equals_one_member_calls(self):
+        stack = np.stack([random_unitary(seed, 16) for seed in range(7)])
+        for m in (1, 4):
+            values = _eigenphase_fidelity(stack, m)
+            assert [fidelity(u, m=m) for u in stack] == list(values)
 
 
 class TestLoglogSlope:

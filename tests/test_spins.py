@@ -15,6 +15,7 @@ from spinweave.spins import (
     dq_hamiltonian,
     embedded_spin,
     internal_hamiltonian,
+    internal_hamiltonian_stack,
     kron_power,
     magnetization_sectors,
     offset_hamiltonian,
@@ -133,6 +134,43 @@ class TestOffsetHamiltonian:
         )
         assert np.abs(offset_hamiltonian(system) - oracle).max() < 1e-12
         assert np.abs(internal_hamiltonian(system) - offset_hamiltonian(system)).max() == 0.0
+
+
+class TestPairTableBuild:
+    """H_int placed from the cached pair tables against a Kronecker build."""
+
+    @staticmethod
+    def random_system(n_spins, seed):
+        rng = np.random.default_rng(seed)
+        return SpinSystem.create(
+            sample_couplings(seed, n_spins, DEFAULT_COUPLING_SIGMA_HZ),
+            chemical_shifts_hz=rng.normal(0.0, 80.0, n_spins),
+            disorder_hz=rng.normal(0.0, 300.0, n_spins),
+            global_offset_hz=rng.normal(0.0, 150.0),
+        )
+
+    @pytest.mark.parametrize("n_spins", range(2, 9))
+    def test_matches_kron_build(self, n_spins):
+        system = self.random_system(n_spins, 300 + n_spins)
+        oracle = kron_dipolar_oracle(system) + sum(
+            TWO_PI * a * embedded_spin(n_spins, i, "z")
+            for i, a in enumerate(system.total_offsets_hz)
+        )
+        scale = np.abs(oracle).max()
+        assert np.abs(internal_hamiltonian(system) - oracle).max() <= 1e-12 * scale
+        assert np.abs(dipolar_hamiltonian(system) - kron_dipolar_oracle(system)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 7])
+    def test_stack_members_equal_single_builds(self, n_spins):
+        systems = [self.random_system(n_spins, 400 + 10 * n_spins + k) for k in range(5)]
+        stack = internal_hamiltonian_stack(systems)
+        assert stack.shape == (5, 1 << n_spins, 1 << n_spins)
+        for member, system in zip(stack, systems):
+            assert np.array_equal(member, internal_hamiltonian(system))
+
+    def test_stack_rejects_mixed_spin_counts(self):
+        with pytest.raises(ValueError, match="one spin count"):
+            internal_hamiltonian_stack([self.random_system(2, 1), self.random_system(3, 2)])
 
 
 class TestDqHamiltonian:
