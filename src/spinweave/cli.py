@@ -29,8 +29,8 @@ from .experiments import (
 from .harness import (
     ConfigError,
     PRESET_NAMES,
-    _fmt,
-    config_digest,
+    csv_text,
+    provenance,
     run_preset,
     run_sweep,
     sweep_rows_to_csv,
@@ -86,7 +86,10 @@ def sweep(config_path, overrides, output, fmt, threads):
     """Run a one-parameter ensemble-fidelity sweep."""
     doc = {}
     if config_path:
-        doc = json.loads(Path(config_path).read_text())
+        try:
+            doc = json.loads(Path(config_path).read_text())
+        except json.JSONDecodeError as exc:
+            raise click.UsageError(f"config file {config_path} is not JSON: {exc}") from exc
     for item in overrides:
         if "=" not in item:
             raise click.UsageError(f"--set expects KEY=VALUE, got {item!r}")
@@ -98,7 +101,9 @@ def sweep(config_path, overrides, output, fmt, threads):
         target = doc
         parts = key.split(".")
         for part in parts[:-1]:
-            target = target.setdefault(part, {})
+            target = target.setdefault(part, {}) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            raise click.UsageError(f"--set {key}: {'.'.join(parts[:-1]) or 'the config'} is not an object")
         target[parts[-1]] = value
     try:
         cfg = validate_config(doc)
@@ -193,10 +198,7 @@ def aht_terms(seq_name, orders, spins, coupling_sigma_hz, offset_hz, tau_s, seed
         "tau_s": tau_s,
         "base_seed": seed,
     }
-    text = json.dumps(
-        {"config": document, "config_sha256": config_digest(document), "terms": rows},
-        indent=2,
-    )
+    text = json.dumps({**provenance(document), "terms": rows}, indent=2)
     if output == "-":
         click.echo(text)
     else:
@@ -252,26 +254,13 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
         "base_seed": seed,
         "blocks": block_list,
     }
-    lines = [
-        "# spinweave autocorrelation",
-        "# config: " + json.dumps(document, sort_keys=True, separators=(",", ":")),
-        "# config_sha256: " + config_digest(document),
-        "time_s,c_xx,c_yy,c_zz,c_avg",
-    ]
-    for i, t in enumerate(avg.times):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    t,
-                    curves["x"].values[i],
-                    curves["y"].values[i],
-                    curves["z"].values[i],
-                    avg.values[i],
-                )
-            )
-        )
-    path = write_output(output, "\n".join(lines) + "\n")
+    text = csv_text(
+        ("time_s", "c_xx", "c_yy", "c_zz", "c_avg"),
+        zip(avg.times, curves["x"].values, curves["y"].values, curves["z"].values, avg.values),
+        "spinweave autocorrelation",
+        document,
+    )
+    path = write_output(output, text)
     click.echo(f"wrote {path}")
     if fit_model:
         result = fit_decay(avg, model=fit_model)
@@ -333,19 +322,14 @@ def exp_mqc(spins, tau_dq, phi_count, window, coupling_sigma_hz, seed, output):
         "coupling_sigma_hz": coupling_sigma_hz,
         "base_seed": seed,
     }
-    header = [
-        "# spinweave mqc spectrum",
-        "# config: " + json.dumps(document, sort_keys=True, separators=(",", ":")),
-        "# config_sha256: " + config_digest(document),
-        "order,intensity",
-    ]
-    for order, intensity in zip(result.spectrum.orders, result.spectrum.intensities):
-        header.append(f"{order},{_fmt(intensity)}")
-    path = write_output(output, "\n".join(header) + "\n")
-    signal_lines = ["phi_rad,signal"]
-    for phi, s in zip(result.phases, result.signals):
-        signal_lines.append(f"{_fmt(phi)},{_fmt(s)}")
-    signal_path = write_output(str(output) + ".signal.csv", "\n".join(signal_lines) + "\n")
+    spectrum = zip(result.spectrum.orders, result.spectrum.intensities)
+    path = write_output(
+        output, csv_text(("order", "intensity"), spectrum, "spinweave mqc spectrum", document)
+    )
+    signal_path = write_output(
+        str(output) + ".signal.csv",
+        csv_text(("phi_rad", "signal"), zip(result.phases, result.signals)),
+    )
     click.echo(f"wrote {path}")
     click.echo(f"wrote {signal_path}")
 

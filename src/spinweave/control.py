@@ -14,33 +14,35 @@ do not depend on the parallelism degree.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import queue
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .aht import MagnusSeries, magnus_series
 from .operators import (
-    BranchCutWarning,
     Operator,
     as_operator,
     dagger,
     expm_hermitian,
+    principal_eigenphases,
     require_unitary,
     spectral_norm,
     unitary_root,
 )
-from .sequences import PulseSequence, builtin, schedule
+from .sequences import BUILTIN_NAMES, PulseSequence, builtin, schedule
 from .spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
-    collective_operator,
+    collective_phase_operator,
     collective_rotation,
     internal_hamiltonian_stack,
     kron_power,
+    magnetization,
     magnetization_sectors,
     sample_couplings,
     sample_disorder,
@@ -120,12 +122,6 @@ class ErrorModel:
 
 
 IDEAL = ErrorModel()
-
-
-def collective_phase_operator(n_spins: int, phase_deg: float) -> Operator:
-    """Collective in-plane spin operator ``cos(phi) Sx + sin(phi) Sy``."""
-    phi = np.deg2rad(phase_deg)
-    return np.cos(phi) * collective_operator(n_spins, "x") + np.sin(phi) * collective_operator(n_spins, "y")
 
 
 def _warn_if_weak(error: ErrorModel, h_norm: float) -> None:
@@ -233,9 +229,6 @@ class _CycleKernel:
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
             order = layout.order
             self.pulse0 = _pulse(0.0, error, self.n_spins, hamiltonians)[:, order[:, None], order]
-            self.m_z = np.concatenate(
-                [np.full(s.stop - s.start, self.n_spins / 2 - k) for k, s in enumerate(layout.spans)]
-            )
 
     def cycles(self, seq: PulseSequence, tau: float) -> np.ndarray:
         """(B, d, d) cycle propagators in the standard basis, each checked unitary to 1e-10."""
@@ -243,13 +236,14 @@ class _CycleKernel:
         order, inverse, spans = free.layout.order, free.layout.inverse, free.layout.spans
         steps = schedule(seq, tau, error.pulse_width)
         phases = {value for kind, value in steps if kind == "pulse"}
+        m_z = magnetization(n)[order]
         pulses = {}
         for phase in phases:
             if error.is_delta:
                 r = pulse_unitary(phase, error, 1)
                 pulses[phase] = (kron_power(r, (n + 1) // 2), kron_power(r, n // 2))
             else:
-                z = np.exp(-1j * np.deg2rad(phase) * self.m_z)
+                z = np.exp(-1j * np.deg2rad(phase) * m_z)
                 pulses[phase] = (z[:, None] * self.pulse0) * z.conj()
         stack, dim = free.shape[0], 1 << n
         u = np.empty((stack, dim, dim), dtype=np.complex128)
@@ -316,28 +310,17 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, branch_tol: float = 1e-9) -> np.
     """``|Tr(u^{1/m})| / d`` of each member of a (B, d, d) unitary stack, shape (B,).
 
     The principal root maps each eigenvalue ``exp(i theta)``, ``theta`` in
-    ``(-pi, pi]``, to ``exp(i theta / m)``, as :func:`unitary_root` does;
-    only the eigenvalues are needed for the trace.
+    ``(-pi, pi]``, to ``exp(i theta / m)``, by the conventions of
+    :func:`principal_eigenphases` that :func:`unitary_root` shares; only the
+    eigenvalues are needed for the trace.
     """
-    if m < 1 or int(m) != m:
-        raise ValueError(f"root order must be a positive integer, got {m}")
     lam = np.linalg.eigvals(u)
     off_circle = float(np.abs(np.abs(lam) - 1.0).max())
     if off_circle > 1e-7:
         raise NumericalDiagnosticError(
             f"eigenvalue of a claimed-unitary propagator is off the unit circle by {off_circle:.3e}"
         )
-    theta = np.angle(lam)
-    theta[theta <= -np.pi] = np.pi
-    if m > 1:
-        near_cut = np.abs(np.pi - np.abs(theta)) < branch_tol
-        if np.any(near_cut):
-            warnings.warn(
-                f"{int(near_cut.sum())} eigenphase(s) within {branch_tol:g} of the "
-                "branch cut at pi; principal root may be discontinuous here",
-                BranchCutWarning,
-                stacklevel=3,
-            )
+    theta = principal_eigenphases(lam, m, branch_tol, stacklevel=3)
     tr = np.exp(1j * theta / m).sum(axis=-1)
     return np.minimum(np.abs(tr) / u.shape[-1], 1.0)
 
@@ -418,7 +401,7 @@ class SweepSpec:
 
     parameter: str
     grid: tuple[float, ...]
-    sequences: tuple[str, ...] = ("WHH", "MREV8", "MREV16", "BR24", "CORY48", "YXX24", "YXX48")
+    sequences: tuple[str, ...] = BUILTIN_NAMES
     n_spins: int = 8
     n_coupling_sets: int = 16
     coupling_sigma_hz: float = DEFAULT_COUPLING_SIGMA_HZ
@@ -490,43 +473,32 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
 
     def run(task):
         i, start = task
-        params = {
-            "tau": spec.tau,
-            "pulse_width": spec.pulse_width,
-            "disorder_sigma_hz": spec.disorder_sigma_hz,
-            "global_offset_hz": spec.global_offset_hz,
-            "rotation_error": spec.rotation_error,
-            "transient": spec.transient,
-        }
-        params[spec.parameter] = spec.grid[i]
+        point = dataclasses.replace(spec, **{spec.parameter: spec.grid[i]})
         systems = []
         for set_idx, dis_idx in members[start : start + chunk]:
             couplings = sample_couplings(
-                spec.base_seed + set_idx, spec.n_spins, spec.coupling_sigma_hz
+                point.base_seed + set_idx, point.n_spins, point.coupling_sigma_hz
             )
-            if params["disorder_sigma_hz"] > 0.0:
+            if point.disorder_sigma_hz > 0.0:
                 disorder = sample_disorder(
-                    spec.base_seed + DISORDER_SEED_OFFSET + dis_idx,
-                    spec.n_spins,
-                    params["disorder_sigma_hz"],
+                    point.base_seed + DISORDER_SEED_OFFSET + dis_idx,
+                    point.n_spins,
+                    point.disorder_sigma_hz,
                 )
             else:
-                disorder = np.zeros(spec.n_spins)
+                disorder = np.zeros(point.n_spins)
             systems.append(
                 SpinSystem.create(
-                    couplings, disorder_hz=disorder, global_offset_hz=params["global_offset_hz"]
+                    couplings, disorder_hz=disorder, global_offset_hz=point.global_offset_hz
                 )
             )
-        error = ErrorModel(
-            pulse_width=params["pulse_width"],
-            rotation_error=params["rotation_error"],
-            transient_leading=params["transient"],
-            transient_trailing=params["transient"],
+        error = ErrorModel.symmetric_transients(
+            point.transient, point.pulse_width, point.rotation_error
         )
         kernel = _CycleKernel(internal_hamiltonian_stack(systems), error)
         for j, seq in enumerate(sequences):
             results[i, j, start : start + len(systems)] = 1.0 - _eigenphase_fidelity(
-                kernel.cycles(seq, params["tau"]), seq.cycle_windows
+                kernel.cycles(seq, point.tau), seq.cycle_windows
             )
 
     # the calling thread drains the queue alongside threads - 1 helpers

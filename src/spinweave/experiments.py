@@ -24,7 +24,13 @@ import scipy.optimize
 from .control import ErrorModel, FreeEvolution, IDEAL, cycle_unitary
 from .operators import HermitianPropagator, Operator, as_operator
 from .sequences import PulseSequence
-from .spins import SpinSystem, collective_operator, dq_hamiltonian, internal_hamiltonian_stack
+from .spins import (
+    SpinSystem,
+    collective_operator,
+    dq_hamiltonian,
+    internal_hamiltonian_stack,
+    magnetization,
+)
 
 __all__ = [
     "DecayCurve",
@@ -308,12 +314,6 @@ _AXIS_EIGENBASIS = {
 }
 
 
-def _twice_m_values(n_spins: int) -> np.ndarray:
-    states = np.arange(1 << n_spins)
-    popcount = np.array([bin(s).count("1") for s in states])
-    return n_spins - 2 * popcount  # 2 * total magnetic quantum number
-
-
 def coherence_intensities(rho: Operator, axis: str = "z") -> CoherenceSpectrum:
     """Decompose a density operator by coherence order along ``axis``.
 
@@ -331,8 +331,8 @@ def coherence_intensities(rho: Operator, axis: str = "z") -> CoherenceSpectrum:
         for _ in range(n_spins):
             basis = np.kron(basis, _AXIS_EIGENBASIS[axis])
         rho = basis.conj().T @ rho @ basis
-    mm = _twice_m_values(n_spins)
-    delta = (mm[:, None] - mm[None, :]) // 2 + n_spins
+    m = magnetization(n_spins)
+    delta = (m[:, None] - m[None, :]).astype(np.intp) + n_spins
     intensities = np.bincount(
         delta.ravel(), weights=(np.abs(rho) ** 2).ravel(), minlength=2 * n_spins + 1
     )
@@ -415,12 +415,12 @@ def mqc_experiment(
         w = np.linalg.matrix_power(u_cyc, window.cycles)
     else:
         raise TypeError(f"unsupported window {window!r}")
-    mm = _twice_m_values(n)
+    m = magnetization(n)
     phases = 2 * np.pi * np.arange(phi_count) / phi_count
     signals = np.empty(phi_count)
     u_bwd = u_fwd.conj().T
     for k, phi in enumerate(phases):
-        tag = np.exp(-1j * phi * mm / 2.0)
+        tag = np.exp(-1j * phi * m)
         rho = (tag[:, None] * rho_tau) * tag.conj()[None, :]
         if w is not None:
             rho = w @ rho @ w.conj().T

@@ -14,17 +14,26 @@ profile and a desk-scale ``ci`` profile.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .aht import magnus_series, term_magnitudes
-from .control import SweepRow, SweepSpec, ensemble_fidelity, nth_order_fidelity
-from .operators import frobenius_magnitude
-from .sequences import BUILTIN_NAMES, builtin
+from .control import (
+    SWEEPABLE_PARAMETERS,
+    SweepRow,
+    SweepSpec,
+    ensemble_fidelity,
+    nth_order_fidelity,
+)
+from .operators import MAX_SPINS, frobenius_magnitude
+from .sequences import BUILTIN_NAMES, builtin, schedule
 from .spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
@@ -37,6 +46,8 @@ __all__ = [
     "NormalizedConfig",
     "validate_config",
     "config_digest",
+    "provenance",
+    "csv_text",
     "run_sweep",
     "sweep_rows_to_csv",
     "sweep_rows_to_json",
@@ -45,32 +56,21 @@ __all__ = [
     "run_preset",
 ]
 
-# Config-document field names for sweepable parameters -> SweepSpec fields.
-_PARAMETER_MAP = {
-    "tau_s": "tau",
-    "pulse_width_s": "pulse_width",
-    "disorder_sigma_hz": "disorder_sigma_hz",
-    "global_offset_hz": "global_offset_hz",
-    "rotation_error": "rotation_error",
-    "transient": "transient",
-}
-_PARAMETER_UNMAP = {v: k for k, v in _PARAMETER_MAP.items()}
+# The config document names each SweepSpec field by its own name, except
+# these two, which carry their unit.
+_DOCUMENT_NAMES = {"tau": "tau_s", "pulse_width": "pulse_width_s"}
 
-_CONFIG_DEFAULTS = {
-    "sequences": list(BUILTIN_NAMES),
-    "n_spins": 8,
-    "n_coupling_sets": 16,
-    "coupling_sigma_hz": DEFAULT_COUPLING_SIGMA_HZ,
-    "n_disorder_samples": 1,
-    "disorder_sigma_hz": 0.0,
-    "global_offset_hz": 0.0,
-    "tau_s": 4e-6,
-    "pulse_width_s": 0.0,
-    "rotation_error": 0.0,
-    "transient": 0.0,
-    "sweep": {"parameter": "tau_s", "grid": [2e-6, 4e-6, 8e-6]},
-    "base_seed": 2026,
-}
+
+def _document_name(name: str) -> str:
+    return _DOCUMENT_NAMES.get(name, name)
+
+
+# document name -> SweepSpec field, for every field after the swept parameter and grid
+_FIELDS = {_document_name(f.name): f for f in dataclasses.fields(SweepSpec)[2:]}
+_SWEEPABLE = {_document_name(name): name for name in SWEEPABLE_PARAMETERS}
+_DEFAULT_SWEEP = {"parameter": "tau_s", "grid": [2e-6, 4e-6, 8e-6]}
+_POSITIVE = ("n_coupling_sets", "n_disorder_samples", "coupling_sigma_hz", "tau")
+_NONNEGATIVE = ("disorder_sigma_hz", "pulse_width", "transient", "base_seed")
 
 CSV_COLUMNS = ("sweep_param", "value", "sequence", "mean_infidelity", "stddev", "n_samples")
 
@@ -95,156 +95,173 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _value_problem(field: dataclasses.Field, value) -> str | None:
+    """What is wrong with ``value`` as a value of a SweepSpec ``field``, or None.
+
+    A field whose default is an int takes an int, any other a finite number;
+    bools are neither.
+    """
+    name = field.name
+    if isinstance(field.default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return "must be an integer"
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    elif not abs(value) <= sys.float_info.max:
+        return "is non-finite"
+    if name == "n_spins" and not 2 <= value <= MAX_SPINS:
+        return f"must be in 2..{MAX_SPINS}"
+    if name in _POSITIVE and not value > 0:
+        return "must be positive"
+    if name in _NONNEGATIVE and value < 0:
+        return "must be nonnegative"
+    return None
+
+
 def validate_config(doc: dict | None) -> NormalizedConfig:
     """Apply defaults and validate a sweep-config document.
 
-    Raises :class:`ConfigError` carrying every detected problem.  The
-    returned document re-validates to an identical config (round-trip).
+    The document holds every SweepSpec field under its own name (``tau_s``
+    and ``pulse_width_s`` for ``tau`` and ``pulse_width``) with its default,
+    plus ``sweep``: the swept field and its grid.  One rule per field checks
+    each value and grid value, and each pulse must fit its window
+    (:func:`spinweave.sequences.schedule`) at each grid point.  Raises
+    :class:`ConfigError` carrying every detected problem.  The returned
+    document re-validates to an identical config (round-trip).
     """
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise ConfigError([f"config must be an object, got {type(doc).__name__}"])
     errors: list[str] = []
-    doc = dict(doc or {})
-    unknown = set(doc) - set(_CONFIG_DEFAULTS)
+    unknown = set(doc) - set(_FIELDS) - {"sweep"}
     if unknown:
-        errors.append(f"unknown fields: {', '.join(sorted(unknown))}")
-    merged = {**_CONFIG_DEFAULTS, **{k: v for k, v in doc.items() if k in _CONFIG_DEFAULTS}}
+        errors.append(f"unknown fields: {', '.join(sorted(map(str, unknown)))}")
 
-    sequences = [str(s).upper() for s in merged["sequences"]]
-    bad = [s for s in sequences if s not in BUILTIN_NAMES]
-    if bad:
-        errors.append(f"unknown sequences: {', '.join(bad)}")
-    if not sequences:
-        errors.append("sequences list is empty")
+    values = {}
+    for key, f in _FIELDS.items():
+        value = doc.get(key, f.default)
+        if f.name == "sequences":
+            if not isinstance(value, (list, tuple)) or not value or not all(
+                isinstance(v, str) and v.upper() in BUILTIN_NAMES for v in value
+            ):
+                errors.append(
+                    f"sequences must be a nonempty list of {BUILTIN_NAMES}, got {value!r}"
+                )
+                continue
+            value = tuple(v.upper() for v in value)
+        elif problem := _value_problem(f, value):
+            errors.append(f"{key} {problem}, got {value!r}")
+            continue
+        else:
+            value = type(f.default)(value)
+        values[f.name] = value
 
-    n_spins = merged["n_spins"]
-    if not isinstance(n_spins, int) or not 2 <= n_spins <= 10:
-        errors.append(f"n_spins must be an integer in 2..10, got {n_spins!r}")
-    for key in ("n_coupling_sets", "n_disorder_samples"):
-        if not isinstance(merged[key], int) or merged[key] < 1:
-            errors.append(f"{key} must be a positive integer, got {merged[key]!r}")
-    if not merged["coupling_sigma_hz"] > 0:
-        errors.append("coupling_sigma_hz must be positive")
-    if merged["disorder_sigma_hz"] < 0:
-        errors.append("disorder_sigma_hz must be nonnegative")
-    if not merged["tau_s"] > 0:
-        errors.append("tau_s must be positive")
-    if merged["pulse_width_s"] < 0:
-        errors.append("pulse_width_s must be nonnegative")
-    if not isinstance(merged["base_seed"], int) or merged["base_seed"] < 0:
-        errors.append(f"base_seed must be a nonnegative integer, got {merged['base_seed']!r}")
-
-    sweep = merged["sweep"]
+    sweep = doc.get("sweep", _DEFAULT_SWEEP)
     parameter, grid = None, []
     if not isinstance(sweep, dict) or set(sweep) - {"parameter", "grid"}:
         errors.append("sweep must be an object with fields 'parameter' and 'grid'")
     else:
         parameter = sweep.get("parameter")
-        if parameter not in _PARAMETER_MAP:
+        if not isinstance(parameter, str) or parameter not in _SWEEPABLE:
             errors.append(
-                f"sweep.parameter must be one of {sorted(_PARAMETER_MAP)}, got {parameter!r}"
+                f"sweep.parameter must be one of {sorted(_SWEEPABLE)}, got {parameter!r}"
             )
-        raw_grid = sweep.get("grid", [])
-        try:
-            grid = [float(v) for v in raw_grid]
-        except (TypeError, ValueError):
-            errors.append("sweep.grid must be a list of numbers")
-            grid = []
-        if not grid:
+            parameter = None
+        grid = sweep.get("grid", [])
+        if not isinstance(grid, (list, tuple)):
+            errors.append(f"sweep.grid must be a list, got {grid!r}")
+        elif not grid:
             errors.append("sweep.grid is empty")
-        elif any(not np.isfinite(v) for v in grid):
-            errors.append("sweep.grid contains non-finite values")
-        elif any(b <= a for a, b in zip(grid, grid[1:])):
-            errors.append("sweep.grid must be strictly increasing")
-        elif parameter == "tau_s" and grid[0] <= 0:
-            errors.append("tau_s grid values must be positive")
-        elif parameter in ("pulse_width_s", "disorder_sigma_hz", "transient") and grid[0] < 0:
-            errors.append(f"{parameter} grid values must be nonnegative")
-
+        elif parameter is not None:
+            problems = [(v, _value_problem(_FIELDS[parameter], v)) for v in grid]
+            errors += [f"sweep.grid value for {parameter} {p}, got {v!r}" for v, p in problems if p]
+            if not any(p for _, p in problems):
+                grid = [float(v) for v in grid]
+                if any(b <= a for a, b in zip(grid, grid[1:])):
+                    errors.append("sweep.grid must be strictly increasing")
     if errors:
         raise ConfigError(errors)
 
+    spec = SweepSpec(parameter=_SWEEPABLE[parameter], grid=tuple(grid), **values)
+    points = [dataclasses.replace(spec, **{spec.parameter: v}) for v in spec.grid]
+    for name in spec.sequences:
+        for point in points:
+            try:
+                schedule(builtin(name), point.tau, point.pulse_width)
+            except ValueError as exc:
+                errors.append(str(exc))
+                break
+    if errors:
+        raise ConfigError(errors)
+
+    # SweepSpec order, with the sweep before base_seed: JSON results keep this key order
     document = {
-        "sequences": sequences,
-        "n_spins": n_spins,
-        "n_coupling_sets": merged["n_coupling_sets"],
-        "coupling_sigma_hz": float(merged["coupling_sigma_hz"]),
-        "n_disorder_samples": merged["n_disorder_samples"],
-        "disorder_sigma_hz": float(merged["disorder_sigma_hz"]),
-        "global_offset_hz": float(merged["global_offset_hz"]),
-        "tau_s": float(merged["tau_s"]),
-        "pulse_width_s": float(merged["pulse_width_s"]),
-        "rotation_error": float(merged["rotation_error"]),
-        "transient": float(merged["transient"]),
-        "sweep": {"parameter": parameter, "grid": grid},
-        "base_seed": merged["base_seed"],
+        _document_name(name): list(value) if name == "sequences" else value
+        for name, value in values.items()
+        if name != "base_seed"
     }
-    spec = SweepSpec(
-        parameter=_PARAMETER_MAP[parameter],
-        grid=tuple(grid),
-        sequences=tuple(sequences),
-        n_spins=n_spins,
-        n_coupling_sets=document["n_coupling_sets"],
-        coupling_sigma_hz=document["coupling_sigma_hz"],
-        n_disorder_samples=document["n_disorder_samples"],
-        disorder_sigma_hz=document["disorder_sigma_hz"],
-        global_offset_hz=document["global_offset_hz"],
-        tau=document["tau_s"],
-        pulse_width=document["pulse_width_s"],
-        rotation_error=document["rotation_error"],
-        transient=document["transient"],
-        base_seed=document["base_seed"],
-    )
+    document["sweep"] = {"parameter": parameter, "grid": grid}
+    document["base_seed"] = values["base_seed"]
     return NormalizedConfig(document=document, spec=spec)
 
 
+def _canonical(document: dict) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
 def config_digest(document: dict) -> str:
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical(document).encode()).hexdigest()
+
+
+def provenance(document: dict) -> dict:
+    """The ``config`` and ``config_sha256`` entries that head every result file."""
+    return {"config": document, "config_sha256": config_digest(document)}
+
+
+def csv_text(
+    columns: Sequence[str],
+    rows: Iterable[Sequence],
+    title: str | None = None,
+    document: dict | None = None,
+) -> str:
+    """CSV text, floats written shortest round-trip.
+
+    With a ``document``, comment lines first give the ``title`` and the
+    :func:`provenance` of the document, in canonical JSON.
+    """
+    lines = []
+    if document is not None:
+        entries = provenance(document)
+        lines += [
+            f"# {title}",
+            "# config: " + _canonical(entries["config"]),
+            "# config_sha256: " + entries["config_sha256"],
+        ]
+    lines.append(",".join(columns))
+    lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def run_sweep(config: NormalizedConfig, threads: int | None = None) -> list[SweepRow]:
     return ensemble_fidelity(config.spec, threads=threads)
 
 
+def _row_cells(r: SweepRow) -> tuple:
+    return (_document_name(r.parameter), r.value, r.sequence, r.mean_infidelity, r.stddev, r.n_samples)
+
+
 def sweep_rows_to_csv(config: NormalizedConfig, rows: list[SweepRow]) -> str:
     """Render sweep rows as CSV with the resolved config embedded in comments."""
-    lines = [
-        "# spinweave sweep result",
-        "# config: " + json.dumps(config.document, sort_keys=True, separators=(",", ":")),
-        "# config_sha256: " + config_digest(config.document),
-        ",".join(CSV_COLUMNS),
-    ]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    _PARAMETER_UNMAP[r.parameter],
-                    _fmt(r.value),
-                    r.sequence,
-                    _fmt(r.mean_infidelity),
-                    _fmt(r.stddev),
-                    str(r.n_samples),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        CSV_COLUMNS, map(_row_cells, rows), "spinweave sweep result", config.document
+    )
 
 
 def sweep_rows_to_json(config: NormalizedConfig, rows: list[SweepRow]) -> dict:
     return {
-        "config": config.document,
-        "config_sha256": config_digest(config.document),
+        **provenance(config.document),
         "columns": list(CSV_COLUMNS),
-        "rows": [
-            [
-                _PARAMETER_UNMAP[r.parameter],
-                r.value,
-                r.sequence,
-                r.mean_infidelity,
-                r.stddev,
-                r.n_samples,
-            ]
-            for r in rows
-        ],
+        "rows": [list(_row_cells(r)) for r in rows],
     }
 
 
@@ -351,11 +368,7 @@ def _run_figA3(profile: str, outdir: Path, threads=None) -> list[Path]:
         "tau_s": tau,
         "base_seed": seed,
     }
-    payload = {
-        "config": document,
-        "config_sha256": config_digest(document),
-        "rows": rows,
-    }
+    payload = {**provenance(document), "rows": rows}
     return [write_output(outdir / "figA3.json", json.dumps(payload, indent=2) + "\n")]
 
 
@@ -403,7 +416,7 @@ def _run_figA4(profile: str, outdir: Path, threads=None) -> list[Path]:
             }
         )
     document = {"preset": "figA4", "profile": profile, "base_seed": seed, "max_order": n_max}
-    payload = {"config": document, "config_sha256": config_digest(document), "rows": rows}
+    payload = {**provenance(document), "rows": rows}
     return [write_output(outdir / "figA4.json", json.dumps(payload, indent=2) + "\n")]
 
 

@@ -49,7 +49,7 @@ __all__ = [
     "require_unitary",
     "expm_hermitian",
     "HermitianPropagator",
-    "unitary_eigenphases",
+    "principal_eigenphases",
     "unitary_root",
     "frobenius_magnitude",
     "spectral_norm",
@@ -149,54 +149,55 @@ class HermitianPropagator:
         return (self._v * phases[..., None, :]) @ dagger(self._v)
 
 
-def unitary_eigenphases(
-    u: npt.ArrayLike, tol: float = 1e-10
-) -> tuple[npt.NDArray[np.float64], Operator]:
-    """Eigenphases and unitary eigenbasis of a unitary matrix.
+def principal_eigenphases(
+    eigenvalues: npt.ArrayLike, m: int, branch_tol: float = 1e-9, stacklevel: int = 2
+) -> npt.NDArray[np.float64]:
+    """Eigenphases ``theta`` in ``(-pi, pi]`` of unit-modulus eigenvalues, for an ``m``-th root.
 
-    Returns ``(theta, q)`` with ``u = q diag(exp(i theta)) q^dag`` and
-    ``theta`` in ``(-pi, pi]``.  Uses a complex Schur decomposition: for a
-    unitary (normal) input the Schur factor is diagonal up to roundoff, and
-    ``q`` is exactly unitary, which keeps reconstruction errors at machine
-    level even for high matrix powers.
+    The principal ``m``-th root maps ``exp(i theta)`` to ``exp(i theta / m)``;
+    ``m`` must be a positive integer.  For ``m > 1`` eigenphases within
+    ``branch_tol`` of the branch cut at ``pi`` are ambiguous; they take the
+    ``theta = pi`` convention and are reported through a
+    :class:`BranchCutWarning`, with ``stacklevel`` counted from the caller
+    as :func:`warnings.warn` counts it.
     """
-    u = require_unitary(u, tol)
-    t, q = scipy.linalg.schur(u, output="complex")
-    dim = u.shape[0]
-    diag = np.diag(t).copy()
-    offdiag = np.linalg.norm(t - np.diag(diag)) / np.sqrt(dim)
-    if offdiag > 1e3 * tol:
-        raise ValueError(
-            f"Schur factor of claimed-unitary input is not diagonal (residual {offdiag:.3e})"
-        )
-    theta = np.angle(diag)
+    if m < 1 or int(m) != m:
+        raise ValueError(f"root order must be a positive integer, got {m}")
+    theta = np.angle(eigenvalues)
     theta[theta <= -np.pi] = np.pi
-    return theta, q
+    if m > 1:
+        near_cut = np.abs(np.pi - np.abs(theta)) < branch_tol
+        if np.any(near_cut):
+            warnings.warn(
+                f"{int(near_cut.sum())} eigenphase(s) within {branch_tol:g} of the "
+                "branch cut at pi; principal root may be discontinuous here",
+                BranchCutWarning,
+                stacklevel=stacklevel + 1,
+            )
+    return theta
 
 
 def unitary_root(u: npt.ArrayLike, m: int, branch_tol: float = 1e-9) -> Operator:
     """Principal ``m``-th root of a unitary matrix.
 
     Each eigenvalue ``exp(i theta)`` with ``theta`` in ``(-pi, pi]`` maps to
-    ``exp(i theta / m)``.  Eigenphases within ``branch_tol`` of the branch
-    cut at ``pi`` are ambiguous; they are computed with the ``theta = pi``
-    convention and reported through a :class:`BranchCutWarning`.
+    ``exp(i theta / m)`` (:func:`principal_eigenphases`).  The eigenbasis
+    comes from a complex Schur decomposition: for a unitary (normal) input
+    the Schur factor is diagonal up to roundoff, and its basis is exactly
+    unitary, which keeps reconstruction errors at machine level even for
+    high matrix powers.
     """
-    if m < 1 or int(m) != m:
-        raise ValueError(f"root order must be a positive integer, got {m}")
-    u = as_operator(u)
+    u = require_unitary(u)
     if m == 1:
-        require_unitary(u)
         return u.copy()
-    theta, q = unitary_eigenphases(u)
-    near_cut = np.abs(np.pi - np.abs(theta)) < branch_tol
-    if np.any(near_cut):
-        warnings.warn(
-            f"{int(near_cut.sum())} eigenphase(s) within {branch_tol:g} of the "
-            "branch cut at pi; principal root may be discontinuous here",
-            BranchCutWarning,
-            stacklevel=2,
+    t, q = scipy.linalg.schur(u, output="complex")
+    diag = np.diag(t).copy()
+    offdiag = np.linalg.norm(t - np.diag(diag)) / np.sqrt(u.shape[0])
+    if offdiag > 1e-7:
+        raise ValueError(
+            f"Schur factor of claimed-unitary input is not diagonal (residual {offdiag:.3e})"
         )
+    theta = principal_eigenphases(diag, m, branch_tol)
     return (q * np.exp(1j * theta / m)) @ q.conj().T
 
 

@@ -46,7 +46,9 @@ __all__ = [
     "spin_operator",
     "embedded_spin",
     "collective_operator",
+    "collective_phase_operator",
     "collective_rotation",
+    "magnetization",
     "kron_power",
     "SectorLayout",
     "magnetization_sectors",
@@ -97,28 +99,43 @@ def embedded_spin(n_spins: int, site: int, axis: str) -> Operator:
     return op
 
 
+def _flip_sum(n_spins: int, up: complex, down: complex) -> Operator:
+    """``sum_i o_i``, in one scatter, for the one-spin flip operator ``o``.
+
+    ``<down|o|up> = up`` and ``<up|o|down> = down``.
+    """
+    dim = 1 << n_spins
+    states = np.arange(dim)[:, None]
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    flipped = states ^ (1 << (n_spins - 1 - np.arange(n_spins)))
+    out[flipped, states] = np.where(_bit_table(n_spins) == 0, up, down)
+    return out
+
+
 def collective_operator(n_spins: int, axis: str) -> Operator:
     """Collective spin operator ``sum_i S_axis^i`` on ``n_spins`` spins."""
     if not 1 <= n_spins <= MAX_SPINS:
         raise ValueError(f"n_spins must be in 1..{MAX_SPINS}, got {n_spins}")
     if axis not in SPIN_HALF:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    dim = 1 << n_spins
-    bits = _bit_table(n_spins)
-    m_values = 0.5 - bits
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    states = np.arange(dim)
     if axis == "z":
-        out[states, states] = m_values.sum(axis=1)
-        return out
-    for i in range(n_spins):
-        flipped = states ^ (1 << (n_spins - 1 - i))
-        if axis == "x":
-            out[flipped, states] += 0.5
-        else:
-            # <down|S_y|up> = +i/2, <up|S_y|down> = -i/2
-            out[flipped, states] += np.where(bits[:, i] == 0, 0.5j, -0.5j)
-    return out
+        return np.diag(magnetization(n_spins)).astype(np.complex128)
+    # <down|S_y|up> = +i/2, <up|S_y|down> = -i/2 (a +0.0 real part, unlike -0.5j)
+    up, down = (0.5, 0.5) if axis == "x" else (0.5j, complex(0.0, -0.5))
+    return _flip_sum(n_spins, up, down)
+
+
+def collective_phase_operator(n_spins: int, phase_deg: float) -> Operator:
+    """Collective in-plane spin operator ``cos(phi) Sx + sin(phi) Sy``.
+
+    Flipping a spin up to down gives the element ``exp(i phi) / 2``, and
+    down to up ``exp(-i phi) / 2``.
+    """
+    if not 1 <= n_spins <= MAX_SPINS:
+        raise ValueError(f"n_spins must be in 1..{MAX_SPINS}, got {n_spins}")
+    phi = np.deg2rad(phase_deg)
+    c, s = 0.5 * np.cos(phi), 0.5 * np.sin(phi)
+    return _flip_sum(n_spins, complex(c, s), complex(c, -s))
 
 
 def collective_rotation(n_spins: int, phase_deg: float, angle: float) -> Operator:
@@ -146,6 +163,14 @@ def kron_power(op: Operator, n: int) -> Operator:
     for _ in range(n):
         u = (u[:, None, :, None] * op[None, :, None, :]).reshape(len(u) * len(op), -1)
     return u
+
+
+@functools.cache
+def magnetization(n_spins: int) -> npt.NDArray[np.float64]:
+    """Total S_z of each basis state, ``n/2`` minus its down spins (read-only, built once per n)."""
+    m = n_spins / 2 - _bit_table(n_spins).sum(axis=1)
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)

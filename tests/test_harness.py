@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from spinweave.cli import main
 from spinweave.harness import (
     ConfigError,
+    _sweep_preset,
     config_digest,
     run_preset,
     run_sweep,
@@ -21,6 +22,56 @@ TINY_SWEEP = {
     "sweep": {"parameter": "tau_s", "grid": [2e-6, 4e-6]},
     "base_seed": 7,
 }
+
+# Each value was once accepted or crashed with a traceback.
+MALFORMED = {
+    "coupling-sigma-string": {"coupling_sigma_hz": "abc"},
+    "tau-null": {"tau_s": None},
+    "rotation-error-string": {"rotation_error": "x"},
+    "offset-infinite": {"global_offset_hz": float("inf")},
+    "rotation-error-nan": {"rotation_error": float("nan")},
+    "coupling-sets-bool": {"n_coupling_sets": True},
+    "spins-float": {"n_spins": 4.0},
+    "transient-negative": {"transient": -0.01},
+    "pulse-wider-than-window": {
+        "tau_s": 4e-6,
+        "pulse_width_s": 5e-6,
+        "sweep": {"parameter": "rotation_error", "grid": [0.0]},
+    },
+    "grid-pulse-wider-than-window": {
+        "tau_s": 4e-6,
+        "sweep": {"parameter": "pulse_width_s", "grid": [1e-6, 5e-6]},
+    },
+    "grid-tau-shorter-than-pulse": {
+        "pulse_width_s": 1e-6,
+        "sweep": {"parameter": "tau_s", "grid": [5e-7, 2e-6]},
+    },
+    "grid-transient-negative": {"sweep": {"parameter": "transient", "grid": [-0.01, 0.01]}},
+    "grid-bool": {"sweep": {"parameter": "rotation_error", "grid": [False, 0.1]}},
+    "grid-string": {"sweep": {"parameter": "global_offset_hz", "grid": ["1", 2.0]}},
+    "grid-nan": {"sweep": {"parameter": "disorder_sigma_hz", "grid": [float("nan")]}},
+    "grid-not-list": {"sweep": {"parameter": "tau_s", "grid": "2e-6"}},
+    "parameter-unhashable": {"sweep": {"parameter": ["tau_s"], "grid": [2e-6]}},
+    "sequences-string": {"sequences": "WHH"},
+    "config-not-object": ["n_spins", 4],
+}
+
+# Config SHA-256 digests that committed result files embed; they must not drift.
+PINNED_DIGESTS = {
+    "default": "252e121336878da136c36691d60f58c4986e2674f6e898171fffd9ed919ececd",
+    "fig2a": "7a0fbab30139d53ba52fc08a7a0b42856ca03d15d895b3e4487436298337ed87",
+    "fig6b": "8cb68af03ee8fdb455b1eb561659b4acc693e3ed422304766a18d2bea3a33dec",
+    "fig8b": "59461c9700e9700a2a20c8c091c0630fec8ea63a89c9b2205f12d90f7bc856fc",
+}
+
+
+def embedded_config(text):
+    """The config document and digest a result file's comment header carries."""
+    lines = text.splitlines()
+    config = [l for l in lines if l.startswith("# config: ")]
+    digest = [l for l in lines if l.startswith("# config_sha256: ")]
+    assert len(config) == len(digest) == 1
+    return json.loads(config[0][len("# config: "):]), digest[0][len("# config_sha256: "):]
 
 
 class TestValidateConfig:
@@ -62,6 +113,30 @@ class TestValidateConfig:
             )
         assert len(err.value.errors) >= 3
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_value_is_config_error(self, case, tmp_path):
+        with pytest.raises(ConfigError):
+            validate_config(MALFORMED[case])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(MALFORMED[case]))
+        result = CliRunner().invoke(
+            main, ["sweep", "--config", str(path), "--output", str(tmp_path / "out.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_set_string_value_exits_2(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["sweep", "--set", 'rotation_error="x"', "--output", str(tmp_path / "out.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "rotation_error must be a number" in result.output
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_config_digest_is_pinned(self, name):
+        doc = {} if name == "default" else _sweep_preset(name, "ci")
+        assert config_digest(validate_config(doc).document) == PINNED_DIGESTS[name]
+
     def test_rejects_empty_and_nonfinite_grids(self):
         with pytest.raises(ConfigError, match="empty"):
             validate_config({"sweep": {"parameter": "tau_s", "grid": []}})
@@ -91,12 +166,43 @@ class TestEmission:
         assert doc["config_sha256"] == config_digest(cfg.document)
         assert len(doc["rows"]) == 2
 
-    def test_csv_embeds_config(self):
+    def test_json_keeps_document_key_order(self):
+        doc = sweep_rows_to_json(validate_config(TINY_SWEEP), [])
+        assert list(doc) == ["config", "config_sha256", "columns", "rows"]
+        assert list(doc["config"]) == [
+            "sequences",
+            "n_spins",
+            "n_coupling_sets",
+            "coupling_sigma_hz",
+            "n_disorder_samples",
+            "disorder_sigma_hz",
+            "global_offset_hz",
+            "tau_s",
+            "pulse_width_s",
+            "rotation_error",
+            "transient",
+            "sweep",
+            "base_seed",
+        ]
+
+    def test_csv_embeds_config(self, tmp_path):
         cfg = validate_config(TINY_SWEEP)
-        text = sweep_rows_to_csv(cfg, run_sweep(cfg, threads=1))
-        config_line = [l for l in text.splitlines() if l.startswith("# config: ")][0]
-        embedded = json.loads(config_line[len("# config: "):])
+        embedded, digest = embedded_config(sweep_rows_to_csv(cfg, run_sweep(cfg, threads=1)))
         assert validate_config(embedded).document == cfg.document
+        assert digest == config_digest(cfg.document)
+        # the experiment CSVs carry the same header
+        runner = CliRunner()
+        commands = {
+            "ac.csv": ["exp", "autocorr", "--seq", "WHH", "--spins", "2", "--blocks", "0,1,2"],
+            "mqc.csv": ["exp", "mqc", "--spins", "2", "--window", "free:1e-5"],
+        }
+        for name, args in commands.items():
+            out = tmp_path / name
+            result = runner.invoke(main, args + ["--output", str(out)])
+            assert result.exit_code == 0, result.output
+            embedded, digest = embedded_config(out.read_text())
+            assert embedded["n_spins"] == 2
+            assert digest == config_digest(embedded)
 
 
 class TestPresets:

@@ -6,6 +6,7 @@ from spinweave.operators import (
     BranchCutWarning,
     expm_hermitian,
     frobenius_magnitude,
+    principal_eigenphases,
     spectral_norm,
     unitary_root,
 )
@@ -70,6 +71,17 @@ class TestUnitaryRoot:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             unitary_root(2.0 * np.eye(4), 2)
+
+    @pytest.mark.parametrize("m", [0, -2, 2.5])
+    def test_rejects_bad_root_order(self, m):
+        with pytest.raises(ValueError, match="root order"):
+            unitary_root(random_unitary(4, 4), m)
+        with pytest.raises(ValueError, match="root order"):
+            principal_eigenphases(np.ones(4), m)
+
+    def test_principal_phases_put_minus_pi_on_pi(self):
+        lam = np.array([complex(-1.0, -0.0), 1j, -1j])  # np.angle gives -pi first
+        assert np.array_equal(principal_eigenphases(lam, 1), [np.pi, np.pi / 2, -np.pi / 2])
 
 
 class TestFrobeniusMagnitude:

@@ -17,6 +17,7 @@ from spinweave.spins import (
     internal_hamiltonian,
     internal_hamiltonian_stack,
     kron_power,
+    magnetization,
     magnetization_sectors,
     offset_hamiltonian,
     sample_couplings,
@@ -67,6 +68,23 @@ class TestCollectiveOperators:
     def test_collective_rotation_matches_eigendecomposition(self, n, phase_deg, angle):
         oracle = expm_hermitian(collective_phase_operator(n, phase_deg), angle)
         assert np.abs(collective_rotation(n, phase_deg, angle) - oracle).max() < 1e-13
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_phase_operator_equals_axis_sum(self, n):
+        # elements equal cos(phi) Sx + sin(phi) Sy exactly; zeros may differ in sign
+        sx, sy = collective_operator(n, "x"), collective_operator(n, "y")
+        for phase_deg in (0.0, 30.0, 90.0, 135.0, 180.0, 225.0, 270.0, -37.5):
+            phi = np.deg2rad(phase_deg)
+            assert np.array_equal(
+                collective_phase_operator(n, phase_deg), np.cos(phi) * sx + np.sin(phi) * sy
+            ), phase_deg
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_magnetization_is_sz_diagonal(self, n):
+        m = magnetization(n)
+        assert np.array_equal(m, [n / 2 - bin(s).count("1") for s in range(1 << n)])
+        assert np.array_equal(collective_operator(n, "z"), np.diag(m))
+        assert not m.flags.writeable and magnetization(n) is m
 
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError):
