@@ -38,6 +38,7 @@ from .control import (
     cycle_unitary,
     ensemble_fidelity,
     fidelity,
+    nth_order_fidelities,
     nth_order_fidelity,
     pulse_unitary,
 )

@@ -11,6 +11,14 @@ even at high order.  Finite-width pulses are sliced into
 :data:`PULSE_SLICES` short constant sub-segments, which is a documented
 approximation.  Sums accumulate in plain floating point; their roundoff
 shows in each term's recorded hermiticity residual.
+
+Both recursions run at GEMM granularity: the operators of all orders are
+kept in a few contiguous buffers, a row of blocks side by side and packed
+columns of blocks stacked, so each order-n sum over products of lower
+orders is one matrix product of two slices instead of one small product
+per term (:func:`dyson_terms`, :func:`burum_terms`).  The Burum recursion
+sets parts of its working values below ``2**-500`` to zero, which keeps
+its products out of the slow subnormal range.
 """
 
 from __future__ import annotations
@@ -60,6 +68,9 @@ _HARD_ORDER_CAP = 72
 
 # Constant sub-segments per finite-width pulse in the toggling frame.
 PULSE_SLICES = 32
+
+# Parts of Burum working values below this are set to zero (see burum_terms).
+_FLUSH_FLOOR = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -181,27 +192,44 @@ def dyson_terms(segments: list[TogglingSegment], n_max: int) -> list[Operator]:
     evaluated exactly: within a constant segment the running terms satisfy a
     triangular ODE system whose solution is the Cauchy product with the
     segment's exponential series, continued across segment boundaries.
+
+    With ``d_n`` the order-n part of the propagator (``d_0 = I``) and
+    ``p_j = (-i H dt)^j / j!`` the segment's series, a segment maps
+    ``d_n -> d_n + p_n + sum_{j=1}^{n-1} p_j d_{n-j}``.  The powers are kept
+    side by side in reverse order, ``[p_N ... p_1]`` (shape ``(dim, N dim)``),
+    and ``d_1..d_N`` stacked in one ``(N dim, dim)`` column, so the sum is
+    one GEMM of the slices ``[p_{n-1} ... p_1]`` and ``[d_1; ...; d_{n-1}]``.
+    Orders are updated from N down, so each reads the lower orders of the
+    previous segment; no product with the identity is formed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > _HARD_ORDER_CAP + 1:
         raise ValueError(f"n_max capped at {_HARD_ORDER_CAP + 1}")
     dim = segments[0].hamiltonian.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
-    # terms of the propagator's expansion, d[n] collecting n powers of (-i H)
-    d = [eye] + [np.zeros_like(eye) for _ in range(n_max)]
+    width = n_max * dim
+    powers = np.empty((dim, width), dtype=np.complex128)  # p_j at block n_max - j
+    d = np.zeros((width, dim), dtype=np.complex128)  # d_n at block n - 1
     for seg in segments:
         gen = -1j * seg.hamiltonian * seg.duration
-        a = eye
-        powers = [eye]
-        for j in range(1, n_max + 1):
+        a = gen
+        powers[:, width - dim :] = a
+        for j in range(2, n_max + 1):
             a = (a @ gen) / j
-            powers.append(a)
-        d = [
-            sum(powers[j] @ d[n - j] for j in range(n + 1))
-            for n in range(n_max + 1)
-        ]
-    return [(1j) ** n * d[n] for n in range(1, n_max + 1)]
+            powers[:, (n_max - j) * dim : (n_max - j + 1) * dim] = a
+        for n in range(n_max, 0, -1):
+            block = d[(n - 1) * dim : n * dim]
+            block += powers[:, (n_max - n) * dim : (n_max - n + 1) * dim]
+            if n > 1:
+                block += powers[:, (n_max - n + 1) * dim :] @ d[: (n - 1) * dim]
+    return [(1j) ** n * d[(n - 1) * dim : n * dim] for n in range(1, n_max + 1)]
+
+
+def _flush_tiny(block: np.ndarray) -> np.ndarray:
+    """Zero, in place, every real or imaginary part below :data:`_FLUSH_FLOOR`."""
+    parts = block.view(np.float64)
+    parts[np.abs(parts) < _FLUSH_FLOOR] = 0.0
+    return block
 
 
 def burum_terms(dyson: list[Operator], cycle_time: float) -> MagnusSeries:
@@ -211,29 +239,55 @@ def burum_terms(dyson: list[Operator], cycle_time: float) -> MagnusSeries:
     order, where ``W_n`` collects n powers of the Hamiltonian; the order-n
     effective term is ``(i / t_c) W_{n+1}``.  The order-0/1 results coincide
     with the :func:`average_h` closed forms, which the test suite enforces.
+
+    Writing ``w_n = W_n`` and ``P(k, n)`` for the order-n part of ``W^k``,
+    order n is ``w_n = d_n - sum_{k=2}^{n} P(k, n) / k!`` with
+    ``P(k, n) = sum_m w_m P(k-1, n-m)``.  Each ``P(k, n)`` is one GEMM:
+    ``w_1..w_N`` are kept side by side in reverse order (shape
+    ``(dim, N dim)``), so ``[w_{n-k+1} ... w_1]`` is one slice, and each
+    power k has a packed column ``((N+1-k) dim, dim)`` holding only its
+    orders ``k..N``, so ``[P(k-1, k-1); ...; P(k-1, n-1)]`` is one slice.
+    No full ``(N+1) dim`` square table is built.
+
+    Every real or imaginary part below ``2**-500`` is set to zero in each
+    new ``P(k, n)`` block and in each ``w_n`` before it is stored.  These
+    are dimensionless orders of ``H t``, so a flushed entry lies more than
+    1e135 below :data:`NEGLIGIBLE_MAGNITUDE`.  Without the flush, powers of
+    a roundoff-level ``w_1`` (the order-0 average of a decoupling cycle)
+    underflow into subnormals, which make each GEMM several times slower;
+    with it, no product of two stored entries is subnormal
+    (``2**-1000 > 2**-1022``).
     """
     if cycle_time <= 0:
         raise ValueError("cycle_time must be positive")
     n_terms = len(dyson)
     if n_terms < 1:
         raise ValueError("need at least one Dyson term")
-    # restore the propagator-expansion normalization
-    d = {n: (-1j) ** n * dyson[n - 1] for n in range(1, n_terms + 1)}
-    omega: dict[int, np.ndarray] = {}
-    powers: dict[tuple[int, int], np.ndarray] = {}  # (k, n) -> order-n part of W^k
+    dim = dyson[0].shape[0]
+    width = n_terms * dim
+    omega = np.empty((dim, width), dtype=np.complex128)  # w_m at block n_terms - m
+    # columns[k - 1] holds P(k, j) for j = k..n_terms at block j - k
+    columns = [
+        np.empty(((n_terms + 1 - k) * dim, dim), dtype=np.complex128)
+        for k in range(1, n_terms + 1)
+    ]
     for n in range(1, n_terms + 1):
-        correction = np.zeros_like(d[1])
+        correction = np.zeros((dim, dim), dtype=np.complex128)
         for k in range(2, n + 1):
-            powers[(k, n)] = sum(
-                omega[m] @ powers[(k - 1, n - m)] for m in range(1, n - k + 2)
+            block = columns[k - 1][(n - k) * dim : (n - k + 1) * dim]
+            np.matmul(
+                omega[:, (n_terms - n + k - 1) * dim :],
+                columns[k - 2][: (n - k + 1) * dim],
+                out=block,
             )
-            correction = correction + powers[(k, n)] / float(math.factorial(k))
-        omega[n] = d[n] - correction
-        powers[(1, n)] = omega[n]
-    raw_terms = [(1j / cycle_time) * omega[n + 1] for n in range(n_terms)]
+            correction += _flush_tiny(block) / float(math.factorial(k))
+        w_n = _flush_tiny((-1j) ** n * dyson[n - 1] - correction)
+        omega[:, (n_terms - n) * dim : (n_terms - n + 1) * dim] = w_n
+        columns[0][(n - 1) * dim : n * dim] = w_n
     terms = []
     residuals = []
-    for t in raw_terms:
+    for n in range(1, n_terms + 1):
+        t = (1j / cycle_time) * columns[0][(n - 1) * dim : n * dim]
         residuals.append(hermiticity_defect(t))
         herm = (t + t.conj().T) / 2.0
         herm.flags.writeable = False

@@ -19,6 +19,7 @@ import numpy as np
 from .aht import magnus_series, term_magnitudes
 from .control import ErrorModel, NumericalDiagnosticError
 from .experiments import (
+    MIN_FIT_POINTS,
     FreeWindow,
     ProtectedWindow,
     autocorrelation,
@@ -236,6 +237,11 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
         block_list = [int(b) for b in blocks.split(",") if b.strip() != ""]
     except ValueError as exc:
         raise click.UsageError(f"bad --blocks value: {exc}") from exc
+    n_points = len(set(block_list))
+    if fit_model and n_points < MIN_FIT_POINTS:
+        raise click.UsageError(
+            f"--fit needs at least {MIN_FIT_POINTS} distinct --blocks values, got {n_points}"
+        )
     try:
         curves = {
             axis: autocorrelation(system, sequence, error, tau_s, axis, block_list)

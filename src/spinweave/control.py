@@ -59,6 +59,7 @@ __all__ = [
     "cycle_unitary",
     "fidelity",
     "nth_order_fidelity",
+    "nth_order_fidelities",
     "SweepSpec",
     "SweepRow",
     "SWEEPABLE_PARAMETERS",
@@ -348,8 +349,48 @@ def fidelity(u_exp: Operator, u_th: Operator | None = None, m: int = 1) -> float
         raise ValueError(
             f"dimension mismatch: {u_th.shape} vs {u_exp.shape}"
         )
-    tr = np.trace(u_th.conj().T @ unitary_root(u_exp, m))
-    return min(float(np.abs(tr)) / u_exp.shape[0], 1.0)
+    return _root_overlap(unitary_root(u_exp, m), u_th)
+
+
+def _root_overlap(root: Operator, u_th: Operator) -> float:
+    """``|Tr(u_th^dag root)| / dim``, capped at 1."""
+    return min(float(np.abs(np.trace(u_th.conj().T @ root))) / root.shape[0], 1.0)
+
+
+def nth_order_fidelities(
+    system: SpinSystem,
+    seq: PulseSequence,
+    tau: float,
+    orders,
+    series: MagnusSeries | None = None,
+) -> list[float]:
+    """Fidelity against the order-n effective target, one value per order.
+
+    ``F_n = |Tr(U_th,n^dag U_exp^{1/M})| / dim`` with
+    ``U_th,n = exp(-i tau sum_{j<=n} H^(j))``, the per-window unitary the
+    truncated effective Hamiltonian predicts.  Defined for instantaneous
+    pulses with no errors; when the sequence decouples through order n the
+    target collapses to identity and F_n equals the plain fidelity.
+
+    The cycle and its root ``U_exp^{1/M}`` (:func:`unitary_root`) are built
+    once for all orders; each value equals the one-order call
+    :func:`nth_order_fidelity` bit for bit.  ``series`` defaults to the
+    Magnus series through ``max(orders)`` at the default order cap.
+    """
+    orders = list(orders)
+    if not orders:
+        return []
+    if series is None:
+        series = magnus_series(system, seq, tau, max(orders))
+    if max(orders) > series.max_order:
+        raise ValueError(
+            f"order {max(orders)} beyond computed series (max {series.max_order})"
+        )
+    root = unitary_root(cycle_unitary(system, seq, IDEAL, tau), seq.cycle_windows)
+    return [
+        _root_overlap(root, require_unitary(expm_hermitian(series.partial_sum(n), tau)))
+        for n in orders
+    ]
 
 
 def nth_order_fidelity(
@@ -360,23 +401,14 @@ def nth_order_fidelity(
     series: MagnusSeries | None = None,
     order_cap: int | None = None,
 ) -> float:
-    """Fidelity against the order-n effective target instead of identity.
+    """F_n of one order: the one-order call of :func:`nth_order_fidelities`.
 
-    ``F_n = |Tr(U_th,n^dag U_exp^{1/M})| / dim`` with
-    ``U_th,n = exp(-i tau sum_{j<=n} H^(j))``, the per-window unitary the
-    truncated effective Hamiltonian predicts.  Defined for instantaneous
-    pulses with no errors; when the sequence decouples through order n the
-    target collapses to identity and F_n equals the plain fidelity.
+    Without ``series``, the Magnus series through ``order`` is computed
+    under ``order_cap`` (see :func:`spinweave.aht.magnus_series`).
     """
     if series is None:
         series = magnus_series(system, seq, tau, order, order_cap=order_cap)
-    if order > series.max_order:
-        raise ValueError(
-            f"order {order} beyond computed series (max {series.max_order})"
-        )
-    u_exp = cycle_unitary(system, seq, IDEAL, tau)
-    u_th = expm_hermitian(series.partial_sum(order), tau)
-    return fidelity(u_exp, u_th, m=seq.cycle_windows)
+    return nth_order_fidelities(system, seq, tau, [order], series)[0]
 
 
 SWEEPABLE_PARAMETERS = (

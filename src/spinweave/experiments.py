@@ -47,9 +47,13 @@ __all__ = [
     "mqc_experiment",
     "cluster_size",
     "DEFAULT_STRETCH_BOUNDS",
+    "MIN_FIT_POINTS",
 ]
 
 DEFAULT_STRETCH_BOUNDS = {"stretched": (0.5, 2.5), "oscillating": (0.0, 3.0)}
+
+# Fewest curve samples fit_decay accepts.
+MIN_FIT_POINTS = 6
 
 
 @dataclass(frozen=True)
@@ -81,27 +85,35 @@ def autocorrelation(
     """Autocorrelation ``C_aa(N t_c)`` of the collective ``axis`` operator.
 
     ``C(N) = Tr(U^N S U^{-N} S) / Tr(S S)`` with U one cycle propagator, so
-    the curve equals 1 at N = 0 by construction.
+    the curve equals 1 at N = 0 by construction.  The blocks are visited in
+    increasing order, and the step between two of them is one conjugation
+    by ``U^g``, with ``U^g`` built once per distinct gap g by
+    ``np.linalg.matrix_power``.
     """
     blocks = sorted({int(b) for b in blocks})
     if blocks and blocks[0] < 0:
         raise ValueError("block counts must be nonnegative")
     u = cycle_unitary(system, seq, error, tau)
     s0 = collective_operator(system.n_spins, axis)
-    norm = float(np.trace(s0 @ s0).real)
-    u_dag = u.conj().T
-    values = {}
-    s_t = s0.copy()
+    # Tr(A S) = vdot(S, A) for Hermitian S
+    norm = float(np.vdot(s0, s0).real)
+    steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # gap g -> (U^g, U^-g)
+    values = []
+    s_t = s0
     cursor = 0
     for n in blocks:
-        while cursor < n:
-            s_t = u @ s_t @ u_dag
-            cursor += 1
-        values[n] = float(np.trace(s_t @ s0).real) / norm
+        if n > cursor:
+            if n - cursor not in steps:
+                u_g = np.linalg.matrix_power(u, n - cursor)
+                steps[n - cursor] = (u_g, u_g.conj().T)
+            u_g, u_g_dag = steps[n - cursor]
+            s_t = u_g @ s_t @ u_g_dag
+            cursor = n
+        values.append(float(np.vdot(s0, s_t).real) / norm)
     t_c = seq.cycle_time(tau)
     return DecayCurve(
         times=np.array([n * t_c for n in blocks]),
-        values=np.array([values[n] for n in blocks]),
+        values=np.array(values),
         axis=axis,
         meta={
             "sequence": seq.name,
@@ -193,8 +205,8 @@ def fit_decay(
         raise ValueError(f"model must be 'stretched' or 'oscillating', got {model!r}")
     t = curve.times
     v = curve.values
-    if t.size < 6:
-        raise ValueError("need at least 6 points to fit a decay model")
+    if t.size < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a decay model")
     if np.any(t < 0):
         raise ValueError("decay times must be nonnegative")
     g_lo, g_hi = stretch_bounds if stretch_bounds is not None else DEFAULT_STRETCH_BOUNDS[model]

@@ -26,11 +26,12 @@ import numpy as np
 
 from .aht import magnus_series, term_magnitudes
 from .control import (
+    DISORDER_SEED_OFFSET,
     SWEEPABLE_PARAMETERS,
     SweepRow,
     SweepSpec,
     ensemble_fidelity,
-    nth_order_fidelity,
+    nth_order_fidelities,
 )
 from .operators import MAX_SPINS, frobenius_magnitude
 from .sequences import BUILTIN_NAMES, builtin, schedule
@@ -71,6 +72,7 @@ _SWEEPABLE = {_document_name(name): name for name in SWEEPABLE_PARAMETERS}
 _DEFAULT_SWEEP = {"parameter": "tau_s", "grid": [2e-6, 4e-6, 8e-6]}
 _POSITIVE = ("n_coupling_sets", "n_disorder_samples", "coupling_sigma_hz", "tau")
 _NONNEGATIVE = ("disorder_sigma_hz", "pulse_width", "transient", "base_seed")
+_SEED_LIMIT = 1 << 128  # Philox keys (spins.sample_couplings, sample_disorder)
 
 CSV_COLUMNS = ("sweep_param", "value", "sequence", "mean_infidelity", "stddev", "n_samples")
 
@@ -95,11 +97,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _value_problem(field: dataclasses.Field, value) -> str | None:
+def _value_problem(field: dataclasses.Field, value, values: dict | None = None) -> str | None:
     """What is wrong with ``value`` as a value of a SweepSpec ``field``, or None.
 
     A field whose default is an int takes an int, any other a finite number;
-    bools are neither.
+    bools are neither.  ``values`` holds the fields checked before this one:
+    every Philox key the ensemble draws, ``base_seed + set`` and
+    ``base_seed + DISORDER_SEED_OFFSET + sample``, must stay below 2**128.
     """
     name = field.name
     if isinstance(field.default, int):
@@ -115,6 +119,14 @@ def _value_problem(field: dataclasses.Field, value) -> str | None:
         return "must be positive"
     if name in _NONNEGATIVE and value < 0:
         return "must be nonnegative"
+    if name == "base_seed":
+        values = values or {}
+        last_key = value + max(
+            values.get("n_coupling_sets", 1) - 1,
+            DISORDER_SEED_OFFSET + values.get("n_disorder_samples", 1) - 1,
+        )
+        if last_key >= _SEED_LIMIT:
+            return "plus the ensemble's seed offsets must stay below 2**128"
     return None
 
 
@@ -149,7 +161,7 @@ def validate_config(doc: dict | None) -> NormalizedConfig:
                 )
                 continue
             value = tuple(v.upper() for v in value)
-        elif problem := _value_problem(f, value):
+        elif problem := _value_problem(f, value, values):
             errors.append(f"{key} {problem}, got {value!r}")
             continue
         else:
@@ -387,14 +399,15 @@ def _run_figA4(profile: str, outdir: Path, threads=None) -> list[Path]:
         system = SpinSystem.create(sample_couplings(seed, n_spins, DEFAULT_COUPLING_SIGMA_HZ))
         for tau in taus:
             series = magnus_series(system, seq, tau, max(orders), order_cap=8)
-            for order in orders:
+            fidelities = nth_order_fidelities(system, seq, tau, orders, series=series)
+            for order, f in zip(orders, fidelities):
                 rows.append(
                     {
                         "panel": panel,
                         "sequence": seq_name,
                         "tau_s": tau,
                         "order": order,
-                        "fidelity": nth_order_fidelity(system, seq, tau, order, series=series),
+                        "fidelity": f,
                     }
                 )
     # panel (c): WHH F_n vs n at |H| tau = 0.466 with uniform 5 kHz couplings,
@@ -405,14 +418,15 @@ def _run_figA4(profile: str, outdir: Path, threads=None) -> list[Path]:
     n_max = 70 if paper else 16
     seq = builtin("WHH")
     series = magnus_series(system, seq, tau_c, n_max, order_cap=72)
-    for order in range(n_max + 1):
+    fidelities = nth_order_fidelities(system, seq, tau_c, range(n_max + 1), series=series)
+    for order, f in enumerate(fidelities):
         rows.append(
             {
                 "panel": "c",
                 "sequence": "WHH",
                 "tau_s": tau_c,
                 "order": order,
-                "fidelity": nth_order_fidelity(system, seq, tau_c, order, series=series),
+                "fidelity": f,
             }
         )
     document = {"preset": "figA4", "profile": profile, "base_seed": seed, "max_order": n_max}

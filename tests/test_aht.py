@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 
 from spinweave.aht import (
+    NEGLIGIBLE_MAGNITUDE,
     PULSE_SLICES,
     TogglingSegment,
     average_h,
@@ -235,6 +238,108 @@ class TestBurumRecursion:
         # explicit cap raises the limit
         series = magnus_series(system, builtin("CORY48"), 2e-6, 9, order_cap=12)
         assert series.max_order == 9
+
+
+def reference_dyson_terms(segments, n_max):
+    """Order-by-order Dyson recursion, one matmul per (segment, n, j)."""
+    dim = segments[0].hamiltonian.shape[0]
+    eye = np.eye(dim, dtype=np.complex128)
+    d = [eye] + [np.zeros_like(eye) for _ in range(n_max)]
+    for seg in segments:
+        gen = -1j * seg.hamiltonian * seg.duration
+        a = eye
+        powers = [eye]
+        for j in range(1, n_max + 1):
+            a = (a @ gen) / j
+            powers.append(a)
+        d = [
+            sum(powers[j] @ d[n - j] for j in range(n + 1))
+            for n in range(n_max + 1)
+        ]
+    return [(1j) ** n * d[n] for n in range(1, n_max + 1)]
+
+
+def reference_burum_terms(dyson, cycle_time):
+    """Order-by-order Burum recursion over a dict of W^k blocks, no flush."""
+    n_terms = len(dyson)
+    d = {n: (-1j) ** n * dyson[n - 1] for n in range(1, n_terms + 1)}
+    omega = {}
+    powers = {}  # (k, n) -> order-n part of W^k
+    for n in range(1, n_terms + 1):
+        correction = np.zeros_like(d[1])
+        for k in range(2, n + 1):
+            powers[(k, n)] = sum(
+                omega[m] @ powers[(k - 1, n - m)] for m in range(1, n - k + 2)
+            )
+            correction = correction + powers[(k, n)] / float(math.factorial(k))
+        omega[n] = d[n] - correction
+        powers[(1, n)] = omega[n]
+    raw = [(1j / cycle_time) * omega[n + 1] for n in range(n_terms)]
+    return [(t + t.conj().T) / 2.0 for t in raw]
+
+
+def subnormal_count(a):
+    parts = np.asarray(a).view(np.float64)
+    return int(np.count_nonzero((parts != 0.0) & (np.abs(parts) < np.finfo(float).tiny)))
+
+
+def _tau_at(system, h_tau):
+    """tau with |H| tau = h_tau, |H| the RMS eigenvalue of the dipolar Hamiltonian."""
+    h = dipolar_hamiltonian(system)
+    return h_tau / (frobenius_magnitude(h) / np.sqrt(h.shape[0]))
+
+
+_UNIFORM_4 = SpinSystem.create(5000.0 * (np.ones((4, 4)) - np.eye(4)))
+_RANDOM_4 = SpinSystem.create(sample_couplings(2026, 4, 5000.0 / 3.0))
+_RANDOM_6 = SpinSystem.create(sample_couplings(2027, 6, 420.0 / 3.0), global_offset_hz=30.0)
+
+# (system, sequence, tau, Dyson orders); the WHH cycle is 6 tau, so the
+# small-scale case has |H| t_c = 1e-3
+ORACLE_CASES = {
+    "whh-uniform-71": (_UNIFORM_4, "WHH", _tau_at(_UNIFORM_4, 0.466), 71),
+    "whh-random-71": (_RANDOM_4, "WHH", _tau_at(_RANDOM_4, 0.466), 71),
+    "br24-6spin-5": (_RANDOM_6, "BR24", 4e-6, 6),
+    "cory48-6spin-5": (_RANDOM_6, "CORY48", 4e-6, 6),
+    "whh-small-scale-71": (_UNIFORM_4, "WHH", _tau_at(_UNIFORM_4, 1e-3 / 6), 71),
+}
+
+
+class TestRecursionOracle:
+    """The GEMM-packed recursions against the plain order-by-order loops."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_reference_loops(self, case):
+        system, name, tau, n_dyson = ORACLE_CASES[case]
+        seq = builtin(name)
+        t_c = seq.cycle_time(tau)
+        h_d = frobenius_magnitude(dipolar_hamiltonian(system))
+        segments = toggling_segments(system, seq, tau)
+        dyson = dyson_terms(segments, n_dyson)
+        reference = reference_dyson_terms(segments, n_dyson)
+        for n, (new, ref) in enumerate(zip(dyson, reference), start=1):
+            assert np.abs(new - ref).max() <= 1e-14 * (h_d * t_c) ** n, f"P_{n}"
+        series = burum_terms(dyson, t_c)
+        expected = reference_burum_terms(reference, t_c)
+        assert len(series.terms) == len(expected) == n_dyson
+        for n, (new, ref) in enumerate(zip(series.terms, expected)):
+            assert np.abs(new - ref).max() <= 1e-14 * h_d, f"H^({n})"
+            assert subnormal_count(new) == 0, f"H^({n})"
+        def count(terms):
+            return sum(frobenius_magnitude(t) / h_d > NEGLIGIBLE_MAGNITUDE for t in terms)
+        assert count(series.terms) == count(expected)
+
+    def test_flush_zeroes_parts_below_floor(self):
+        # order 0 is ~1e-140, order 1 ~1e-280 (below 2**-500), the rest underflow
+        segments = [
+            TogglingSegment(random_hermitian(51, 4, scale=1e-140), 1.0),
+            TogglingSegment(random_hermitian(52, 4, scale=1e-140), 2.0),
+        ]
+        dyson = dyson_terms(segments, 4)
+        series = burum_terms(dyson, 3.0)
+        expected = reference_burum_terms(dyson, 3.0)
+        assert np.abs(series.terms[0] - expected[0]).max() <= 1e-14 * np.abs(expected[0]).max()
+        assert expected[1].any()
+        assert not any(term.any() for term in series.terms[1:])
 
 
 class TestTermMagnitudes:

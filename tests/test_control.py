@@ -18,12 +18,14 @@ from spinweave.control import (
     ensemble_fidelity,
     fidelity,
     loglog_slope,
+    nth_order_fidelities,
     nth_order_fidelity,
     pulse_unitary,
     resolve_threads,
 )
+from spinweave.aht import magnus_series
 from spinweave.control import _eigenphase_fidelity, _ensemble_infidelities
-from spinweave.operators import BranchCutWarning, unitarity_defect
+from spinweave.operators import BranchCutWarning, expm_hermitian, unitarity_defect
 from spinweave.sequences import BUILTIN_NAMES, builtin, parse_sequence, schedule
 from spinweave.spins import (
     SIGMA,
@@ -292,6 +294,22 @@ class TestNthOrderFidelity:
         system = SpinSystem.create(sample_couplings(22, 2, 2000.0))
         fn = nth_order_fidelity(system, builtin("WHH"), 1e-8, 6)
         assert fn > 1 - 1e-12
+
+    def test_plural_equals_one_order_calls_bit_for_bit(self):
+        system = SpinSystem.create(sample_couplings(24, 4, 5000.0 / 3.0))
+        seq, tau = builtin("WHH"), 6e-6
+        series = magnus_series(system, seq, tau, 8)
+        orders = [3, 0, 8, 8, 5]
+        many = nth_order_fidelities(system, seq, tau, orders, series=series)
+        u_exp = cycle_unitary(system, seq, IDEAL, tau)
+        for order, f in zip(orders, many):
+            assert f == nth_order_fidelity(system, seq, tau, order, series=series)
+            u_th = expm_hermitian(series.partial_sum(order), tau)
+            assert f == fidelity(u_exp, u_th, m=seq.cycle_windows)
+        assert len(set(many)) > 1
+        assert nth_order_fidelities(system, seq, tau, [0, 2]) == [
+            nth_order_fidelity(system, seq, tau, n) for n in (0, 2)
+        ]
 
     def test_order_beyond_series(self):
         system = SpinSystem.create(sample_couplings(23, 2, 1000.0))

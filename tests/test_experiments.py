@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinweave.control import IDEAL
+from spinweave.control import IDEAL, cycle_unitary
 from spinweave.experiments import (
     CoherenceSpectrum,
     DecayCurve,
@@ -52,6 +52,26 @@ class TestAutocorrelation:
         assert np.all(np.abs(curve.values) <= 1.0 + 1e-12)
         assert curve.times[0] == 0.0
         assert curve.times[1] == pytest.approx(3 * builtin("WHH").cycle_time(8e-6))
+
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_matches_cycle_by_cycle_conjugation(self, axis):
+        # unsorted and repeated blocks: gaps 0, 1, 3, 8 and 8
+        blocks = [12, 0, 4, 1, 20, 4, 12]
+        system = SpinSystem.create(
+            sample_couplings(11, 4, 5000.0), global_offset_hz=1000.0
+        )
+        seq = builtin("WHH")
+        curve = autocorrelation(system, seq, IDEAL, 8e-6, axis, blocks)
+        u = cycle_unitary(system, seq, IDEAL, 8e-6)
+        s0 = collective_operator(4, axis)
+        s_t, expected = s0.copy(), []
+        for n in range(max(blocks) + 1):
+            if n in blocks:
+                expected.append(np.trace(s_t @ s0).real / np.trace(s0 @ s0).real)
+            s_t = u @ s_t @ u.conj().T
+        assert curve.times.tolist() == [n * seq.cycle_time(8e-6) for n in sorted(set(blocks))]
+        assert np.ptp(curve.values) > 0.5
+        assert np.abs(curve.values - expected).max() < 1e-12
 
     def test_rejects_negative_blocks(self):
         system = SpinSystem.create(np.zeros((2, 2)))

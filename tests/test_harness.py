@@ -54,6 +54,12 @@ MALFORMED = {
     "parameter-unhashable": {"sweep": {"parameter": ["tau_s"], "grid": [2e-6]}},
     "sequences-string": {"sequences": "WHH"},
     "config-not-object": ["n_spins", 4],
+    "seed-key-overflow": {
+        "sequences": ["WHH"],
+        "n_spins": 2,
+        "n_coupling_sets": 2,
+        "base_seed": 2**128 - 1,
+    },
 }
 
 # Config SHA-256 digests that committed result files embed; they must not drift.
@@ -124,6 +130,21 @@ class TestValidateConfig:
         )
         assert result.exit_code == 2, result.output
         assert not (tmp_path / "out.csv").exists()
+
+    def test_largest_seed_runs(self):
+        # the disorder stream's last key, base_seed + 2**20 + 1, is 2**128 - 1
+        doc = {
+            "sequences": ["WHH"],
+            "n_spins": 2,
+            "n_coupling_sets": 2,
+            "n_disorder_samples": 2,
+            "disorder_sigma_hz": 10.0,
+            "sweep": {"parameter": "tau_s", "grid": [4e-6]},
+            "base_seed": 2**128 - 2**20 - 2,
+        }
+        assert len(run_sweep(validate_config(doc), threads=1)) == 1
+        with pytest.raises(ConfigError, match="2\\*\\*128"):
+            validate_config({**doc, "base_seed": doc["base_seed"] + 1})
 
     def test_set_string_value_exits_2(self, tmp_path):
         result = CliRunner().invoke(
@@ -303,6 +324,20 @@ class TestCli:
         assert header == "time_s,c_xx,c_yy,c_zz,c_avg"
         fit_doc = json.loads((tmp_path / "ac.csv.fit.json").read_text())
         assert fit_doc["model"] == "stretched"
+
+    def test_exp_autocorr_fit_needs_six_blocks(self, tmp_path):
+        out = tmp_path / "ac.csv"
+        result = self.runner.invoke(
+            main,
+            [
+                "exp", "autocorr", "--seq", "WHH", "--spins", "3",
+                "--blocks", "0,1,2,4,8", "--fit", "stretched",
+                "--output", str(out),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--fit needs at least 6" in result.output
+        assert list(tmp_path.iterdir()) == []
 
     def test_exp_mqc(self, tmp_path):
         out = tmp_path / "mqc.csv"
