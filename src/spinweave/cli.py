@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from .aht import magnus_series, term_magnitudes
-from .control import ErrorModel, NumericalDiagnosticError
+from .control import ErrorModel, NumericalDiagnosticError, resolve_threads
 from .experiments import (
     MIN_FIT_POINTS,
     FreeWindow,
@@ -60,6 +60,14 @@ def _fail_numerical(exc: Exception):
     sys.exit(EXIT_NUMERICAL_ERROR)
 
 
+def _threads(threads: int | None) -> int:
+    """``--threads``, else ``SPINWEAVE_THREADS``, else the usable cores; a bad variable is a usage error."""
+    try:
+        return resolve_threads(threads)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _load_sequence(name_or_file: str):
     key = name_or_file.upper()
     if key in BUILTIN_NAMES:
@@ -82,7 +90,7 @@ def main():
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE", help="Override a config field, e.g. --set n_spins=4 or --set sweep.parameter=tau_s (JSON values).")
 @click.option("--output", type=click.Path(dir_okay=False), default="sweep.csv", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="Defaults to the output suffix.")
-@click.option("--threads", type=int, default=None, help="Worker threads (default: SPINWEAVE_THREADS or the CPUs in the affinity mask).")
+@click.option("--threads", type=click.IntRange(min=1), default=None, help="Worker threads (default: SPINWEAVE_THREADS or the CPUs in the affinity mask).")
 def sweep(config_path, overrides, output, fmt, threads):
     """Run a one-parameter ensemble-fidelity sweep."""
     doc = {}
@@ -110,6 +118,7 @@ def sweep(config_path, overrides, output, fmt, threads):
         cfg = validate_config(doc)
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
+    threads = _threads(threads)
     try:
         rows = run_sweep(cfg, threads=threads)
     except NumericalDiagnosticError as exc:
@@ -344,9 +353,10 @@ def exp_mqc(spins, tau_dq, phi_count, window, coupling_sigma_hz, seed, output):
 @click.argument("name")
 @click.option("--profile", type=click.Choice(["paper", "ci"]), default="ci", show_default=True)
 @click.option("--outdir", type=click.Path(file_okay=False), default=".", show_default=True)
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=click.IntRange(min=1), default=None, help="Worker threads (default: SPINWEAVE_THREADS or the CPUs in the affinity mask).")
 def preset(name, profile, outdir, threads):
     """Run a figure preset; see PRESETS in the docs for the list."""
+    threads = _threads(threads)
     try:
         paths = run_preset(name, profile=profile, outdir=outdir, threads=threads)
     except ConfigError as exc:

@@ -25,11 +25,12 @@ import numpy as np
 
 from .aht import MagnusSeries, magnus_series
 from .operators import (
+    NumericalDiagnosticError,
     Operator,
+    _unitary_eigenphases,
     as_operator,
     dagger,
     expm_hermitian,
-    principal_eigenphases,
     require_unitary,
     spectral_norm,
     unitary_root,
@@ -78,10 +79,6 @@ DISORDER_SEED_OFFSET = 1 << 20
 
 class WeakPulseWarning(UserWarning):
     """Finite pulse whose drive strength is below the internal Hamiltonian scale."""
-
-
-class NumericalDiagnosticError(RuntimeError):
-    """A computed propagator failed its numerical sanity check."""
 
 
 @dataclass(frozen=True)
@@ -310,18 +307,13 @@ def cycle_unitary(
 def _eigenphase_fidelity(u: np.ndarray, m: int, branch_tol: float = 1e-9) -> np.ndarray:
     """``|Tr(u^{1/m})| / d`` of each member of a (B, d, d) unitary stack, shape (B,).
 
-    The principal root maps each eigenvalue ``exp(i theta)``, ``theta`` in
-    ``(-pi, pi]``, to ``exp(i theta / m)``, by the conventions of
-    :func:`principal_eigenphases` that :func:`unitary_root` shares; only the
-    eigenvalues are needed for the trace.
+    The principal root maps each eigenphase ``theta`` in ``(-pi, pi]`` to
+    ``theta / m``; the phases come from ``eigvalsh`` of the centred Cayley
+    transform of each member (:func:`spinweave.operators._unitary_eigenphases`,
+    which :func:`unitary_root` shares), and no eigenbasis is needed for the
+    trace.
     """
-    lam = np.linalg.eigvals(u)
-    off_circle = float(np.abs(np.abs(lam) - 1.0).max())
-    if off_circle > 1e-7:
-        raise NumericalDiagnosticError(
-            f"eigenvalue of a claimed-unitary propagator is off the unit circle by {off_circle:.3e}"
-        )
-    theta = principal_eigenphases(lam, m, branch_tol, stacklevel=3)
+    theta = _unitary_eigenphases(u, m, branch_tol, stacklevel=3)
     tr = np.exp(1j * theta / m).sum(axis=-1)
     return np.minimum(np.abs(tr) / u.shape[-1], 1.0)
 
@@ -333,13 +325,16 @@ def fidelity(u_exp: Operator, u_th: Operator | None = None, m: int = 1) -> float
     per-window unitary so sequences of different cycle lengths compare
     fairly; ``u_th`` defaults to the identity (decoupling target).
 
-    Without a target the trace is the sum of the root's eigenvalues, taken
-    from ``np.linalg.eigvals`` by the helper that scores whole member stacks
-    in :func:`ensemble_fidelity`.  The input must be unitary to 1e-10; an
-    eigenvalue more than 1e-7 off the unit circle raises
+    Without a target the trace is the sum of the root's eigenvalues, whose
+    phases come from ``eigvalsh`` of the trace-centred Cayley transform of
+    ``u_exp`` (recentred once if a phase sits near the cut), by the helper
+    that scores whole member stacks in :func:`ensemble_fidelity`.  The input
+    must be unitary to 1e-10; eigenvalues off the unit circle (a Cayley
+    transform more than 1e-7 from Hermitian) raise
     :class:`NumericalDiagnosticError`, and for ``m > 1`` an eigenphase
     within 1e-9 of the branch cut at pi warns :class:`BranchCutWarning`.
-    With a target the explicit root of :func:`unitary_root` is used.
+    With a target the explicit root of :func:`unitary_root`, built from
+    ``eigh`` of the same transform, is used.
     """
     if u_th is None:
         return float(_eigenphase_fidelity(require_unitary(u_exp)[None], m)[0])
@@ -372,9 +367,10 @@ def nth_order_fidelities(
     pulses with no errors; when the sequence decouples through order n the
     target collapses to identity and F_n equals the plain fidelity.
 
-    The cycle and its root ``U_exp^{1/M}`` (:func:`unitary_root`) are built
-    once for all orders; each value equals the one-order call
-    :func:`nth_order_fidelity` bit for bit.  ``series`` defaults to the
+    The cycle and its root ``U_exp^{1/M}`` (:func:`unitary_root`, from
+    ``eigh`` of the centred Cayley transform) are built once for all
+    orders; each value equals the one-order call :func:`nth_order_fidelity`
+    bit for bit.  ``series`` defaults to the
     Magnus series through ``max(orders)`` at the default order cap.
     """
     orders = list(orders)
@@ -472,13 +468,20 @@ def resolve_threads(threads: int | None = None) -> int:
     """Parallelism degree: explicit argument, then the environment, then usable cores.
 
     Usable cores are those in the process's CPU affinity mask where the
-    platform reports one, else ``os.cpu_count()``.
+    platform reports one, else ``os.cpu_count()``.  A set ``SPINWEAVE_THREADS``
+    that is not an integer of at least 1 raises ``ValueError`` naming it.
     """
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
+        return value
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1

@@ -13,6 +13,13 @@ Conventions used throughout the package:
   precise and cheap, and lets a single factorization serve repeated
   evolution times.  Ideal collective RF rotations factor over the spins
   and are built in closed form by :func:`spinweave.spins.collective_rotation`.
+* Eigenphases of unitaries (fidelities and unitary roots) come from one
+  Hermitian path: the unitary is turned by the phase of its trace and
+  Cayley-transformed to a Hermitian matrix whose eigenvalues are
+  ``tan(theta / 2)`` of the centred phases, solved by ``eigvalsh`` or,
+  when a root needs the eigenbasis, ``eigh``.  A member with an eigenphase
+  near the centred cut is centred once more, opposite the largest gap of
+  its phases.
 * Cycle propagation does not use :class:`HermitianPropagator` for the
   internal Hamiltonian: that Hamiltonian conserves total S_z, so
   :class:`spinweave.control.FreeEvolution` factors it one magnetization
@@ -28,7 +35,6 @@ import warnings
 
 import numpy as np
 import numpy.typing as npt
-import scipy.linalg
 
 Operator = npt.NDArray[np.complex128]
 
@@ -40,6 +46,7 @@ __all__ = [
     "MAX_SPINS",
     "MAX_DIM",
     "BranchCutWarning",
+    "NumericalDiagnosticError",
     "as_operator",
     "commutator",
     "dagger",
@@ -58,6 +65,10 @@ __all__ = [
 
 class BranchCutWarning(UserWarning):
     """A unitary eigenphase lies within tolerance of the +/-pi branch cut."""
+
+
+class NumericalDiagnosticError(RuntimeError):
+    """A computed propagator failed its numerical sanity check."""
 
 
 def as_operator(a: npt.ArrayLike) -> Operator:
@@ -149,21 +160,12 @@ class HermitianPropagator:
         return (self._v * phases[..., None, :]) @ dagger(self._v)
 
 
-def principal_eigenphases(
-    eigenvalues: npt.ArrayLike, m: int, branch_tol: float = 1e-9, stacklevel: int = 2
+def _principal(
+    theta: npt.NDArray[np.float64], m: int, branch_tol: float, stacklevel: int
 ) -> npt.NDArray[np.float64]:
-    """Eigenphases ``theta`` in ``(-pi, pi]`` of unit-modulus eigenvalues, for an ``m``-th root.
-
-    The principal ``m``-th root maps ``exp(i theta)`` to ``exp(i theta / m)``;
-    ``m`` must be a positive integer.  For ``m > 1`` eigenphases within
-    ``branch_tol`` of the branch cut at ``pi`` are ambiguous; they take the
-    ``theta = pi`` convention and are reported through a
-    :class:`BranchCutWarning`, with ``stacklevel`` counted from the caller
-    as :func:`warnings.warn` counts it.
-    """
+    """Put ``theta = -pi`` on ``pi`` in place and warn of phases near the cut for ``m > 1``."""
     if m < 1 or int(m) != m:
         raise ValueError(f"root order must be a positive integer, got {m}")
-    theta = np.angle(eigenvalues)
     theta[theta <= -np.pi] = np.pi
     if m > 1:
         near_cut = np.abs(np.pi - np.abs(theta)) < branch_tol
@@ -177,28 +179,122 @@ def principal_eigenphases(
     return theta
 
 
+def principal_eigenphases(
+    eigenvalues: npt.ArrayLike, m: int, branch_tol: float = 1e-9, stacklevel: int = 2
+) -> npt.NDArray[np.float64]:
+    """Eigenphases ``theta`` in ``(-pi, pi]`` of unit-modulus eigenvalues, for an ``m``-th root.
+
+    The principal ``m``-th root maps ``exp(i theta)`` to ``exp(i theta / m)``;
+    ``m`` must be a positive integer.  For ``m > 1`` eigenphases within
+    ``branch_tol`` of the branch cut at ``pi`` are ambiguous; they take the
+    ``theta = pi`` convention and are reported through a
+    :class:`BranchCutWarning`, with ``stacklevel`` counted from the caller
+    as :func:`warnings.warn` counts it.
+    """
+    return _principal(np.angle(eigenvalues), m, branch_tol, stacklevel + 1)
+
+
+# Largest |tan(c/2)| of a centred phase c kept without recentring: the
+# eigvalsh error of every phase grows with the norm of the Cayley matrix.
+_RECENTRE_TAN = 100.0
+
+
+def _cayley(u: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian part of ``K = i(2(I + v)^{-1} - I)``, ``v = e^{-i mu} u``, and ``|K - K^dag|_F``.
+
+    ``u`` is a (B, d, d) stack and ``mu`` its (B,) centres.  For unitary
+    ``u`` the eigenvalues of ``K`` are ``tan(c / 2)`` of the centred
+    phases ``c = theta - mu``.  ``K - K^dag = 2i W (I - v v^dag) W^dag``
+    with ``W = (I + v)^{-1}``, so ``|K - K^dag|_F / (1 + max t^2)`` is at
+    most half of ``|I - v v^dag|_F`` and, for ``u`` scaled off the unit
+    circle by ``r``, at least ``|r - 1|``.
+    """
+    a = u * np.exp(-1j * mu)[:, None, None]
+    diag = a.reshape(len(a), -1)[:, :: u.shape[-1] + 1]
+    diag += 1.0
+    w = np.linalg.inv(a)
+    # a is scratch once inverted: with W = (I + v)^{-1}, K = i(2W - I) has
+    # (K - K^dag) / 2i = W + W^dag - I and Hermitian part i(W - W^dag)
+    np.add(w, dagger(w), out=a)
+    diag -= 1.0
+    flat = a.reshape(len(a), -1).view(np.float64)
+    skew = 2.0 * np.sqrt(np.einsum("bi,bi->b", flat, flat))
+    np.subtract(w, dagger(w), out=a)
+    a *= 1j
+    return a, skew
+
+
+def _unitary_eigenphases(
+    u: np.ndarray, m: int, branch_tol: float = 1e-9, basis: bool = False, stacklevel: int = 2
+):
+    """Principal eigenphases of a unitary or (B, d, d) stack, and on request an orthonormal eigenbasis.
+
+    Each member is turned by the phase ``mu`` of its trace and mapped by
+    :func:`_cayley` to a Hermitian matrix, whose ``eigvalsh`` (``eigh``
+    with ``basis``) gives ``t = tan(c / 2)`` and ``theta = mu + 2 atan(t)``,
+    wrapped to ``(-pi, pi]``.  A member with ``max |t|`` above
+    ``_RECENTRE_TAN`` (a phase near the centred cut) is centred once more,
+    with the cut in the middle of the largest gap of its phases; a member
+    whose ``I + v`` is exactly singular is first centred 1 rad further on.
+    The root order, the ``-pi -> pi`` map and the warning are those of
+    :func:`principal_eigenphases`.  A Cayley skew ``|K - K^dag|_F / (1 + max t^2)``
+    above 1e-7 raises :class:`NumericalDiagnosticError`: eigenvalues are off
+    the unit circle.
+    Returns ``theta`` with the shape of ``u`` minus its last axis, and with
+    ``basis`` also ``V`` (shape of ``u``) with ``u = V diag(e^{i theta}) V^dag``.
+    """
+    stack = u.reshape(-1, *u.shape[-2:])
+    solve = np.linalg.eigh if basis else (lambda k: (np.linalg.eigvalsh(k), None))
+    mu = np.angle(np.trace(stack, axis1=-2, axis2=-1))
+    try:
+        k, skew = _cayley(stack, mu)
+    except np.linalg.LinAlgError:
+        for b in range(len(stack)):
+            try:
+                _cayley(stack[b : b + 1], mu[b : b + 1])
+            except np.linalg.LinAlgError:
+                mu[b] += 1.0
+        k, skew = _cayley(stack, mu)
+    t, v = solve(k)
+    far = np.flatnonzero(np.abs(t).max(axis=-1) > _RECENTRE_TAN)
+    if far.size:
+        c = 2.0 * np.arctan(t[far])
+        gaps = np.diff(c, axis=-1, append=c[:, :1] + 2.0 * np.pi)
+        widest = gaps.argmax(axis=-1)[:, None]
+        cut = np.take_along_axis(c + gaps / 2.0, widest, axis=-1)[:, 0]
+        mu[far] = np.angle(np.exp(1j * (mu[far] + cut + np.pi)))
+        k, skew[far] = _cayley(stack[far], mu[far])
+        t[far], v_far = solve(k)
+        if basis:
+            v[far] = v_far
+    off_circle = float((skew / (1.0 + np.abs(t).max(axis=-1) ** 2)).max())
+    if not off_circle <= 1e-7:
+        raise NumericalDiagnosticError(
+            "eigenvalues of a claimed-unitary propagator are off the unit circle "
+            f"(Cayley skew {off_circle:.3e})"
+        )
+    theta = mu[:, None] + 2.0 * np.arctan(t)
+    theta[theta > np.pi] -= 2.0 * np.pi
+    theta[theta <= -np.pi] += 2.0 * np.pi
+    theta = _principal(theta, m, branch_tol, stacklevel + 1).reshape(u.shape[:-1])
+    return (theta, v.reshape(u.shape)) if basis else theta
+
+
 def unitary_root(u: npt.ArrayLike, m: int, branch_tol: float = 1e-9) -> Operator:
     """Principal ``m``-th root of a unitary matrix.
 
     Each eigenvalue ``exp(i theta)`` with ``theta`` in ``(-pi, pi]`` maps to
-    ``exp(i theta / m)`` (:func:`principal_eigenphases`).  The eigenbasis
-    comes from a complex Schur decomposition: for a unitary (normal) input
-    the Schur factor is diagonal up to roundoff, and its basis is exactly
-    unitary, which keeps reconstruction errors at machine level even for
-    high matrix powers.
+    ``exp(i theta / m)`` (:func:`principal_eigenphases`).  Phases and the
+    orthonormal eigenbasis ``V`` come from ``eigh`` of the centred Cayley
+    transform (:func:`_unitary_eigenphases`), and the root is
+    ``V diag(exp(i theta / m)) V^dag``; ``V`` is unitary to roundoff, which
+    keeps reconstruction errors at machine level even for high powers.
     """
     u = require_unitary(u)
     if m == 1:
         return u.copy()
-    t, q = scipy.linalg.schur(u, output="complex")
-    diag = np.diag(t).copy()
-    offdiag = np.linalg.norm(t - np.diag(diag)) / np.sqrt(u.shape[0])
-    if offdiag > 1e-7:
-        raise ValueError(
-            f"Schur factor of claimed-unitary input is not diagonal (residual {offdiag:.3e})"
-        )
-    theta = principal_eigenphases(diag, m, branch_tol)
-    return (q * np.exp(1j * theta / m)) @ q.conj().T
+    theta, v = _unitary_eigenphases(u, m, branch_tol, basis=True)
+    return (v * np.exp(1j * theta / m)) @ dagger(v)
 
 
 def frobenius_magnitude(h: npt.ArrayLike) -> float:

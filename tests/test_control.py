@@ -25,8 +25,13 @@ from spinweave.control import (
 )
 from spinweave.aht import magnus_series
 from spinweave.control import _eigenphase_fidelity, _ensemble_infidelities
-from spinweave.operators import BranchCutWarning, expm_hermitian, unitarity_defect
-from spinweave.sequences import BUILTIN_NAMES, builtin, parse_sequence, schedule
+from spinweave.operators import (
+    BranchCutWarning,
+    expm_hermitian,
+    principal_eigenphases,
+    unitarity_defect,
+)
+from spinweave.sequences import BUILTIN_NAMES, builtin, parse_sequence, schedule, validate_cyclic
 from spinweave.spins import (
     SIGMA,
     SpinSystem,
@@ -276,6 +281,11 @@ class TestFidelity:
         u = random_unitary(4, 16)
         manual = abs(np.trace(unitary_root(u, 6))) / 16
         assert fidelity(u, m=6) == pytest.approx(manual, abs=1e-14)
+        # the root and the fidelity share one eigen path; check both against
+        # the general eigen-solver
+        oracle = abs(np.exp(1j * principal_eigenphases(np.linalg.eigvals(u), 6) / 6).sum()) / 16
+        assert manual == pytest.approx(oracle, abs=1e-14)
+        assert fidelity(u, m=6) == pytest.approx(oracle, abs=1e-14)
 
 
 class TestNthOrderFidelity:
@@ -497,6 +507,21 @@ class TestEigenphaseFidelity:
         with pytest.raises(NumericalDiagnosticError, match="unit circle"):
             _eigenphase_fidelity(stack, 3)
 
+    @pytest.mark.parametrize("tau", [1e-6, 4e-6])
+    def test_minus_identity_dsl_cycle_matches_eigvals(self, tau):
+        # four x pulses make the ideal composite -I at odd N; its eigenphases
+        # sit on both sides of the cut at pi, and the principal root keeps
+        # the meaning the general eigen-solver gives it
+        seq = parse_sequence("tau - x - tau - x - tau - x - tau - x", "minus_identity")
+        assert validate_cyclic(seq) == -1
+        system = SpinSystem.create(sample_couplings(1, 5, 5000.0 / 3.0))
+        u = cycle_unitary(system, seq, IDEAL, tau)
+        m = seq.cycle_windows
+        theta = principal_eigenphases(np.linalg.eigvals(u), m)
+        assert (theta > 0).any() and (theta < 0).any()
+        oracle = min(abs(np.exp(1j * theta / m).sum()) / 32, 1.0)
+        assert fidelity(u, m=m) == pytest.approx(oracle, abs=1e-12)
+
     def test_stack_equals_one_member_calls(self):
         stack = np.stack([random_unitary(seed, 16) for seed in range(7)])
         for m in (1, 4):
@@ -536,6 +561,14 @@ def test_resolve_threads_env(monkeypatch):
     assert resolve_threads(5) == 5
     monkeypatch.delenv("SPINWEAVE_THREADS")
     assert resolve_threads() >= 1
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+def test_resolve_threads_rejects_bad_env(monkeypatch, value):
+    monkeypatch.setenv("SPINWEAVE_THREADS", value)
+    with pytest.raises(ValueError, match="SPINWEAVE_THREADS must be an integer >= 1"):
+        resolve_threads()
+    assert resolve_threads(2) == 2
 
 
 def test_collective_phase_operator_interpolates_axes():

@@ -293,6 +293,46 @@ class TestCli:
         result = self.runner.invoke(main, ["sweep", "--set", "n_spins=40"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    @pytest.mark.parametrize("command", ["sweep", "preset"])
+    def test_bad_threads_variable_exits_2(self, tmp_path, command, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(TINY_SWEEP))
+        args = {
+            "sweep": ["sweep", "--config", str(config), "--output", str(tmp_path / "rows.csv")],
+            "preset": ["preset", "figA3", "--outdir", str(tmp_path / "out")],
+        }[command]
+        result = self.runner.invoke(main, args, env={"SPINWEAVE_THREADS": value})
+        assert result.exit_code == 2, result.output
+        assert "SPINWEAVE_THREADS" in result.output
+        assert repr(value) in result.output
+        assert not (tmp_path / "rows.csv").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["sweep", "preset"])
+    def test_threads_option_below_one_exits_2(self, tmp_path, command, threads):
+        args = {
+            "sweep": ["sweep", "--set", "n_spins=2", "--output", str(tmp_path / "rows.csv")],
+            "preset": ["preset", "figA3", "--outdir", str(tmp_path / "out")],
+        }[command]
+        result = self.runner.invoke(main, args + ["--threads", threads])
+        assert result.exit_code == 2, result.output
+        assert "--threads" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_threads_option_overrides_bad_variable(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(TINY_SWEEP))
+        out = tmp_path / "rows.csv"
+        result = self.runner.invoke(
+            main,
+            ["sweep", "--config", str(config), "--output", str(out), "--threads", "1"],
+            env={"SPINWEAVE_THREADS": "abc"},
+        )
+        assert result.exit_code == 0, result.output
+        assert out.exists()
+
     def test_aht_terms_json(self):
         result = self.runner.invoke(
             main, ["aht", "terms", "--seq", "WHH", "--orders", "2", "--spins", "2"]

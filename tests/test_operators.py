@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spinweave import operators
 from spinweave.operators import (
     BranchCutWarning,
+    _unitary_eigenphases,
     expm_hermitian,
     frobenius_magnitude,
     principal_eigenphases,
@@ -82,6 +84,94 @@ class TestUnitaryRoot:
     def test_principal_phases_put_minus_pi_on_pi(self):
         lam = np.array([complex(-1.0, -0.0), 1j, -1j])  # np.angle gives -pi first
         assert np.array_equal(principal_eigenphases(lam, 1), [np.pi, np.pi / 2, -np.pi / 2])
+
+
+def oracle_phases(u: np.ndarray, m: int = 1) -> np.ndarray:
+    """Principal eigenphases from the general eigen-solver, independent of the Cayley path."""
+    return principal_eigenphases(np.linalg.eigvals(u), m)
+
+
+def assert_same_circle_points(theta, ref, tol=1e-12):
+    """Equal as points on the circle, each list read from the middle of the widest gap of ``ref``."""
+    ref_sorted = np.sort(ref)
+    gaps = np.diff(ref_sorted, append=ref_sorted[0] + 2 * np.pi)
+    cut = ref_sorted[gaps.argmax()] + gaps.max() / 2
+    a = np.sort((np.asarray(theta) - cut) % (2 * np.pi))
+    b = np.sort((np.asarray(ref) - cut) % (2 * np.pi))
+    assert np.abs(a - b).max() <= tol
+
+
+def with_spectrum(seed: int, phases) -> np.ndarray:
+    q = random_unitary(seed, len(phases))
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+def spectrum(kind: str, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(dim)
+    if kind == "minus-one":
+        return np.concatenate([[np.pi], rng.uniform(-np.pi, np.pi, dim - 1)])
+    if kind == "spread":
+        return np.linspace(-np.pi, np.pi, dim, endpoint=False) + 0.5 / dim
+    # "cluster-on-cut": most phases near 0.3, so the trace phase is ~0.3 and
+    # the centred cut at 0.3 + pi lands inside a cluster of three phases
+    bulk = 0.3 + rng.normal(0.0, 0.05, dim - 3)
+    return np.concatenate([bulk, 0.3 + np.pi + np.array([-1e-6, 1e-9, 2e-5])])
+
+
+SPECTRA = ("minus-one", "spread", "cluster-on-cut")
+
+
+class TestUnitaryEigenphases:
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 3))
+    def test_matches_eigvals_oracle(self, seed, log_dim, members):
+        stack = np.stack([random_unitary(seed + b, 2**log_dim) for b in range(members)])
+        theta = _unitary_eigenphases(stack, 1)
+        assert theta.shape == stack.shape[:-1]
+        for b, u in enumerate(stack):
+            assert_same_circle_points(theta[b], oracle_phases(u))
+            assert np.array_equal(_unitary_eigenphases(u, 1), theta[b])
+
+    @pytest.mark.parametrize("dim", [4, 16, 256])
+    @pytest.mark.parametrize("kind", SPECTRA)
+    def test_special_spectra_match_oracle(self, kind, dim):
+        u = with_spectrum(dim + 1, spectrum(kind, dim))
+        assert_same_circle_points(_unitary_eigenphases(u, 1), oracle_phases(u))
+
+    def test_cluster_on_cut_is_recentred(self, monkeypatch):
+        calls = []
+        cayley = operators._cayley
+        monkeypatch.setattr(operators, "_cayley", lambda u, mu: calls.append(len(u)) or cayley(u, mu))
+        stack = np.stack([random_unitary(1, 16), with_spectrum(2, spectrum("cluster-on-cut", 16))])
+        theta = _unitary_eigenphases(stack, 1)
+        assert calls == [2, 1]  # the second member alone is centred again
+        assert_same_circle_points(theta[1], oracle_phases(stack[1]))
+
+    @pytest.mark.parametrize(
+        "diagonal", [[-1, 1, 1, 1], [-1, 1, 1j, -1j], [-1, -1, -1, -1], [1j, -1, -1, -1]]
+    )
+    def test_exact_minus_one_on_the_centred_cut(self, diagonal):
+        # diagonal inputs put an eigenvalue exactly on the trace-centred cut,
+        # where I + v is exactly singular
+        u = np.diag(np.array(diagonal, dtype=complex))
+        assert_same_circle_points(_unitary_eigenphases(u, 1), oracle_phases(u), tol=1e-15)
+        with pytest.warns(BranchCutWarning):
+            _unitary_eigenphases(u, 2)
+
+    @pytest.mark.parametrize("dim", [4, 16, 256])
+    @pytest.mark.parametrize("kind", SPECTRA)
+    def test_basis_is_orthonormal_and_reconstructs(self, kind, dim):
+        u = with_spectrum(dim + 3, spectrum(kind, dim))
+        theta, v = _unitary_eigenphases(u, 1, basis=True)
+        assert_same_circle_points(theta, _unitary_eigenphases(u, 1))
+        assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-12
+        assert np.abs((v * np.exp(1j * theta)) @ v.conj().T - u).max() < 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3, 48])
+    @pytest.mark.parametrize("kind", ["spread", "cluster-on-cut"])
+    def test_root_power_is_input(self, kind, m):
+        u = with_spectrum(5, spectrum(kind, 64))
+        root = unitary_root(u, m)
+        assert np.abs(np.linalg.matrix_power(root, m) - u).max() < 1e-11
 
 
 class TestFrobeniusMagnitude:
