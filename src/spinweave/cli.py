@@ -26,6 +26,7 @@ from .experiments import (
     c_avg,
     fit_decay,
     mqc_experiment,
+    mqc_phi_count,
 )
 from .harness import (
     ConfigError,
@@ -39,7 +40,7 @@ from .harness import (
     validate_config,
     write_output,
 )
-from .operators import frobenius_magnitude
+from .operators import MAX_SPINS, frobenius_magnitude
 from .sequences import (
     BUILTIN_NAMES,
     ascii_frame,
@@ -47,12 +48,30 @@ from .sequences import (
     frame_matrix,
     parse_sequence,
     row_sum_check,
+    schedule,
     validate_cyclic,
 )
 from .spins import SpinSystem, dipolar_hamiltonian, sample_couplings
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+
+
+class FiniteRange(click.FloatRange):
+    """A :class:`click.FloatRange` that also rejects nan, which passes every bound."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not np.isfinite(rv):
+            self.fail(f"{rv} is not a finite number", param, ctx)
+        return rv
+
+
+SPINS = click.IntRange(2, MAX_SPINS)
+SEED = click.IntRange(min=0)
+FINITE = FiniteRange(-np.inf, np.inf, min_open=True, max_open=True)
+NONNEGATIVE = FiniteRange(0.0, np.inf, max_open=True)
+POSITIVE = FiniteRange(0.0, np.inf, min_open=True, max_open=True)
 
 
 def _fail_numerical(exc: Exception):
@@ -170,11 +189,11 @@ def aht_group():
 @aht_group.command("terms")
 @click.option("--seq", "seq_name", required=True, help="Built-in name or DSL file.")
 @click.option("--orders", type=int, default=4, show_default=True)
-@click.option("--spins", type=int, default=4, show_default=True)
-@click.option("--coupling-sigma-hz", type=float, default=420.0 / 3.0, show_default=True)
-@click.option("--offset-hz", type=float, default=0.0, show_default=True)
-@click.option("--tau", "tau_s", type=float, default=4e-6, show_default=True)
-@click.option("--seed", type=int, default=2026, show_default=True)
+@click.option("--spins", type=SPINS, default=4, show_default=True)
+@click.option("--coupling-sigma-hz", type=POSITIVE, default=420.0 / 3.0, show_default=True)
+@click.option("--offset-hz", type=FINITE, default=0.0, show_default=True)
+@click.option("--tau", "tau_s", type=POSITIVE, default=4e-6, show_default=True)
+@click.option("--seed", type=SEED, default=2026, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default="-", show_default=True, help="'-' prints to stdout.")
 def aht_terms(seq_name, orders, spins, coupling_sigma_hz, offset_hz, tau_s, seed, output):
     """Magnus terms of one cycle as JSON, magnitudes normalized by |H_dip|."""
@@ -222,12 +241,12 @@ def exp():
 
 @exp.command("autocorr")
 @click.option("--seq", "seq_name", required=True)
-@click.option("--spins", type=int, default=4, show_default=True)
-@click.option("--tau", "tau_s", type=float, default=4e-6, show_default=True)
-@click.option("--pulse-width", type=float, default=0.0, show_default=True)
-@click.option("--offset-hz", type=float, default=0.0, show_default=True)
-@click.option("--coupling-sigma-hz", type=float, default=5000.0 / 3.0, show_default=True)
-@click.option("--seed", type=int, default=2026, show_default=True)
+@click.option("--spins", type=SPINS, default=4, show_default=True)
+@click.option("--tau", "tau_s", type=POSITIVE, default=4e-6, show_default=True)
+@click.option("--pulse-width", type=NONNEGATIVE, default=0.0, show_default=True)
+@click.option("--offset-hz", type=FINITE, default=0.0, show_default=True)
+@click.option("--coupling-sigma-hz", type=POSITIVE, default=5000.0 / 3.0, show_default=True)
+@click.option("--seed", type=SEED, default=2026, show_default=True)
 @click.option("--blocks", default="0,1,2,4,8,16,32,64", show_default=True, help="Comma-separated cycle counts N; samples are taken at t = N*t_c.")
 @click.option("--fit", "fit_model", type=click.Choice(["stretched", "oscillating"]), default=None, help="Also fit C_avg and write the result as JSON.")
 @click.option("--output", type=click.Path(dir_okay=False), default="autocorr.csv", show_default=True)
@@ -238,12 +257,14 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
     With --fit, writes <output>.fit.json holding the C_avg fit parameters.
     """
     sequence = _load_sequence(seq_name)
-    system = SpinSystem.create(
-        sample_couplings(seed, spins, coupling_sigma_hz), global_offset_hz=offset_hz
-    )
-    error = ErrorModel(pulse_width=pulse_width)
+    try:
+        schedule(sequence, tau_s, pulse_width)
+    except ValueError as exc:
+        raise click.UsageError(f"--pulse-width: {exc}") from exc
     try:
         block_list = [int(b) for b in blocks.split(",") if b.strip() != ""]
+        if any(b < 0 for b in block_list):
+            raise ValueError("cycle counts must be nonnegative")
     except ValueError as exc:
         raise click.UsageError(f"bad --blocks value: {exc}") from exc
     n_points = len(set(block_list))
@@ -251,6 +272,10 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
         raise click.UsageError(
             f"--fit needs at least {MIN_FIT_POINTS} distinct --blocks values, got {n_points}"
         )
+    system = SpinSystem.create(
+        sample_couplings(seed, spins, coupling_sigma_hz), global_offset_hz=offset_hz
+    )
+    error = ErrorModel(pulse_width=pulse_width)
     try:
         curves = {
             axis: autocorrelation(system, sequence, error, tau_s, axis, block_list)
@@ -297,12 +322,12 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
 
 
 @exp.command("mqc")
-@click.option("--spins", type=int, default=4, show_default=True)
-@click.option("--tau-dq", type=float, default=1e-4, show_default=True, help="Total double-quantum growth time (s).")
+@click.option("--spins", type=SPINS, default=4, show_default=True)
+@click.option("--tau-dq", type=NONNEGATIVE, default=1e-4, show_default=True, help="Total double-quantum growth time (s).")
 @click.option("--phi-count", type=int, default=None, help="Phase-tag grid size (default: power of two >= 4*spins).")
 @click.option("--window", default=None, help="'free:<seconds>' or 'protected:<SEQ>:<cycles>[:<tau>]'.")
-@click.option("--coupling-sigma-hz", type=float, default=5000.0 / 3.0, show_default=True)
-@click.option("--seed", type=int, default=2026, show_default=True)
+@click.option("--coupling-sigma-hz", type=POSITIVE, default=5000.0 / 3.0, show_default=True)
+@click.option("--seed", type=SEED, default=2026, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default="mqc.csv", show_default=True)
 def exp_mqc(spins, tau_dq, phi_count, window, coupling_sigma_hz, seed, output):
     """Multiple-quantum coherence distribution from the tagged-echo protocol.
@@ -311,7 +336,10 @@ def exp_mqc(spins, tau_dq, phi_count, window, coupling_sigma_hz, seed, output):
     at phi=0).  The phase-resolved signal is written to <output>.signal.csv
     with columns phi_rad, signal.
     """
-    system = SpinSystem.create(sample_couplings(seed, spins, coupling_sigma_hz))
+    try:
+        phi_count = mqc_phi_count(spins, phi_count)
+    except ValueError as exc:
+        raise click.UsageError(f"--phi-count: {exc}") from exc
     win = None
     if window:
         parts = window.split(":")
@@ -325,6 +353,7 @@ def exp_mqc(spins, tau_dq, phi_count, window, coupling_sigma_hz, seed, output):
                 raise ValueError("unrecognized window form")
         except ValueError as exc:
             raise click.UsageError(f"bad --window value {window!r}: {exc}") from exc
+    system = SpinSystem.create(sample_couplings(seed, spins, coupling_sigma_hz))
     try:
         result = mqc_experiment(system, tau_dq, phi_count, win)
     except NumericalDiagnosticError as exc:

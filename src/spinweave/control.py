@@ -304,7 +304,7 @@ def cycle_unitary(
     return _CycleKernel(internal_hamiltonian_stack([system]), error).cycles(seq, tau)[0]
 
 
-def _eigenphase_fidelity(u: np.ndarray, m: int, branch_tol: float = 1e-9) -> np.ndarray:
+def _eigenphase_fidelity(u: np.ndarray, m: int) -> np.ndarray:
     """``|Tr(u^{1/m})| / d`` of each member of a (B, d, d) unitary stack, shape (B,).
 
     The principal root maps each eigenphase ``theta`` in ``(-pi, pi]`` to
@@ -313,7 +313,7 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, branch_tol: float = 1e-9) -> np.
     which :func:`unitary_root` shares), and no eigenbasis is needed for the
     trace.
     """
-    theta = _unitary_eigenphases(u, m, branch_tol, stacklevel=3)
+    theta = _unitary_eigenphases(u, m, stacklevel=3)
     tr = np.exp(1j * theta / m).sum(axis=-1)
     return np.minimum(np.abs(tr) / u.shape[-1], 1.0)
 
@@ -395,15 +395,14 @@ def nth_order_fidelity(
     tau: float,
     order: int,
     series: MagnusSeries | None = None,
-    order_cap: int | None = None,
 ) -> float:
     """F_n of one order: the one-order call of :func:`nth_order_fidelities`.
 
-    Without ``series``, the Magnus series through ``order`` is computed
-    under ``order_cap`` (see :func:`spinweave.aht.magnus_series`).
+    Without ``series``, the Magnus series through ``order`` is computed at
+    the default order cap (see :func:`spinweave.aht.magnus_series`).
     """
     if series is None:
-        series = magnus_series(system, seq, tau, order, order_cap=order_cap)
+        series = magnus_series(system, seq, tau, order)
     return nth_order_fidelities(system, seq, tau, [order], series)[0]
 
 

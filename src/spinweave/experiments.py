@@ -10,8 +10,9 @@ stretched exponential (spectroscopic sequences).
 The multiple-quantum-coherence experiment grows coherences under the
 double-quantum Hamiltonian, phase-tags them with a collective z rotation,
 optionally lets them evolve during a window (free or protected by a
-decoupling sequence), reverses the growth, and Fourier-transforms the
-tagged signal over the rotation angle to resolve coherence orders.
+decoupling sequence) and reverses the growth.  The tagged signal is a
+Fourier series in the tag angle whose coefficients, the spectrum, are
+computed directly as sums over the elements of each coherence order.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ import scipy.optimize
 
 from .control import ErrorModel, FreeEvolution, IDEAL, cycle_unitary
 from .operators import HermitianPropagator, Operator, as_operator
-from .sequences import PulseSequence
+from .sequences import PulseSequence, schedule
 from .spins import (
     SpinSystem,
     collective_operator,
     dq_hamiltonian,
     internal_hamiltonian_stack,
+    kron_power,
     magnetization,
 )
 
@@ -45,6 +47,7 @@ __all__ = [
     "oscillation_scaling",
     "coherence_intensities",
     "mqc_experiment",
+    "mqc_phi_count",
     "cluster_size",
     "DEFAULT_STRETCH_BOUNDS",
     "MIN_FIT_POINTS",
@@ -54,6 +57,8 @@ DEFAULT_STRETCH_BOUNDS = {"stretched": (0.5, 2.5), "oscillating": (0.0, 3.0)}
 
 # Fewest curve samples fit_decay accepts.
 MIN_FIT_POINTS = 6
+# Most residual evaluations of each fit_decay start.
+FIT_MAX_NFEV = 500
 
 
 @dataclass(frozen=True)
@@ -192,14 +197,14 @@ def fit_decay(
     curve: DecayCurve,
     model: str = "stretched",
     stretch_bounds: tuple[float, float] | None = None,
-    max_nfev: int = 500,
 ) -> FitResult:
     """Nonlinear least-squares fit of a decay curve.
 
     Runs a bounded trust-region least-squares solve from 8 starting points
     (decay-time grid crossed with frequency candidates for the oscillating
-    model) and keeps the best.  Failure to converge within ``max_nfev``
-    returns the best-so-far parameters with ``converged=False``.
+    model) and keeps the best.  Failure to converge within
+    ``FIT_MAX_NFEV`` evaluations per start returns the best-so-far
+    parameters with ``converged=False``.
     """
     if model not in DEFAULT_STRETCH_BOUNDS:
         raise ValueError(f"model must be 'stretched' or 'oscillating', got {model!r}")
@@ -243,7 +248,7 @@ def fit_decay(
         x0 = np.clip(x0, lower + 1e-12, upper - 1e-12)
         try:
             res = scipy.optimize.least_squares(
-                residuals, x0, bounds=(lower, upper), max_nfev=max_nfev, method="trf"
+                residuals, x0, bounds=(lower, upper), max_nfev=FIT_MAX_NFEV, method="trf"
             )
         except Exception:
             continue
@@ -326,6 +331,16 @@ _AXIS_EIGENBASIS = {
 }
 
 
+def _order_sums(weights: np.ndarray, n_spins: int) -> np.ndarray:
+    """Sums of ``weights[a, b]`` over each coherence order ``m_a - m_b = -n_spins .. n_spins``."""
+    m = magnetization(n_spins)
+    bins = ((m[:, None] - m[None, :]).astype(np.intp) + n_spins).ravel()
+    sums = np.bincount(bins, weights=weights.real.ravel(), minlength=2 * n_spins + 1)
+    if np.iscomplexobj(weights):
+        sums = sums + 1j * np.bincount(bins, weights=weights.imag.ravel(), minlength=len(sums))
+    return sums
+
+
 def coherence_intensities(rho: Operator, axis: str = "z") -> CoherenceSpectrum:
     """Decompose a density operator by coherence order along ``axis``.
 
@@ -339,17 +354,16 @@ def coherence_intensities(rho: Operator, axis: str = "z") -> CoherenceSpectrum:
     if axis not in _AXIS_EIGENBASIS:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
     if axis != "z":
-        basis = np.eye(1, dtype=np.complex128)
-        for _ in range(n_spins):
-            basis = np.kron(basis, _AXIS_EIGENBASIS[axis])
+        basis = kron_power(_AXIS_EIGENBASIS[axis], n_spins)
         rho = basis.conj().T @ rho @ basis
-    m = magnetization(n_spins)
-    delta = (m[:, None] - m[None, :]).astype(np.intp) + n_spins
-    intensities = np.bincount(
-        delta.ravel(), weights=(np.abs(rho) ** 2).ravel(), minlength=2 * n_spins + 1
-    )
+    intensities = _order_sums(np.abs(rho) ** 2, n_spins)
     orders = np.arange(-n_spins, n_spins + 1)
     return CoherenceSpectrum(orders=orders, intensities=intensities)
+
+
+def _check_duration(duration: float) -> None:
+    if not 0.0 <= duration < np.inf:
+        raise ValueError(f"window duration must be finite and nonnegative, got {duration!r}")
 
 
 @dataclass(frozen=True)
@@ -358,20 +372,29 @@ class FreeWindow:
 
     Propagated with the sector-blocked factorization of
     :class:`spinweave.control.FreeEvolution`, the same one that drives the
-    free steps of a cycle.
+    free steps of a cycle.  ``duration`` must be finite and nonnegative.
     """
 
     duration: float
 
+    def __post_init__(self):
+        _check_duration(self.duration)
+
 
 @dataclass(frozen=True)
 class ProtectedWindow:
-    """Window filled with repeated decoupling cycles."""
+    """Window of ``cycles`` (a nonnegative integer) decoupling cycles, each scheduled by ``tau``."""
 
     sequence: PulseSequence
     cycles: int
     tau: float = 4e-6
     error: ErrorModel = IDEAL
+
+    def __post_init__(self):
+        if isinstance(self.cycles, bool) or not isinstance(self.cycles, (int, np.integer)) or self.cycles < 0:
+            raise ValueError(f"cycles must be a nonnegative integer, got {self.cycles!r}")
+        schedule(self.sequence, self.tau, self.error.pulse_width)
+        _check_duration(self.duration)
 
     @property
     def duration(self) -> float:
@@ -388,6 +411,18 @@ class MqcResult:
     meta: dict
 
 
+def mqc_phi_count(n_spins: int, phi_count: int | None = None) -> int:
+    """Tag-grid size: ``phi_count``, which must not alias orders up to ``n_spins``, or a power of two >= ``4 n_spins``."""
+    if phi_count is None:
+        return 1 << int(np.ceil(np.log2(4 * n_spins)))
+    if phi_count < 2 * n_spins + 2:
+        raise ValueError(
+            f"phi_count={phi_count} aliases coherence orders up to {n_spins}; "
+            f"need at least {2 * n_spins + 2}"
+        )
+    return phi_count
+
+
 def mqc_experiment(
     system: SpinSystem,
     tau_dq: float,
@@ -396,28 +431,20 @@ def mqc_experiment(
 ) -> MqcResult:
     """Multiple-quantum growth/tag/(window)/reversal experiment.
 
-    Starting from the collective Z deviation operator, the state evolves
-    under ``exp(-i H_DQ tau_dq)``, is tagged by a collective z rotation phi,
-    optionally evolves during ``window``, and is then reversed with
-    ``exp(+i H_DQ tau_dq)``.  The overlap with the initial operator is
-    recorded for ``phi_count`` equally spaced angles and Fourier-transformed
-    over phi; without a window the coefficients are exactly the coherence
-    intensities ``I_n`` of the grown state, normalized so they sum to 1.
+    The collective Z operator ``rho_0`` grows to ``rho_tau = U rho_0 U^dag``,
+    ``U = exp(-i H_DQ tau_dq)``, is tagged by ``Z_phi = exp(-i phi S_z)``,
+    evolves under the window propagator ``W`` and is reversed, so that
+    ``S(phi) = Tr(U^dag W Z_phi rho_tau Z_phi^dag W^dag U rho_0) / Tr(rho_0^2)
+    = sum_n c_n exp(-i n phi)``, with ``c_n`` the sum of ``rho_tau[a, b]
+    Q[b, a] / Tr(rho_0^2)`` over ``m_a - m_b = n`` and ``Q = W^dag rho_tau W``
+    (``rho_tau`` without a window).  The spectrum is ``Re c_n``, computed
+    as those sums, and ``meta["imag_residual"]`` is ``max |Im c_n|``;
+    ``signals`` is ``S`` on ``phi_count`` equally spaced angles, whose FFT
+    recovers the ``c_n`` exactly when ``phi_count >= 2N + 2``.  Without a
+    window the intensities are those of the grown state and sum to 1.
     """
     n = system.n_spins
-    n_max = n
-    if phi_count is None:
-        phi_count = 1 << int(np.ceil(np.log2(max(4 * n, 2 * n_max + 2))))
-    if phi_count < 2 * n_max + 2:
-        raise ValueError(
-            f"phi_count={phi_count} aliases coherence orders up to {n_max}; "
-            f"need at least {2 * n_max + 2}"
-        )
-    h_dq = dq_hamiltonian(system)
-    u_fwd = HermitianPropagator(h_dq).at(tau_dq)
-    rho0 = collective_operator(n, "z")
-    norm = float(np.trace(rho0 @ rho0).real)
-    rho_tau = u_fwd @ rho0 @ u_fwd.conj().T
+    phi_count = mqc_phi_count(n, phi_count)
     if window is None:
         w = None
     elif isinstance(window, FreeWindow):
@@ -427,31 +454,24 @@ def mqc_experiment(
         w = np.linalg.matrix_power(u_cyc, window.cycles)
     else:
         raise TypeError(f"unsupported window {window!r}")
+    u_fwd = HermitianPropagator(dq_hamiltonian(system)).at(tau_dq)
     m = magnetization(n)
+    # rho_0 = diag(m)
+    rho_tau = (u_fwd * m) @ u_fwd.conj().T
+    q = rho_tau if w is None else w.conj().T @ rho_tau @ w
+    coeffs = _order_sums(rho_tau * q.T, n) / float(m @ m)
+    orders = np.arange(-n, n + 1)
     phases = 2 * np.pi * np.arange(phi_count) / phi_count
-    signals = np.empty(phi_count)
-    u_bwd = u_fwd.conj().T
-    for k, phi in enumerate(phases):
-        tag = np.exp(-1j * phi * m)
-        rho = (tag[:, None] * rho_tau) * tag.conj()[None, :]
-        if w is not None:
-            rho = w @ rho @ w.conj().T
-        rho = u_bwd @ rho @ u_fwd
-        signals[k] = float(np.trace(rho @ rho0).real) / norm
-    coeffs = np.fft.fft(signals) / phi_count
-    orders = np.arange(-n_max, n_max + 1)
-    intensities = np.array([coeffs[o % phi_count].real for o in orders])
-    imag_residual = float(np.abs(np.array([coeffs[o % phi_count].imag for o in orders])).max())
-    spectrum = CoherenceSpectrum(orders=orders, intensities=intensities)
+    signals = (np.exp(-1j * np.outer(phases, orders)) @ coeffs).real
     return MqcResult(
-        spectrum=spectrum,
+        spectrum=CoherenceSpectrum(orders=orders, intensities=coeffs.real),
         phases=phases,
         signals=signals,
         meta={
             "tau_dq_s": tau_dq,
             "phi_count": phi_count,
             "window_s": 0.0 if window is None else window.duration,
-            "imag_residual": imag_residual,
+            "imag_residual": float(np.abs(coeffs.imag).max()),
         },
     )
 

@@ -356,7 +356,7 @@ def _magnitude_report(system_dipolar, system_offset, system_full, seq, tau, h_di
     return rows
 
 
-def _run_figA3(profile: str, outdir: Path, threads=None) -> list[Path]:
+def _run_figA3(profile: str, outdir: Path) -> list[Path]:
     # Coupling scale 420 Hz and offset 30 Hz; tau only sets the overall
     # tau**n weighting of each order, not which terms vanish.
     tau = 4e-6
@@ -384,7 +384,7 @@ def _run_figA3(profile: str, outdir: Path, threads=None) -> list[Path]:
     return [write_output(outdir / "figA3.json", json.dumps(payload, indent=2) + "\n")]
 
 
-def _run_figA4(profile: str, outdir: Path, threads=None) -> list[Path]:
+def _run_figA4(profile: str, outdir: Path) -> list[Path]:
     paper = profile == "paper"
     seed = 2026
     rows = []
@@ -451,7 +451,7 @@ def run_preset(
         path = write_output(outdir / f"{name}.csv", sweep_rows_to_csv(config, rows))
         return [path]
     if name == "figA3":
-        return _run_figA3(profile, outdir, threads)
+        return _run_figA3(profile, outdir)
     if name == "figA4":
-        return _run_figA4(profile, outdir, threads)
+        return _run_figA4(profile, outdir)
     raise ConfigError([f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}"])

@@ -41,6 +41,12 @@ Operator = npt.NDArray[np.complex128]
 MAX_SPINS = 10
 MAX_DIM = 2**MAX_SPINS
 
+# Largest relative asymmetry (Hermitian checks) and normalized defect
+# ``|u^dag u - I|_F / sqrt(d)`` (unitary checks) an input may have.
+DEFECT_TOL = 1e-10
+# Eigenphases closer than this to the branch cut at pi warn for roots m > 1.
+BRANCH_TOL = 1e-9
+
 __all__ = [
     "Operator",
     "MAX_SPINS",
@@ -109,18 +115,18 @@ def unitarity_defect(u: npt.ArrayLike) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(dim)) / np.sqrt(dim))
 
 
-def require_hermitian(h: npt.ArrayLike, tol: float = 1e-10) -> Operator:
+def require_hermitian(h: npt.ArrayLike) -> Operator:
     h = as_operator(h)
     defect = hermiticity_defect(h)
-    if defect > tol:
+    if defect > DEFECT_TOL:
         raise ValueError(f"matrix is not Hermitian (relative asymmetry {defect:.3e})")
     return h
 
 
-def require_unitary(u: npt.ArrayLike, tol: float = 1e-10) -> Operator:
+def require_unitary(u: npt.ArrayLike) -> Operator:
     u = as_operator(u)
     defect = unitarity_defect(u)
-    if defect > tol:
+    if defect > DEFECT_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -144,11 +150,11 @@ class HermitianPropagator:
     ``eigh`` after a member-by-member Hermiticity check.
     """
 
-    def __init__(self, h: npt.ArrayLike, tol: float = 1e-10):
+    def __init__(self, h: npt.ArrayLike):
         h = np.asarray(h, dtype=np.complex128)
         for member in h.reshape(-1, *h.shape[-2:]):
-            require_hermitian(member, tol)
-        # eigh of the Hermitian average removes the O(tol) asymmetry
+            require_hermitian(member)
+        # eigh of the Hermitian average removes the O(DEFECT_TOL) asymmetry
         self._w, self._v = np.linalg.eigh((h + dagger(h)) / 2.0)
 
     @property
@@ -160,18 +166,16 @@ class HermitianPropagator:
         return (self._v * phases[..., None, :]) @ dagger(self._v)
 
 
-def _principal(
-    theta: npt.NDArray[np.float64], m: int, branch_tol: float, stacklevel: int
-) -> npt.NDArray[np.float64]:
+def _principal(theta: npt.NDArray[np.float64], m: int, stacklevel: int) -> npt.NDArray[np.float64]:
     """Put ``theta = -pi`` on ``pi`` in place and warn of phases near the cut for ``m > 1``."""
     if m < 1 or int(m) != m:
         raise ValueError(f"root order must be a positive integer, got {m}")
     theta[theta <= -np.pi] = np.pi
     if m > 1:
-        near_cut = np.abs(np.pi - np.abs(theta)) < branch_tol
+        near_cut = np.abs(np.pi - np.abs(theta)) < BRANCH_TOL
         if np.any(near_cut):
             warnings.warn(
-                f"{int(near_cut.sum())} eigenphase(s) within {branch_tol:g} of the "
+                f"{int(near_cut.sum())} eigenphase(s) within {BRANCH_TOL:g} of the "
                 "branch cut at pi; principal root may be discontinuous here",
                 BranchCutWarning,
                 stacklevel=stacklevel + 1,
@@ -179,19 +183,16 @@ def _principal(
     return theta
 
 
-def principal_eigenphases(
-    eigenvalues: npt.ArrayLike, m: int, branch_tol: float = 1e-9, stacklevel: int = 2
-) -> npt.NDArray[np.float64]:
+def principal_eigenphases(eigenvalues: npt.ArrayLike, m: int) -> npt.NDArray[np.float64]:
     """Eigenphases ``theta`` in ``(-pi, pi]`` of unit-modulus eigenvalues, for an ``m``-th root.
 
     The principal ``m``-th root maps ``exp(i theta)`` to ``exp(i theta / m)``;
     ``m`` must be a positive integer.  For ``m > 1`` eigenphases within
-    ``branch_tol`` of the branch cut at ``pi`` are ambiguous; they take the
+    ``BRANCH_TOL`` of the branch cut at ``pi`` are ambiguous; they take the
     ``theta = pi`` convention and are reported through a
-    :class:`BranchCutWarning`, with ``stacklevel`` counted from the caller
-    as :func:`warnings.warn` counts it.
+    :class:`BranchCutWarning` attributed to the line that calls this function.
     """
-    return _principal(np.angle(eigenvalues), m, branch_tol, stacklevel + 1)
+    return _principal(np.angle(eigenvalues), m, 2)
 
 
 # Largest |tan(c/2)| of a centred phase c kept without recentring: the
@@ -224,9 +225,7 @@ def _cayley(u: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, skew
 
 
-def _unitary_eigenphases(
-    u: np.ndarray, m: int, branch_tol: float = 1e-9, basis: bool = False, stacklevel: int = 2
-):
+def _unitary_eigenphases(u: np.ndarray, m: int, basis: bool = False, stacklevel: int = 2):
     """Principal eigenphases of a unitary or (B, d, d) stack, and on request an orthonormal eigenbasis.
 
     Each member is turned by the phase ``mu`` of its trace and mapped by
@@ -276,11 +275,11 @@ def _unitary_eigenphases(
     theta = mu[:, None] + 2.0 * np.arctan(t)
     theta[theta > np.pi] -= 2.0 * np.pi
     theta[theta <= -np.pi] += 2.0 * np.pi
-    theta = _principal(theta, m, branch_tol, stacklevel + 1).reshape(u.shape[:-1])
+    theta = _principal(theta, m, stacklevel + 1).reshape(u.shape[:-1])
     return (theta, v.reshape(u.shape)) if basis else theta
 
 
-def unitary_root(u: npt.ArrayLike, m: int, branch_tol: float = 1e-9) -> Operator:
+def unitary_root(u: npt.ArrayLike, m: int) -> Operator:
     """Principal ``m``-th root of a unitary matrix.
 
     Each eigenvalue ``exp(i theta)`` with ``theta`` in ``(-pi, pi]`` maps to
@@ -293,7 +292,7 @@ def unitary_root(u: npt.ArrayLike, m: int, branch_tol: float = 1e-9) -> Operator
     u = require_unitary(u)
     if m == 1:
         return u.copy()
-    theta, v = _unitary_eigenphases(u, m, branch_tol, basis=True)
+    theta, v = _unitary_eigenphases(u, m, basis=True)
     return (v * np.exp(1j * theta / m)) @ dagger(v)
 
 

@@ -245,12 +245,17 @@ def builtin(name: str) -> PulseSequence:
     return _BUILTIN_CACHE[key]
 
 
-def validate_cyclic(seq: PulseSequence, tol: float = 1e-10) -> int:
+# Largest Frobenius residual of the one-spin composite from +/- identity.
+CYCLIC_TOL = 1e-10
+
+
+def validate_cyclic(seq: PulseSequence) -> int:
     """Sign s with the ideal-pulse composite rotation equal to s * identity.
 
     Composes the delta-pulse rotations on a single spin (the smallest
     faithful space).  Raises :class:`NonCyclicSequenceError` with the
-    residual norm when the composite is not proportional to identity.
+    residual norm when the composite is not within ``CYCLIC_TOL`` of
+    proportional to identity.
     """
     u = np.eye(2, dtype=np.complex128)
     for e in seq.events:
@@ -258,7 +263,7 @@ def validate_cyclic(seq: PulseSequence, tol: float = 1e-10) -> int:
             u = collective_rotation(1, e.phase_deg, np.pi / 2) @ u
     sign = np.trace(u).real / 2.0
     residual = float(np.linalg.norm(u - sign * np.eye(2)))
-    if residual > tol or abs(abs(sign) - 1.0) > tol:
+    if residual > CYCLIC_TOL or abs(abs(sign) - 1.0) > CYCLIC_TOL:
         raise NonCyclicSequenceError(seq.name, residual)
     return 1 if sign > 0 else -1
 

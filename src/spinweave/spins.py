@@ -411,16 +411,16 @@ def internal_hamiltonian_stack(systems: Sequence[SpinSystem]) -> np.ndarray:
     )
 
 
-def dq_hamiltonian(system: SpinSystem, couplings_hz: npt.ArrayLike | None = None) -> Operator:
+def dq_hamiltonian(system: SpinSystem) -> Operator:
     """Double-quantum Hamiltonian in rad/s.
 
     ``H_DQ = (1/2) sum_{j<k} J_jk (S_x^j S_x^k - S_y^j S_y^k)``; connects
     basis states differing by two units of total z magnetization.  ``J``
-    defaults to the system's dipolar couplings.
+    is the system's dipolar coupling matrix.
     """
     n = system.n_spins
     dim = system.dim
-    j_matrix = system.couplings_hz if couplings_hz is None else np.asarray(couplings_hz)
+    j_matrix = system.couplings_hz
     bits = _bit_table(n)
     h = np.zeros((dim, dim), dtype=np.complex128)
     states = np.arange(dim)

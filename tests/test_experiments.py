@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinweave.control import IDEAL, cycle_unitary
+from spinweave.control import IDEAL, ErrorModel, cycle_unitary
 from spinweave.experiments import (
     CoherenceSpectrum,
     DecayCurve,
@@ -273,6 +273,106 @@ class TestMqcExperiment:
         assert protected.spectrum.intensity(2) == pytest.approx(
             base.spectrum.intensity(2), rel=1e-3
         )
+
+
+def replay_mqc(system, tau_dq, phi_count, w):
+    """The tagged-echo protocol replayed at every tag angle, then Fourier-transformed.
+
+    Growth by ``expm``, tag, window ``w`` (or none), reversal and trace
+    with ``rho_0`` at each angle; returns the angles, the signals and the
+    Fourier coefficients of orders -N..N.
+    """
+    n = system.n_spins
+    u_fwd = scipy.linalg.expm(-1j * dq_hamiltonian(system) * tau_dq)
+    rho0 = collective_operator(n, "z")
+    rho_tau = u_fwd @ rho0 @ u_fwd.conj().T
+    m = np.diag(rho0).real
+    norm = np.trace(rho0 @ rho0).real
+    phases = 2 * np.pi * np.arange(phi_count) / phi_count
+    signals = np.empty(phi_count)
+    for k, phi in enumerate(phases):
+        tag = np.diag(np.exp(-1j * phi * m))
+        rho = tag @ rho_tau @ tag.conj().T
+        if w is not None:
+            rho = w @ rho @ w.conj().T
+        rho = u_fwd.conj().T @ rho @ u_fwd
+        signals[k] = np.trace(rho @ rho0).real / norm
+    coeffs = np.fft.fft(signals) / phi_count
+    return phases, signals, coeffs[np.arange(-n, n + 1) % phi_count]
+
+
+class TestMqcClosedForm:
+    """The order sums of mqc_experiment against the replayed protocol."""
+
+    @pytest.mark.parametrize("window", ["none", "free", "protected"])
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6])
+    def test_matches_replayed_protocol(self, n_spins, window):
+        system = SpinSystem.create(
+            sample_couplings(100 + n_spins, n_spins, 5000.0 / 3.0),
+            disorder_hz=sample_disorder(200 + n_spins, n_spins, 200.0),
+            global_offset_hz=150.0,
+        )
+        tau_dq = 1e-4
+        if window == "none":
+            win, w = None, None
+        elif window == "free":
+            win = FreeWindow(2.5e-4)
+            w = scipy.linalg.expm(-1j * internal_hamiltonian(system) * win.duration)
+        else:
+            error = ErrorModel(pulse_width=1e-6, rotation_error=0.02)
+            win = ProtectedWindow(builtin("BR24"), 3, 4e-6, error)
+            w = np.linalg.matrix_power(cycle_unitary(system, win.sequence, error, win.tau), 3)
+        result = mqc_experiment(system, tau_dq, window=win)
+        phases, signals, coeffs = replay_mqc(system, tau_dq, result.meta["phi_count"], w)
+        assert np.array_equal(result.phases, phases)
+        assert np.abs(result.signals - signals).max() < 1e-12
+        assert np.array_equal(result.spectrum.orders, np.arange(-n_spins, n_spins + 1))
+        assert np.abs(result.spectrum.intensities - coeffs.real).max() < 1e-12
+        imag = np.abs(coeffs.imag).max()
+        assert abs(result.meta["imag_residual"] - imag) < 1e-12
+        if window == "protected":
+            # the imperfect cycle does not commute with S_z: a physical residual
+            assert imag > 1e-6
+
+    def test_short_grid_is_still_rejected(self):
+        system = SpinSystem.create(sample_couplings(17, 3, 1000.0))
+        with pytest.raises(ValueError, match="need at least 8"):
+            mqc_experiment(system, 1e-4, phi_count=7)
+        assert mqc_experiment(system, 1e-4, phi_count=8).signals.shape == (8,)
+
+
+class TestWindowValidation:
+    @pytest.mark.parametrize("duration", [-1e-6, float("nan"), float("inf")])
+    def test_free_window_rejects_bad_duration(self, duration):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            FreeWindow(duration)
+
+    @pytest.mark.parametrize("cycles", [-2, 2.5, True, "2"])
+    def test_protected_window_rejects_bad_cycles(self, cycles):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ProtectedWindow(builtin("WHH"), cycles)
+
+    @pytest.mark.parametrize("tau", [-1e-6, 0.0])
+    def test_protected_window_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            ProtectedWindow(builtin("WHH"), 2, tau)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_protected_window_rejects_unbounded_tau(self, tau):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ProtectedWindow(builtin("WHH"), 2, tau)
+
+    def test_protected_window_rejects_pulse_wider_than_window(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            ProtectedWindow(builtin("WHH"), 2, 4e-6, ErrorModel(pulse_width=5e-6))
+
+    def test_zero_length_windows_are_identity(self):
+        system = SpinSystem.create(sample_couplings(19, 4, 5000.0 / 3.0))
+        base = mqc_experiment(system, 1e-4)
+        for window in (FreeWindow(0.0), ProtectedWindow(builtin("WHH"), np.int64(0))):
+            result = mqc_experiment(system, 1e-4, window=window)
+            assert result.meta["window_s"] == 0.0
+            assert np.abs(result.spectrum.intensities - base.spectrum.intensities).max() < 1e-14
 
 
 class TestClusterSize:

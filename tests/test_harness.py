@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from spinweave.cli import main
+from spinweave.control import NumericalDiagnosticError
 from spinweave.harness import (
     ConfigError,
     _sweep_preset,
@@ -399,6 +400,46 @@ class TestCli:
             main, ["exp", "mqc", "--spins", "2", "--window", "sideways:1"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["aht", "terms", "--seq", "WHH", "--spins", "1"], "--spins"),
+            (["aht", "terms", "--seq", "WHH", "--spins", "11"], "--spins"),
+            (["aht", "terms", "--seq", "WHH", "--seed", "-1"], "--seed"),
+            (["exp", "autocorr", "--seq", "WHH", "--tau", "0"], "--tau"),
+            (["exp", "autocorr", "--seq", "WHH", "--pulse-width", "5e-6"], "--pulse-width"),
+            (["exp", "autocorr", "--seq", "WHH", "--blocks", "-1,2"], "--blocks"),
+            (["exp", "autocorr", "--seq", "WHH", "--coupling-sigma-hz", "0"], "--coupling-sigma-hz"),
+            (["exp", "mqc", "--phi-count", "3"], "--phi-count"),
+            (["exp", "mqc", "--spins", "11"], "--spins"),
+            (["exp", "mqc", "--window", "protected:WHH:2:-1e-6"], "tau must be positive"),
+            (["exp", "mqc", "--spins", "3", "--window", "protected:WHH:-2"], "nonnegative integer"),
+            (["exp", "mqc", "--spins", "3", "--window", "protected:WHH:2.5"], "--window"),
+            (["exp", "mqc", "--spins", "3", "--window", "free:-1"], "finite and nonnegative"),
+            (["aht", "terms", "--seq", "WHH", "--tau", "inf"], "--tau"),
+            (["exp", "autocorr", "--seq", "WHH", "--offset-hz", "nan"], "--offset-hz"),
+            (["exp", "mqc", "--tau-dq", "nan"], "--tau-dq"),
+            (["exp", "mqc", "--tau-dq", "-1e-4"], "--tau-dq"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, tmp_path, args, named):
+        out = ["--output", str(tmp_path / "out.csv")]
+        result = self.runner.invoke(main, args + out)
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numerical_failure_still_exits_3(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalDiagnosticError("propagator is not unitary")
+
+        monkeypatch.setattr("spinweave.cli.mqc_experiment", fail)
+        result = self.runner.invoke(main, ["exp", "mqc", "--output", str(tmp_path / "m.csv")])
+        assert result.exit_code == 3
+        assert "not unitary" in result.output
+        assert list(tmp_path.iterdir()) == []
 
     def test_preset_unknown_exits_2(self, tmp_path):
         result = self.runner.invoke(main, ["preset", "fig99", "--outdir", str(tmp_path)])

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -69,6 +71,15 @@ class TestUnitaryRoot:
         u = np.diag(np.exp(1j * np.array([theta, -theta, 0.1, 0.2])))
         with pytest.warns(BranchCutWarning):
             unitary_root(u, 2)
+
+    def test_branch_cut_warning_points_at_the_caller(self):
+        theta = np.pi - 1e-12
+        u = np.diag(np.exp(1j * np.array([theta, -theta, 0.1, 0.2])))
+        with pytest.warns(BranchCutWarning) as record:
+            here = inspect.currentframe().f_lineno
+            unitary_root(u, 2)
+            principal_eigenphases(np.diag(u), 2)
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, here + 1), (__file__, here + 2)]
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
