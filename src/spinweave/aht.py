@@ -52,18 +52,13 @@ __all__ = [
     "term_magnitudes",
     "convergence_check",
     "NEGLIGIBLE_MAGNITUDE",
-    "DEFAULT_ORDER_CAP",
-    "SHORT_SEQUENCE_ORDER_CAP",
     "PULSE_SLICES",
 ]
 
 # Normalized magnitudes below this are reported as numerically negligible.
 NEGLIGIBLE_MAGNITUDE = 1e-15
 
-# Default order limits: generous for short cycles, conservative for long ones.
-DEFAULT_ORDER_CAP = 8
-SHORT_SEQUENCE_ORDER_CAP = 72
-_SHORT_SEQUENCE_PULSES = 8
+# Highest effective-Hamiltonian order of any cycle (Dyson terms through 73).
 _HARD_ORDER_CAP = 72
 
 # Constant sub-segments per finite-width pulse in the toggling frame.
@@ -305,28 +300,18 @@ def magnus_series(
     tau: float,
     orders: int,
     pulse_width: float = 0.0,
-    order_cap: int | None = None,
 ) -> MagnusSeries:
     """Effective-Hamiltonian terms H(0)..H(orders) for one cycle.
 
-    ``order_cap`` defaults to 72 for cycles of at most 8 pulses and 8
-    otherwise; pass an explicit cap for best-effort higher-order runs (72 is
-    the hard limit, with roundoff diagnostics via the series' hermiticity
-    residuals).
+    ``orders`` may be at most 72 for every cycle.  Whether high orders are
+    meaningful is for the caller to judge: :func:`convergence_check` gives
+    the sufficient convergence criterion, and the series' hermiticity
+    residuals show the roundoff of each term.
     """
-    if order_cap is None:
-        order_cap = (
-            SHORT_SEQUENCE_ORDER_CAP
-            if seq.n_pulses <= _SHORT_SEQUENCE_PULSES
-            else DEFAULT_ORDER_CAP
-        )
     if orders < 0:
         raise ValueError("orders must be >= 0")
-    if orders > min(order_cap, _HARD_ORDER_CAP):
-        raise ValueError(
-            f"order {orders} exceeds the cap {order_cap} for sequence "
-            f"{seq.name!r}; pass order_cap explicitly for best-effort runs"
-        )
+    if orders > _HARD_ORDER_CAP:
+        raise ValueError(f"order {orders} exceeds the cap {_HARD_ORDER_CAP}")
     segments = toggling_segments(system, seq, tau, pulse_width)
     t_c = seq.cycle_time(tau)
     return burum_terms(dyson_terms(segments, orders + 1), t_c)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .aht import MagnusSeries, magnus_series
 from .operators import (
+    HermitianPropagator,
     NumericalDiagnosticError,
     Operator,
     _unitary_eigenphases,
@@ -56,7 +57,6 @@ __all__ = [
     "NumericalDiagnosticError",
     "collective_phase_operator",
     "pulse_unitary",
-    "FreeEvolution",
     "cycle_unitary",
     "fidelity",
     "nth_order_fidelity",
@@ -169,63 +169,24 @@ def pulse_unitary(
     return _pulse(phase_deg, error, n_spins, h_int)
 
 
-class FreeEvolution:
-    """``exp(-i H_int t)`` of a (B, d, d) stack of internal Hamiltonians.
-
-    ``H_int = H_D + H_offset`` conserves total S_z, so one batched ``eigh``
-    per magnetization sector (sizes ``C(N, k)``) diagonalizes every member;
-    the sector layout comes from :func:`spinweave.spins.magnetization_sectors`.
-    Free-step blocks are kept per duration, so every cycle built on one
-    instance shares both the factorization and the blocks.
-    """
-
-    def __init__(self, hamiltonians: np.ndarray):
-        self.shape = hamiltonians.shape
-        self.layout = magnetization_sectors(self.shape[-1].bit_length() - 1)
-        self._factors = []
-        for span in self.layout.spans:
-            states = self.layout.order[span]
-            w, v = np.linalg.eigh(hamiltonians[:, states[:, None], states])
-            self._factors.append((w, v, dagger(v)))
-        self._blocks: dict[float, list[np.ndarray]] = {}
-
-    @property
-    def spectral_norm(self) -> np.ndarray:
-        """Largest absolute eigenvalue of each member's ``H_int``, shape (B,)."""
-        return np.max([np.abs(w).max(axis=-1) for w, _, _ in self._factors], axis=0)
-
-    def blocks(self, t: float) -> list[np.ndarray]:
-        """Per-sector (B, C(N, k), C(N, k)) propagators ``exp(-i H_k t)``, in ``layout.spans`` order."""
-        if t not in self._blocks:
-            self._blocks[t] = [(v * np.exp(-1j * w * t)[:, None, :]) @ vh for w, v, vh in self._factors]
-        return self._blocks[t]
-
-    def at(self, t: float) -> np.ndarray:
-        """Dense (B, d, d) ``exp(-i H_int t)`` in the standard basis."""
-        u = np.zeros(self.shape, dtype=np.complex128)
-        for span, block in zip(self.layout.spans, self.blocks(t)):
-            states = self.layout.order[span]
-            u[:, states[:, None], states] = block
-        return u
-
-
 class _CycleKernel:
     """Cycle propagators of one member stack under one error model.
 
-    Holds what every sequence shares: the sector factorization of
-    :class:`FreeEvolution` and, for finite pulses, the phase-0 pulse in
-    sector order.  H_int commutes with S_z, so the pulse of phase phi is
-    that pulse turned about z: ``exp(-i phi S_z) P_0 exp(+i phi S_z)``.
+    Holds what every sequence shares: the factorization of the H_int stack
+    by magnetization sector (:class:`HermitianPropagator`) and, for finite
+    pulses, the phase-0 pulse in sector order.  H_int commutes with S_z,
+    so the pulse of phase phi is that pulse turned about z:
+    ``exp(-i phi S_z) P_0 exp(+i phi S_z)``.
     """
 
     def __init__(self, hamiltonians: np.ndarray, error: ErrorModel):
-        self.free = FreeEvolution(hamiltonians)
+        self.members, dim = hamiltonians.shape[:2]
+        self.n_spins = dim.bit_length() - 1
+        self.free = HermitianPropagator(hamiltonians, magnetization_sectors(self.n_spins))
         self.error = error
-        layout = self.free.layout
-        self.n_spins = len(layout.spans) - 1
         if not error.is_delta:
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
-            order = layout.order
+            order = self.free.layout.order
             self.pulse0 = _pulse(0.0, error, self.n_spins, hamiltonians)[:, order[:, None], order]
 
     def cycles(self, seq: PulseSequence, tau: float) -> np.ndarray:
@@ -243,7 +204,7 @@ class _CycleKernel:
             else:
                 z = np.exp(-1j * np.deg2rad(phase) * m_z)
                 pulses[phase] = (z[:, None] * self.pulse0) * z.conj()
-        stack, dim = free.shape[0], 1 << n
+        stack, dim = self.members, 1 << n
         u = np.empty((stack, dim, dim), dtype=np.complex128)
         u[:] = np.eye(dim)
         buf = np.empty_like(u)
@@ -291,7 +252,8 @@ def cycle_unitary(
     This is the one-member call of the stacked cycle kernel that
     :func:`ensemble_fidelity` runs on whole member stacks, so a member of a
     sweep equals this call bit for bit.  The product is accumulated with its
-    rows in magnetization-sector order (:class:`FreeEvolution`).  A free
+    rows in magnetization-sector order, the order in which
+    :class:`spinweave.operators.HermitianPropagator` factors H_int.  A free
     step is one matmul per sector block, built once per distinct duration.
     A delta pulse with its rotation error and transient kicks is exactly
     ``r^{(x)N}`` with ``r`` the one-spin pulse, and is applied as two
@@ -370,8 +332,8 @@ def nth_order_fidelities(
     The cycle and its root ``U_exp^{1/M}`` (:func:`unitary_root`, from
     ``eigh`` of the centred Cayley transform) are built once for all
     orders; each value equals the one-order call :func:`nth_order_fidelity`
-    bit for bit.  ``series`` defaults to the
-    Magnus series through ``max(orders)`` at the default order cap.
+    bit for bit.  ``series`` defaults to the Magnus series through
+    ``max(orders)``.
     """
     orders = list(orders)
     if not orders:
@@ -398,8 +360,8 @@ def nth_order_fidelity(
 ) -> float:
     """F_n of one order: the one-order call of :func:`nth_order_fidelities`.
 
-    Without ``series``, the Magnus series through ``order`` is computed at
-    the default order cap (see :func:`spinweave.aht.magnus_series`).
+    Without ``series``, the Magnus series through ``order`` is computed
+    (see :func:`spinweave.aht.magnus_series`).
     """
     if series is None:
         series = magnus_series(system, seq, tau, order)

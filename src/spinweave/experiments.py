@@ -22,16 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .control import ErrorModel, FreeEvolution, IDEAL, cycle_unitary
+from .control import ErrorModel, IDEAL, cycle_unitary
 from .operators import HermitianPropagator, Operator, as_operator
 from .sequences import PulseSequence, schedule
 from .spins import (
     SpinSystem,
     collective_operator,
     dq_hamiltonian,
-    internal_hamiltonian_stack,
+    internal_hamiltonian,
     kron_power,
     magnetization,
+    magnetization_sectors,
+    parity_sectors,
 )
 
 __all__ = [
@@ -370,9 +372,9 @@ def _check_duration(duration: float) -> None:
 class FreeWindow:
     """Window of free evolution under the internal Hamiltonian.
 
-    Propagated with the sector-blocked factorization of
-    :class:`spinweave.control.FreeEvolution`, the same one that drives the
-    free steps of a cycle.  ``duration`` must be finite and nonnegative.
+    Propagated by :class:`spinweave.operators.HermitianPropagator` over
+    magnetization sectors, the factorization that drives the free steps of
+    a cycle.  ``duration`` must be finite and nonnegative.
     """
 
     duration: float
@@ -442,19 +444,23 @@ def mqc_experiment(
     ``signals`` is ``S`` on ``phi_count`` equally spaced angles, whose FFT
     recovers the ``c_n`` exactly when ``phi_count >= 2N + 2``.  Without a
     window the intensities are those of the grown state and sum to 1.
+    ``H_DQ`` keeps the parity of the number of down spins, so ``U`` is
+    factored over the two parity sectors.  ``tau_dq`` must be finite.
     """
+    if not np.isfinite(tau_dq):
+        raise ValueError(f"tau_dq must be finite, got {tau_dq!r}")
     n = system.n_spins
     phi_count = mqc_phi_count(n, phi_count)
     if window is None:
         w = None
     elif isinstance(window, FreeWindow):
-        w = FreeEvolution(internal_hamiltonian_stack([system])).at(window.duration)[0]
+        w = HermitianPropagator(internal_hamiltonian(system), magnetization_sectors(n)).at(window.duration)
     elif isinstance(window, ProtectedWindow):
         u_cyc = cycle_unitary(system, window.sequence, window.error, window.tau)
         w = np.linalg.matrix_power(u_cyc, window.cycles)
     else:
         raise TypeError(f"unsupported window {window!r}")
-    u_fwd = HermitianPropagator(dq_hamiltonian(system)).at(tau_dq)
+    u_fwd = HermitianPropagator(dq_hamiltonian(system), parity_sectors(n)).at(tau_dq)
     m = magnetization(n)
     # rho_0 = diag(m)
     rho_tau = (u_fwd * m) @ u_fwd.conj().T

@@ -335,9 +335,9 @@ def _sweep_preset(name: str, profile: str) -> dict:
 
 def _magnitude_report(system_dipolar, system_offset, system_full, seq, tau, h_dip):
     """Dipolar orders 0-4, offset orders 0-1, and the order-1 cross term."""
-    dip = magnus_series(system_dipolar, seq, tau, 4, order_cap=8)
-    off = magnus_series(system_offset, seq, tau, 1, order_cap=8)
-    full = magnus_series(system_full, seq, tau, 1, order_cap=8)
+    dip = magnus_series(system_dipolar, seq, tau, 4)
+    off = magnus_series(system_offset, seq, tau, 1)
+    full = magnus_series(system_full, seq, tau, 1)
     scale = frobenius_magnitude(h_dip)
     rows = []
     for order, mag in enumerate(term_magnitudes(dip, h_dip)):
@@ -398,7 +398,7 @@ def _run_figA4(profile: str, outdir: Path) -> list[Path]:
         seq = builtin(seq_name)
         system = SpinSystem.create(sample_couplings(seed, n_spins, DEFAULT_COUPLING_SIGMA_HZ))
         for tau in taus:
-            series = magnus_series(system, seq, tau, max(orders), order_cap=8)
+            series = magnus_series(system, seq, tau, max(orders))
             fidelities = nth_order_fidelities(system, seq, tau, orders, series=series)
             for order, f in zip(orders, fidelities):
                 rows.append(
@@ -417,7 +417,7 @@ def _run_figA4(profile: str, outdir: Path) -> list[Path]:
     tau_c = 0.466 / (frobenius_magnitude(h) / np.sqrt(h.shape[0]))
     n_max = 70 if paper else 16
     seq = builtin("WHH")
-    series = magnus_series(system, seq, tau_c, n_max, order_cap=72)
+    series = magnus_series(system, seq, tau_c, n_max)
     fidelities = nth_order_fidelities(system, seq, tau_c, range(n_max + 1), series=series)
     for order, f in enumerate(fidelities):
         rows.append(

@@ -20,18 +20,16 @@ Conventions used throughout the package:
   when a root needs the eigenbasis, ``eigh``.  A member with an eigenphase
   near the centred cut is centred once more, opposite the largest gap of
   its phases.
-* Cycle propagation does not use :class:`HermitianPropagator` for the
-  internal Hamiltonian: that Hamiltonian conserves total S_z, so
-  :class:`spinweave.control.FreeEvolution` factors it one magnetization
-  sector at a time, and delta pulses are applied as Kronecker factors.
-  :class:`HermitianPropagator` serves the generators that mix sectors or
-  are not ``H_int``: the double-quantum Hamiltonian, finite-width pulses
-  and the truncated Magnus sums behind ``nth_order_fidelity``.
+* One class, :class:`HermitianPropagator`, factors every Hermitian
+  generator, by blocks when given a :class:`SectorLayout`: the internal
+  Hamiltonian by magnetization sector, the double-quantum Hamiltonian by
+  the parity of the down spins, finite pulses and Magnus sums whole.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -61,6 +59,7 @@ __all__ = [
     "require_hermitian",
     "require_unitary",
     "expm_hermitian",
+    "SectorLayout",
     "HermitianPropagator",
     "principal_eigenphases",
     "unitary_root",
@@ -77,17 +76,21 @@ class NumericalDiagnosticError(RuntimeError):
     """A computed propagator failed its numerical sanity check."""
 
 
-def as_operator(a: npt.ArrayLike) -> Operator:
-    """Coerce ``a`` to a square complex matrix on a power-of-two dimension."""
-    m = np.ascontiguousarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def _checked_shape(m: np.ndarray, stack: bool) -> np.ndarray:
+    """``m``, checked to be square (a (B, d, d) stack too with ``stack``) on a power-of-two ``d``."""
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-    dim = m.shape[0]
+    dim = m.shape[-1]
     if dim < 1 or dim > MAX_DIM or (dim & (dim - 1)) != 0:
         raise ValueError(
             f"operator dimension must be a power of two <= {MAX_DIM}, got {dim}"
         )
     return m
+
+
+def as_operator(a: npt.ArrayLike) -> Operator:
+    """Coerce ``a`` to a square complex matrix on a power-of-two dimension."""
+    return _checked_shape(np.ascontiguousarray(a, dtype=np.complex128), stack=False)
 
 
 def commutator(a: npt.ArrayLike, b: npt.ArrayLike) -> Operator:
@@ -99,13 +102,18 @@ def dagger(a: npt.ArrayLike) -> Operator:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def hermiticity_defect(h: npt.ArrayLike) -> float:
-    """Relative Frobenius-norm asymmetry ``|h - h^dag| / |h|`` (0 for h = 0)."""
+def hermiticity_defect(h: npt.ArrayLike) -> float | npt.NDArray[np.float64]:
+    """Relative Frobenius-norm asymmetry ``|h - h^dag| / |h|`` (0 for h = 0).
+
+    A float for one matrix; for a (B, d, d) stack, the (B,) defects of its members.
+    """
     h = np.asarray(h)
-    scale = np.linalg.norm(h)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(h - h.conj().T) / scale)
+    if h.ndim == 2:
+        scale = np.linalg.norm(h)
+        return 0.0 if scale == 0.0 else float(np.linalg.norm(h - h.conj().T) / scale)
+    scale = np.linalg.norm(h, axis=(-2, -1))
+    skew = np.linalg.norm(h - dagger(h), axis=(-2, -1))
+    return np.divide(skew, scale, out=np.zeros_like(scale), where=scale != 0.0)
 
 
 def unitarity_defect(u: npt.ArrayLike) -> float:
@@ -116,8 +124,9 @@ def unitarity_defect(u: npt.ArrayLike) -> float:
 
 
 def require_hermitian(h: npt.ArrayLike) -> Operator:
-    h = as_operator(h)
-    defect = hermiticity_defect(h)
+    """``h`` as a complex matrix or (B, d, d) stack, each member Hermitian to ``DEFECT_TOL``."""
+    h = _checked_shape(np.ascontiguousarray(h, dtype=np.complex128), stack=True)
+    defect = np.max(hermiticity_defect(h), initial=0.0)
     if defect > DEFECT_TOL:
         raise ValueError(f"matrix is not Hermitian (relative asymmetry {defect:.3e})")
     return h
@@ -142,28 +151,67 @@ def expm_hermitian(h: npt.ArrayLike, t: float) -> Operator:
     return HermitianPropagator(h).at(t)
 
 
-class HermitianPropagator:
-    """Factory for ``exp(-i h t)`` reusing a single eigendecomposition of ``h``.
+@dataclass(frozen=True)
+class SectorLayout:
+    """Basis ordering that groups states into sectors (symmetry blocks).
 
-    Useful when the same Hamiltonian generates propagators for many delays.
-    ``h`` is one matrix or a (B, d, d) stack, factored by one batched
-    ``eigh`` after a member-by-member Hermiticity check.
+    Attributes:
+        order: ``order[p]`` is the basis state at sector-ordered position p.
+        inverse: ``inverse[s]`` is the sector-ordered position of state s.
+        spans: row slice of each sector in sector order.
     """
 
-    def __init__(self, h: npt.ArrayLike):
-        h = np.asarray(h, dtype=np.complex128)
-        for member in h.reshape(-1, *h.shape[-2:]):
-            require_hermitian(member)
-        # eigh of the Hermitian average removes the O(DEFECT_TOL) asymmetry
-        self._w, self._v = np.linalg.eigh((h + dagger(h)) / 2.0)
+    order: npt.NDArray[np.intp]
+    inverse: npt.NDArray[np.intp]
+    spans: tuple[slice, ...]
+
+
+class HermitianPropagator:
+    """``exp(-i h t)`` for many ``t`` from one factorization of ``h``.
+
+    ``h`` is one matrix or a (B, d, d) stack, checked Hermitian to
+    ``DEFECT_TOL``.  With a ``layout`` it must be block-diagonal over
+    ``layout.spans`` in ``layout.order`` (else ``ValueError``); without
+    one it is a single block.  Each block ``b`` is factored by one batched
+    ``eigh`` of ``(b + b^dag) / 2``, and its propagators are kept per
+    duration.
+    """
+
+    def __init__(self, h: npt.ArrayLike, layout: SectorLayout | None = None):
+        h = require_hermitian(h)
+        self.layout = layout
+        self._shape = h.shape
+        if layout is None:
+            self._index = [(slice(None), slice(None))]
+        elif len(layout.order) != h.shape[-1]:
+            raise ValueError(f"layout of {len(layout.order)} states for dimension {h.shape[-1]}")
+        else:
+            self._index = [(layout.order[s, None], layout.order[s]) for s in layout.spans]
+        blocks = [h[(..., *index)] for index in self._index]
+        if layout is not None and sum(map(np.count_nonzero, blocks)) != np.count_nonzero(h):
+            raise ValueError("generator has nonzero elements outside the blocks of its layout")
+        self._factors = [np.linalg.eigh((block + dagger(block)) / 2.0) for block in blocks]
+        self._blocks: dict[float, list[np.ndarray]] = {}
 
     @property
-    def eigenvalues(self) -> npt.NDArray[np.float64]:
-        return self._w
+    def spectral_norm(self) -> npt.NDArray[np.float64]:
+        """Largest absolute eigenvalue of ``h``, per member of a stack (shape (B,))."""
+        return np.max([np.abs(w).max(axis=-1) for w, _ in self._factors], axis=0)
+
+    def blocks(self, t: float) -> list[np.ndarray]:
+        """Per-span propagators ``exp(-i h_k t)`` in ``layout.spans`` order."""
+        if t not in self._blocks:
+            self._blocks[t] = [
+                (v * np.exp(-1j * w * t)[..., None, :]) @ dagger(v) for w, v in self._factors
+            ]
+        return self._blocks[t]
 
     def at(self, t: float) -> Operator:
-        phases = np.exp(-1j * self._w * t)
-        return (self._v * phases[..., None, :]) @ dagger(self._v)
+        """Dense ``exp(-i h t)`` in the standard basis, with the shape of ``h``."""
+        u = np.zeros(self._shape, dtype=np.complex128)
+        for index, block in zip(self._index, self.blocks(t)):
+            u[(..., *index)] = block
+        return u
 
 
 def _principal(theta: npt.NDArray[np.float64], m: int, stacklevel: int) -> npt.NDArray[np.float64]:

@@ -18,7 +18,8 @@ sector; :func:`magnetization_sectors` gives that ordering and the row span
 of each sector.  Its matrix elements are placed from per-N pair tables
 (the ZZ diagonal products and the flip-flop index pairs), cached beside
 the sector layout, so a stack of members is built in a few array
-operations (:func:`internal_hamiltonian_stack`).
+operations (:func:`internal_hamiltonian_stack`), and so is
+:func:`dq_hamiltonian`, block-diagonal by :func:`parity_sectors`.
 
 Random ensembles use the counter-based Philox generator keyed directly by
 the user seed, so samples are reproducible bit-for-bit across runs and
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .operators import MAX_SPINS, Operator
+from .operators import MAX_SPINS, Operator, SectorLayout
 
 __all__ = [
     "SIGMA",
@@ -52,6 +53,7 @@ __all__ = [
     "kron_power",
     "SectorLayout",
     "magnetization_sectors",
+    "parity_sectors",
     "dipolar_hamiltonian",
     "offset_hamiltonian",
     "internal_hamiltonian",
@@ -173,40 +175,40 @@ def magnetization(n_spins: int) -> npt.NDArray[np.float64]:
     return m
 
 
-@dataclass(frozen=True)
-class SectorLayout:
-    """Basis ordering that groups states by total magnetization.
-
-    Attributes:
-        order: ``order[p]`` is the basis state at sector-ordered position p.
-        inverse: ``inverse[s]`` is the sector-ordered position of state s.
-        spans: row slice of each sector, ``k = 0..n`` down spins
-            (``S_z = n/2 - k``), of length ``C(n, k)``.
-    """
-
-    order: npt.NDArray[np.intp]
-    inverse: npt.NDArray[np.intp]
-    spans: tuple[slice, ...]
-
-
-@functools.cache
-def magnetization_sectors(n_spins: int) -> SectorLayout:
-    """Sector layout of the ``n_spins`` product space (read-only, built once per n).
-
-    States are sorted by their number of down spins; within a sector they
-    keep ascending basis order.  An operator commuting with total S_z is
-    block-diagonal over ``spans`` after ``a[np.ix_(order, order)]``.
-    """
+def _sector_layout(n_spins: int, modulus: int) -> SectorLayout:
+    """Read-only layout of the states by number of down spins modulo ``modulus``, each in basis order."""
     if not 1 <= n_spins <= MAX_SPINS:
         raise ValueError(f"n_spins must be in 1..{MAX_SPINS}, got {n_spins}")
-    down = _bit_table(n_spins).sum(axis=1)
-    order = np.argsort(down, kind="stable")
+    sector = _bit_table(n_spins).sum(axis=1) % modulus
+    order = np.argsort(sector, kind="stable")
     inverse = np.argsort(order)
-    edges = np.concatenate(([0], np.cumsum(np.bincount(down, minlength=n_spins + 1))))
+    edges = np.concatenate(([0], np.cumsum(np.bincount(sector))))
     for arr in (order, inverse):
         arr.flags.writeable = False
     spans = tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
     return SectorLayout(order=order, inverse=inverse, spans=spans)
+
+
+@functools.cache
+def magnetization_sectors(n_spins: int) -> SectorLayout:
+    """Sector layout of the ``n_spins`` product space by total magnetization (built once per n).
+
+    Span ``k`` holds the ``C(n, k)`` states with ``k`` down spins
+    (``S_z = n/2 - k``).  An operator commuting with total S_z, such as
+    ``H_D + H_offset``, is block-diagonal over ``spans`` after
+    ``a[np.ix_(order, order)]``.
+    """
+    return _sector_layout(n_spins, n_spins + 1)
+
+
+@functools.cache
+def parity_sectors(n_spins: int) -> SectorLayout:
+    """Layout by the parity of the number of down spins: even states, then odd (built once per n).
+
+    ``H_DQ`` changes the number of down spins by two, so it is
+    block-diagonal over these two spans.
+    """
+    return _sector_layout(n_spins, 2)
 
 
 @dataclass(frozen=True)
@@ -326,7 +328,7 @@ class SpinSystem:
 
 @dataclass(frozen=True)
 class _PairTables:
-    """Index tables that place every S_z-conserving term of the ``n``-spin space.
+    """Index tables that place every pair and one-spin term of the ``n``-spin space.
 
     Attributes:
         pairs: ``(i, j)`` index arrays of the pairs ``i < j``, row-major.
@@ -335,7 +337,9 @@ class _PairTables:
             the diagonal of ``H_D + H_offset``.
         flip_rows, flip_cols, flip_pair: the flip-flop elements, one per
             pair and state whose two spins differ: ``h[row, col]`` takes
-            ``-d/2`` of pair ``flip_pair``.  No two pairs share an element.
+            ``-d/2`` of pair ``flip_pair``.  ``dq_*``: the double-quantum
+            elements, where the two spins are equal.  No two pairs share
+            an element.
     """
 
     pairs: tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]
@@ -343,6 +347,9 @@ class _PairTables:
     flip_rows: npt.NDArray[np.intp]
     flip_cols: npt.NDArray[np.intp]
     flip_pair: npt.NDArray[np.intp]
+    dq_rows: npt.NDArray[np.intp]
+    dq_cols: npt.NDArray[np.intp]
+    dq_pair: npt.NDArray[np.intp]
 
 
 @functools.cache
@@ -351,14 +358,14 @@ def _pair_tables(n_spins: int) -> _PairTables:
     m_values = 0.5 - bits
     i, j = np.triu_indices(n_spins, k=1)
     diagonal = np.concatenate([2.0 * m_values[:, i] * m_values[:, j], m_values], axis=1).T.copy()
-    states, pair = np.nonzero(bits[:, i] != bits[:, j])
     masks = (1 << (n_spins - 1 - i)) | (1 << (n_spins - 1 - j))
-    tables = _PairTables(
-        pairs=(i, j), diagonal=diagonal, flip_rows=states ^ masks[pair], flip_cols=states, flip_pair=pair
-    )
-    for arr in (i, j, diagonal, tables.flip_rows, states, pair):
+    elements = []
+    for equal in (False, True):  # flip-flop elements, then double-quantum ones
+        states, pair = np.nonzero((bits[:, i] == bits[:, j]) == equal)
+        elements += [states ^ masks[pair], states, pair]
+    for arr in (i, j, diagonal, *elements):
         arr.flags.writeable = False
-    return tables
+    return _PairTables((i, j), diagonal, *elements)
 
 
 def _hamiltonian_stack(couplings_hz: np.ndarray, offsets_hz: np.ndarray) -> np.ndarray:
@@ -418,21 +425,10 @@ def dq_hamiltonian(system: SpinSystem) -> Operator:
     basis states differing by two units of total z magnetization.  ``J``
     is the system's dipolar coupling matrix.
     """
-    n = system.n_spins
-    dim = system.dim
-    j_matrix = system.couplings_hz
-    bits = _bit_table(n)
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    states = np.arange(dim)
-    for j in range(n):
-        for k in range(j + 1, n):
-            val = TWO_PI * j_matrix[j, k] / 4.0
-            if val == 0.0:
-                continue
-            mask = (1 << (n - 1 - j)) | (1 << (n - 1 - k))
-            src = states[(bits[:, j] == 1) & (bits[:, k] == 1)]
-            h[src ^ mask, src] += val
-            h[src, src ^ mask] += val
+    tables = _pair_tables(system.n_spins)
+    values = TWO_PI * system.couplings_hz[tables.pairs] / 4.0
+    h = np.zeros((system.dim, system.dim), dtype=np.complex128)
+    h[tables.dq_rows, tables.dq_cols] = values[tables.dq_pair]
     return h
 
 

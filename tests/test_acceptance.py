@@ -291,7 +291,7 @@ def test_criterion_5_burum_oracle_and_traceless_terms():
     h_dip = dipolar_hamiltonian(sys_dip)
     worst_trace = 0.0
     for name in BUILTIN_NAMES:
-        series = magnus_series(sys_dip, builtin(name), 4e-6, 5, order_cap=8)
+        series = magnus_series(sys_dip, builtin(name), 4e-6, 5)
         for n, term in enumerate(series.terms):
             size = frobenius_magnitude(term)
             trace = abs(complex(np.trace(term)))
@@ -327,9 +327,9 @@ def test_criterion_6_term_magnitude_reproduction():
     worst_zero, spectro_min, ts_max = 0.0, np.inf, 0.0
     for name in BUILTIN_NAMES:
         seq = builtin(name)
-        dip = magnus_series(sys_dip, seq, tau, 1, order_cap=8)
-        off = magnus_series(sys_off, seq, tau, 1, order_cap=8)
-        full = magnus_series(sys_full, seq, tau, 1, order_cap=8)
+        dip = magnus_series(sys_dip, seq, tau, 1)
+        off = magnus_series(sys_off, seq, tau, 1)
+        full = magnus_series(sys_full, seq, tau, 1)
         dip_mags = term_magnitudes(dip, h_dip)
         cross = frobenius_magnitude(full.terms[1] - dip.terms[1] - off.terms[1]) / scale
         worst_zero = max(worst_zero, dip_mags[0], dip_mags[1], cross)
@@ -370,7 +370,7 @@ def test_criterion_7_nth_order_fidelity_properties():
     finite_ok = True
     sys4 = SpinSystem.create(sample_couplings(SEED, 4, 5000.0 / 3.0))
     for name in BUILTIN_NAMES:
-        series_n = magnus_series(sys4, builtin(name), 2e-6, 8, order_cap=8)
+        series_n = magnus_series(sys4, builtin(name), 2e-6, 8)
         for n in range(9):
             fn = nth_order_fidelity(sys4, builtin(name), 2e-6, n, series=series_n)
             finite_ok &= bool(np.isfinite(fn) and 0.0 <= fn <= 1.0)

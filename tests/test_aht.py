@@ -234,9 +234,9 @@ class TestBurumRecursion:
     def test_order_cap_enforced(self):
         system = SpinSystem.create(sample_couplings(39, 2, 1000.0))
         with pytest.raises(ValueError, match="cap"):
-            magnus_series(system, builtin("CORY48"), 2e-6, 9)
-        # explicit cap raises the limit
-        series = magnus_series(system, builtin("CORY48"), 2e-6, 9, order_cap=12)
+            magnus_series(system, builtin("CORY48"), 2e-6, 73)
+        # one cap of 72 for every cycle, however many pulses it has
+        series = magnus_series(system, builtin("CORY48"), 2e-6, 9)
         assert series.max_order == 9
 
 

@@ -8,7 +8,6 @@ import scipy.linalg
 from spinweave.control import (
     DISORDER_SEED_OFFSET,
     ErrorModel,
-    FreeEvolution,
     IDEAL,
     NumericalDiagnosticError,
     SweepSpec,
@@ -27,6 +26,7 @@ from spinweave.aht import magnus_series
 from spinweave.control import _eigenphase_fidelity, _ensemble_infidelities
 from spinweave.operators import (
     BranchCutWarning,
+    HermitianPropagator,
     expm_hermitian,
     principal_eigenphases,
     unitarity_defect,
@@ -39,6 +39,7 @@ from spinweave.spins import (
     dipolar_hamiltonian,
     internal_hamiltonian,
     internal_hamiltonian_stack,
+    magnetization_sectors,
     sample_couplings,
     sample_disorder,
 )
@@ -237,7 +238,9 @@ class TestCycleKernelOracle:
             cycle_unitary(system, builtin("WHH"), ErrorModel(pulse_width=1e-4), 4e-4)
 
 
-class TestFreeEvolution:
+class TestSectorFactorization:
+    """The H_int stack factored by magnetization sector, as the cycle kernel does."""
+
     @pytest.mark.parametrize("n_spins", [2, 3, 5, 7])
     def test_matches_expm(self, n_spins):
         systems = [
@@ -248,7 +251,7 @@ class TestFreeEvolution:
             )
             for k in range(2)
         ]
-        free = FreeEvolution(internal_hamiltonian_stack(systems))
+        free = HermitianPropagator(internal_hamiltonian_stack(systems), magnetization_sectors(n_spins))
         for t in (1e-6, 3.7e-5):
             u = free.at(t)
             for k, system in enumerate(systems):

@@ -16,13 +16,14 @@ from spinweave.experiments import (
     mqc_experiment,
     oscillation_scaling,
 )
-from spinweave.operators import expm_hermitian
+from spinweave.operators import HermitianPropagator, expm_hermitian
 from spinweave.sequences import builtin, parse_sequence
 from spinweave.spins import (
     SpinSystem,
     collective_operator,
     dq_hamiltonian,
     internal_hamiltonian,
+    parity_sectors,
     sample_couplings,
     sample_disorder,
 )
@@ -231,6 +232,18 @@ class TestMqcExperiment:
         assert result.signals[0] == pytest.approx(1.0, abs=1e-12)
         assert result.spectrum.total == pytest.approx(1.0, abs=1e-12)
         assert result.meta["imag_residual"] < 1e-12
+
+    @pytest.mark.parametrize("tau_dq", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_tau_dq(self, tau_dq):
+        system = SpinSystem.create(sample_couplings(15, 4, 5000.0 / 3.0))
+        with pytest.raises(ValueError, match="tau_dq must be finite"):
+            mqc_experiment(system, tau_dq)
+
+    @pytest.mark.parametrize("n_spins", range(2, 9))
+    def test_parity_blocked_growth_matches_expm(self, n_spins):
+        h = dq_hamiltonian(SpinSystem.create(sample_couplings(40 + n_spins, n_spins, 5000.0 / 3.0)))
+        u = HermitianPropagator(h, parity_sectors(n_spins)).at(1e-4)
+        assert np.abs(u - scipy.linalg.expm(-1j * h * 1e-4)).max() < 1e-12
 
     def test_insufficient_phase_resolution(self):
         system = SpinSystem.create(sample_couplings(17, 4, 1000.0))

@@ -7,14 +7,25 @@ from hypothesis import given, strategies as st
 from spinweave import operators
 from spinweave.operators import (
     BranchCutWarning,
+    HermitianPropagator,
     _unitary_eigenphases,
     expm_hermitian,
     frobenius_magnitude,
+    hermiticity_defect,
     principal_eigenphases,
+    require_hermitian,
     spectral_norm,
     unitary_root,
 )
-from spinweave.spins import SIGMA
+from spinweave.spins import (
+    SIGMA,
+    SpinSystem,
+    internal_hamiltonian,
+    internal_hamiltonian_stack,
+    magnetization_sectors,
+    sample_couplings,
+    sample_disorder,
+)
 
 from conftest import random_hermitian, random_unitary
 
@@ -48,6 +59,85 @@ class TestExpmHermitian:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             expm_hermitian(bad, 1.0)
+
+
+def sector_stack(n_spins: int, members: int) -> np.ndarray:
+    return internal_hamiltonian_stack(
+        [
+            SpinSystem.create(
+                sample_couplings(90 + n_spins + k, n_spins, 5000.0 / 3.0),
+                disorder_hz=sample_disorder(95 + n_spins + k, n_spins, 200.0),
+            )
+            for k in range(members)
+        ]
+    )
+
+
+class TestHermitianPropagator:
+    def test_dense_at_is_the_eigh_of_the_hermitian_part(self):
+        stack = np.stack([random_hermitian(7 + k, 8) for k in range(3)])
+        stack += 1e-12 * np.random.default_rng(8).normal(size=stack.shape)  # within DEFECT_TOL
+        for h in (stack[0], stack):
+            w, v = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2)
+            for t in (0.3, 2.0):
+                expected = (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+                assert np.array_equal(HermitianPropagator(h).at(t), expected)
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 6])
+    def test_sector_blocks_assemble_to_the_dense_propagator(self, n_spins):
+        h = sector_stack(n_spins, 2)
+        sectors = HermitianPropagator(h, magnetization_sectors(n_spins))
+        assert np.abs(sectors.at(3e-5) - HermitianPropagator(h).at(3e-5)).max() < 1e-12
+        layout = magnetization_sectors(n_spins)
+        assert [b.shape[-1] for b in sectors.blocks(3e-5)] == [s.stop - s.start for s in layout.spans]
+        assert sectors.blocks(3e-5) is sectors.blocks(3e-5)
+
+    def test_spectral_norm(self):
+        h = random_hermitian(12, 16, scale=3.0)
+        assert HermitianPropagator(h).spectral_norm == pytest.approx(spectral_norm(h), rel=1e-12)
+        stack = sector_stack(4, 3)
+        norms = HermitianPropagator(stack, magnetization_sectors(4)).spectral_norm
+        assert norms.shape == (3,)
+        for norm, member in zip(norms, stack):
+            assert norm == pytest.approx(spectral_norm(member), rel=1e-12)
+
+    def test_rejects_an_element_outside_the_blocks(self):
+        h = internal_hamiltonian(SpinSystem.create(sample_couplings(5, 3, 1000.0)))
+        h[0, 1] = h[1, 0] = 1e-3  # states with 0 and 1 down spins
+        HermitianPropagator(h)
+        with pytest.raises(ValueError, match="outside the blocks"):
+            HermitianPropagator(h, magnetization_sectors(3))
+
+    def test_rejects_one_non_hermitian_member(self):
+        stack = sector_stack(3, 4)
+        stack[2, 0, 0] += 1j * 1e-3 * np.abs(stack[2]).max()
+        for layout in (None, magnetization_sectors(3)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                HermitianPropagator(stack, layout)
+
+    def test_rejects_a_layout_of_another_dimension(self):
+        with pytest.raises(ValueError, match="layout"):
+            HermitianPropagator(sector_stack(3, 1), magnetization_sectors(4))
+
+
+class TestHermiticityChecks:
+    def test_stack_defects_are_the_member_defects(self):
+        stack = np.stack([random_hermitian(k, 8) for k in range(3)] + [np.zeros((8, 8))])
+        stack[1, 0, 1] += 0.1
+        defects = hermiticity_defect(stack)
+        assert defects.shape == (4,)
+        for defect, member in zip(defects, stack):
+            assert defect == pytest.approx(hermiticity_defect(member), rel=1e-12, abs=0.0)
+        assert defects[0] == defects[2] == defects[3] == 0.0 < defects[1]
+
+    def test_require_hermitian_checks_every_member(self):
+        stack = np.stack([random_hermitian(k, 4) for k in range(3)])
+        assert np.array_equal(require_hermitian(stack), stack)
+        stack[2, 1, 0] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(stack)
+        with pytest.raises(ValueError, match="square"):
+            require_hermitian(np.zeros((2, 2, 4, 4)))
 
 
 class TestUnitaryRoot:

@@ -20,6 +20,7 @@ from spinweave.spins import (
     magnetization,
     magnetization_sectors,
     offset_hamiltonian,
+    parity_sectors,
     sample_couplings,
     sample_disorder,
     spin_operator,
@@ -216,6 +217,34 @@ class TestDqHamiltonian:
         conjugated = (phases[:, None] * h) * phases.conj()[None, :]
         assert np.abs(conjugated - h).max() < 1e-12 * max(np.abs(h).max(), 1.0)
 
+    @pytest.mark.parametrize("n_spins", range(2, 9))
+    def test_equals_pairwise_scatter(self, n_spins):
+        # bit for bit against a scatter per pair of the elements TWO_PI * J / 4
+        couplings = sample_couplings(50 + n_spins, n_spins, DEFAULT_COUPLING_SIGMA_HZ)
+        couplings[0, 1] = couplings[1, 0] = 0.0
+        system = SpinSystem.create(couplings)
+        dim = 1 << n_spins
+        states = np.arange(dim)
+        oracle = np.zeros((dim, dim), dtype=complex)
+        for i in range(n_spins):
+            for j in range(i + 1, n_spins):
+                mask = (1 << (n_spins - 1 - i)) | (1 << (n_spins - 1 - j))
+                both_down = states[(states & mask) == mask]
+                value = TWO_PI * system.couplings_hz[i, j] / 4.0
+                oracle[both_down ^ mask, both_down] = value
+                oracle[both_down, both_down ^ mask] = value
+        assert np.array_equal(dq_hamiltonian(system), oracle)
+
+    @pytest.mark.parametrize("n_spins", range(2, 9))
+    def test_block_diagonal_over_parity(self, n_spins):
+        system = SpinSystem.create(sample_couplings(60 + n_spins, n_spins, DEFAULT_COUPLING_SIGMA_HZ))
+        layout = parity_sectors(n_spins)
+        h = dq_hamiltonian(system)[np.ix_(layout.order, layout.order)]
+        assert np.any(h)
+        for span in layout.spans:
+            h[span, span] = 0.0
+        assert not np.any(h)
+
     def test_matches_kron_oracle(self):
         system = SpinSystem.create(sample_couplings(31, 3, 500.0))
         n = 3
@@ -348,6 +377,24 @@ class TestMagnetizationSectors:
         for span in layout.spans:
             h[span, span] = 0.0
         assert not np.any(h)
+
+    @pytest.mark.parametrize("n_spins", range(1, 11))
+    def test_parity_layout_splits_even_and_odd_down_spins(self, n_spins):
+        layout = parity_sectors(n_spins)
+        dim = 1 << n_spins
+        assert sorted(layout.order) == list(range(dim))
+        assert np.array_equal(layout.order[layout.inverse], np.arange(dim))
+        assert [s.stop - s.start for s in layout.spans] == [dim // 2, dim // 2]
+        for parity, span in enumerate(layout.spans):
+            states = layout.order[span]
+            assert np.all(np.diff(states) > 0)
+            assert all(bin(int(state)).count("1") % 2 == parity for state in states)
+
+    @pytest.mark.parametrize("layout", [magnetization_sectors, parity_sectors])
+    def test_layout_rejects_bad_spin_counts(self, layout):
+        for n_spins in (0, 11):
+            with pytest.raises(ValueError, match="n_spins"):
+                layout(n_spins)
 
     def test_layout_is_read_only(self):
         layout = magnetization_sectors(4)
