@@ -15,7 +15,6 @@ from .operators import (
 from .spins import (
     SpinSystem,
     collective_operator,
-    coupling_from_geometry,
     dipolar_hamiltonian,
     dq_hamiltonian,
     internal_hamiltonian,
@@ -28,7 +27,6 @@ from .sequences import (
     builtin,
     frame_matrix,
     parse_sequence,
-    render_sequence,
     row_sum_check,
     validate_cyclic,
 )
@@ -64,7 +62,6 @@ from .experiments import (
     coherence_intensities,
     fit_decay,
     mqc_experiment,
-    oscillation_scaling,
 )
 from .harness import run_preset, validate_config
 

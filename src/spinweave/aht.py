@@ -29,13 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    HermitianPropagator,
     Operator,
-    as_operator,
     commutator,
     frobenius_magnitude,
     hermiticity_defect,
-    require_hermitian,
-    spectral_norm,
 )
 from .sequences import PulseSequence, schedule, validate_cyclic
 from .spins import SpinSystem, collective_rotation, internal_hamiltonian
@@ -113,31 +111,24 @@ class ConvergenceReport:
     converges_guaranteed: bool
 
 
-def _resolve_h_int(system) -> Operator:
-    if isinstance(system, SpinSystem):
-        return internal_hamiltonian(system)
-    return require_hermitian(as_operator(system))
-
-
 def toggling_segments(
-    system,
+    system: SpinSystem,
     seq: PulseSequence,
     tau: float,
     pulse_width: float = 0.0,
 ) -> list[TogglingSegment]:
     """Piecewise-constant toggling-frame Hamiltonian over one cycle.
 
-    ``system`` may be a :class:`SpinSystem` (its internal Hamiltonian is
-    used) or a Hermitian matrix in rad/s.  For delta pulses each delay
-    window becomes one segment with ``H_k = R_k^dag H R_k``, ``R_k`` the
-    accumulated pulse rotation.  Finite-width pulses contribute
+    ``H`` is the internal Hamiltonian of ``system``.  For delta pulses each
+    delay window becomes one segment with ``H_k = R_k^dag H R_k``, ``R_k``
+    the accumulated pulse rotation.  Finite-width pulses contribute
     :data:`PULSE_SLICES` sub-segments each, sampled at slice midpoints.
     """
-    h_int = _resolve_h_int(system)
+    h_int = internal_hamiltonian(system)
     validate_cyclic(seq)
-    n_spins = int(round(np.log2(h_int.shape[0])))
+    n_spins = system.n_spins
     segments: list[TogglingSegment] = []
-    u_rf = np.eye(h_int.shape[0], dtype=np.complex128)
+    u_rf = np.eye(system.dim, dtype=np.complex128)
     for kind, value in schedule(seq, tau, pulse_width):
         if kind == "free":
             h_toggled = u_rf.conj().T @ h_int @ u_rf
@@ -295,7 +286,7 @@ def burum_terms(dyson: list[Operator], cycle_time: float) -> MagnusSeries:
 
 
 def magnus_series(
-    system,
+    system: SpinSystem,
     seq: PulseSequence,
     tau: float,
     orders: int,
@@ -332,6 +323,6 @@ def term_magnitudes(series: MagnusSeries, h_dip: Operator) -> np.ndarray:
 def convergence_check(segments: list[TogglingSegment]) -> ConvergenceReport:
     """Sufficient convergence criterion: sum_k |H_k| dt_k < pi (spectral norm)."""
     value = float(
-        sum(spectral_norm(s.hamiltonian) * s.duration for s in segments)
+        sum(HermitianPropagator(s.hamiltonian).spectral_norm * s.duration for s in segments)
     )
     return ConvergenceReport(value=value, converges_guaranteed=value < np.pi)

@@ -15,6 +15,7 @@ do not depend on the parallelism degree.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import queue
 import warnings
@@ -33,7 +34,6 @@ from .operators import (
     dagger,
     expm_hermitian,
     require_unitary,
-    spectral_norm,
     unitary_root,
 )
 from .sequences import BUILTIN_NAMES, PulseSequence, builtin, schedule
@@ -65,7 +65,6 @@ __all__ = [
     "SweepRow",
     "SWEEPABLE_PARAMETERS",
     "ensemble_fidelity",
-    "loglog_slope",
     "resolve_threads",
     "THREADS_ENV_VAR",
 ]
@@ -99,6 +98,9 @@ class ErrorModel:
     transient_trailing: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.pulse_width < 0:
             raise ValueError("pulse_width must be nonnegative")
 
@@ -165,7 +167,7 @@ def pulse_unitary(
     if not error.is_delta:
         if h_int is None:
             raise ValueError("finite-width pulses require the internal Hamiltonian")
-        _warn_if_weak(error, spectral_norm(h_int))
+        _warn_if_weak(error, float(HermitianPropagator(h_int).spectral_norm.max()))
     return _pulse(phase_deg, error, n_spins, h_int)
 
 
@@ -231,7 +233,7 @@ class _CycleKernel:
         residual.reshape(stack, -1)[:, :: dim + 1] -= 1.0
         residual = residual.view(np.float64)
         defect = np.sqrt(np.einsum("bij,bij->b", residual, residual) / dim)
-        if np.any(defect > 1e-10):
+        if not np.all(defect <= 1e-10):
             raise NumericalDiagnosticError(
                 f"cycle propagator of {seq.name!r} is not unitary (defect {defect.max():.3e})"
             )
@@ -555,27 +557,3 @@ def ensemble_fidelity(spec: SweepSpec, threads: int | None = None) -> list[Sweep
             )
     return rows
 
-
-def loglog_slope(
-    x: np.ndarray,
-    y: np.ndarray,
-    n_points: int = 4,
-    floor: float = 1e-13,
-    side: str = "small",
-) -> float:
-    """Least-squares slope of log10(y) vs log10(x) over an asymptotic window.
-
-    Keeps points with ``y > floor`` (the numerical noise floor), then fits
-    the ``n_points`` smallest-x points (``side="small"``) or largest-x
-    points (``side="large"``).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    keep = (y > floor) & (x > 0)
-    x, y = x[keep], y[keep]
-    if x.size < 2:
-        raise ValueError("not enough points above the noise floor for a slope fit")
-    order = np.argsort(x)
-    idx = order[:n_points] if side == "small" else order[-n_points:]
-    coeffs = np.polyfit(np.log10(x[idx]), np.log10(y[idx]), 1)
-    return float(coeffs[0])

@@ -46,7 +46,6 @@ __all__ = [
     "autocorrelation",
     "c_avg",
     "fit_decay",
-    "oscillation_scaling",
     "coherence_intensities",
     "mqc_experiment",
     "mqc_phi_count",
@@ -195,13 +194,10 @@ def _dominant_frequency(t: np.ndarray, v: np.ndarray) -> float:
     return float(freqs[1:][np.argmax(spectrum[1:])])
 
 
-def fit_decay(
-    curve: DecayCurve,
-    model: str = "stretched",
-    stretch_bounds: tuple[float, float] | None = None,
-) -> FitResult:
+def fit_decay(curve: DecayCurve, model: str = "stretched") -> FitResult:
     """Nonlinear least-squares fit of a decay curve.
 
+    The stretch exponent is bounded by ``DEFAULT_STRETCH_BOUNDS[model]``.
     Runs a bounded trust-region least-squares solve from 8 starting points
     (decay-time grid crossed with frequency candidates for the oscillating
     model) and keeps the best.  Failure to converge within
@@ -216,7 +212,7 @@ def fit_decay(
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a decay model")
     if np.any(t < 0):
         raise ValueError("decay times must be nonnegative")
-    g_lo, g_hi = stretch_bounds if stretch_bounds is not None else DEFAULT_STRETCH_BOUNDS[model]
+    g_lo, g_hi = DEFAULT_STRETCH_BOUNDS[model]
     t_max = float(t.max())
     scale = max(float(np.abs(v).max()), 1e-12)
     log_lo, log_hi = np.log(t_max * 1e-4), np.log(t_max * 1e4)
@@ -281,23 +277,6 @@ def fit_decay(
         converged=bool(best.status > 0),
         at_bound=at_bound,
     )
-
-
-def oscillation_scaling(offsets_hz, frequencies_hz) -> float:
-    """Least-squares slope of fitted oscillation frequency versus offset.
-
-    Fitted frequencies are nonnegative (cosine is even in f), so the slope
-    is taken through the origin against |offset| and compared with the
-    sequence's chemical-shift scaling factor.
-    """
-    offsets = np.asarray(offsets_hz, dtype=float)
-    freqs = np.asarray(frequencies_hz, dtype=float)
-    if offsets.size != freqs.size or offsets.size < 3:
-        raise ValueError("need at least 3 (offset, frequency) pairs")
-    denom = float(np.sum(offsets**2))
-    if denom == 0.0:
-        raise ValueError("all offsets are zero; scaling slope is degenerate")
-    return float(np.sum(freqs * np.abs(offsets)) / denom)
 
 
 @dataclass(frozen=True)

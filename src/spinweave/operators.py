@@ -55,16 +55,13 @@ __all__ = [
     "commutator",
     "dagger",
     "hermiticity_defect",
-    "unitarity_defect",
     "require_hermitian",
     "require_unitary",
     "expm_hermitian",
     "SectorLayout",
     "HermitianPropagator",
-    "principal_eigenphases",
     "unitary_root",
     "frobenius_magnitude",
-    "spectral_norm",
 ]
 
 
@@ -116,26 +113,21 @@ def hermiticity_defect(h: npt.ArrayLike) -> float | npt.NDArray[np.float64]:
     return np.divide(skew, scale, out=np.zeros_like(scale), where=scale != 0.0)
 
 
-def unitarity_defect(u: npt.ArrayLike) -> float:
-    """Frobenius norm of ``u^dag u - I`` normalized by ``sqrt(dim)``."""
-    u = np.asarray(u)
-    dim = u.shape[0]
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(dim)) / np.sqrt(dim))
-
-
 def require_hermitian(h: npt.ArrayLike) -> Operator:
     """``h`` as a complex matrix or (B, d, d) stack, each member Hermitian to ``DEFECT_TOL``."""
     h = _checked_shape(np.ascontiguousarray(h, dtype=np.complex128), stack=True)
     defect = np.max(hermiticity_defect(h), initial=0.0)
-    if defect > DEFECT_TOL:
+    if not defect <= DEFECT_TOL:
         raise ValueError(f"matrix is not Hermitian (relative asymmetry {defect:.3e})")
     return h
 
 
 def require_unitary(u: npt.ArrayLike) -> Operator:
+    """``u`` as a complex matrix with ``|u^dag u - I|_F / sqrt(d)`` at most ``DEFECT_TOL``."""
     u = as_operator(u)
-    defect = unitarity_defect(u)
-    if defect > DEFECT_TOL:
+    dim = u.shape[0]
+    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(dim)) / np.sqrt(dim))
+    if not defect <= DEFECT_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -231,18 +223,6 @@ def _principal(theta: npt.NDArray[np.float64], m: int, stacklevel: int) -> npt.N
     return theta
 
 
-def principal_eigenphases(eigenvalues: npt.ArrayLike, m: int) -> npt.NDArray[np.float64]:
-    """Eigenphases ``theta`` in ``(-pi, pi]`` of unit-modulus eigenvalues, for an ``m``-th root.
-
-    The principal ``m``-th root maps ``exp(i theta)`` to ``exp(i theta / m)``;
-    ``m`` must be a positive integer.  For ``m > 1`` eigenphases within
-    ``BRANCH_TOL`` of the branch cut at ``pi`` are ambiguous; they take the
-    ``theta = pi`` convention and are reported through a
-    :class:`BranchCutWarning` attributed to the line that calls this function.
-    """
-    return _principal(np.angle(eigenvalues), m, 2)
-
-
 # Largest |tan(c/2)| of a centred phase c kept without recentring: the
 # eigvalsh error of every phase grows with the norm of the Cayley matrix.
 _RECENTRE_TAN = 100.0
@@ -284,7 +264,7 @@ def _unitary_eigenphases(u: np.ndarray, m: int, basis: bool = False, stacklevel:
     with the cut in the middle of the largest gap of its phases; a member
     whose ``I + v`` is exactly singular is first centred 1 rad further on.
     The root order, the ``-pi -> pi`` map and the warning are those of
-    :func:`principal_eigenphases`.  A Cayley skew ``|K - K^dag|_F / (1 + max t^2)``
+    :func:`_principal`.  A Cayley skew ``|K - K^dag|_F / (1 + max t^2)``
     above 1e-7 raises :class:`NumericalDiagnosticError`: eigenvalues are off
     the unit circle.
     Returns ``theta`` with the shape of ``u`` minus its last axis, and with
@@ -331,7 +311,7 @@ def unitary_root(u: npt.ArrayLike, m: int) -> Operator:
     """Principal ``m``-th root of a unitary matrix.
 
     Each eigenvalue ``exp(i theta)`` with ``theta`` in ``(-pi, pi]`` maps to
-    ``exp(i theta / m)`` (:func:`principal_eigenphases`).  Phases and the
+    ``exp(i theta / m)`` (:func:`_principal`).  Phases and the
     orthonormal eigenbasis ``V`` come from ``eigh`` of the centred Cayley
     transform (:func:`_unitary_eigenphases`), and the root is
     ``V diag(exp(i theta / m)) V^dag``; ``V`` is unitary to roundoff, which
@@ -352,12 +332,3 @@ def frobenius_magnitude(h: npt.ArrayLike) -> float:
     dipolar Hamiltonian.
     """
     return float(np.linalg.norm(np.asarray(h)))
-
-
-def spectral_norm(h: npt.ArrayLike) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix."""
-    h = require_hermitian(h)
-    if h.shape[0] == 0:
-        return 0.0
-    w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-    return float(np.max(np.abs(w))) if w.size else 0.0

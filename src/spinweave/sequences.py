@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "SequenceParseError",
     "NonCyclicSequenceError",
     "parse_sequence",
-    "render_sequence",
     "builtin",
     "BUILTIN_NAMES",
     "validate_cyclic",
@@ -43,7 +41,6 @@ __all__ = [
 ]
 
 CARDINAL_PHASES = {"x": 0.0, "y": 90.0, "-x": 180.0, "-y": 270.0}
-_PHASE_NAMES = {v: k for k, v in CARDINAL_PHASES.items()}
 
 
 class SequenceParseError(ValueError):
@@ -101,14 +98,6 @@ class PulseSequence:
     def cycle_windows(self) -> int:
         return sum(e.duration_factor for e in self.events if e.kind == "delay")
 
-    @property
-    def starts_with_pulse(self) -> bool:
-        return bool(self.events) and self.events[0].kind == "pulse"
-
-    @property
-    def pulse_phases_deg(self) -> tuple[float, ...]:
-        return tuple(e.phase_deg for e in self.events if e.kind == "pulse")
-
     def cycle_time(self, tau: float) -> float:
         return self.cycle_windows * tau
 
@@ -160,20 +149,6 @@ def parse_sequence(text: str, name: str = "custom") -> PulseSequence:
     if not events:
         raise SequenceParseError("empty sequence", 0)
     return PulseSequence(name=name, events=tuple(events))
-
-
-def render_sequence(seq: PulseSequence) -> str:
-    """Render a sequence back to DSL text (parse/render round-trips)."""
-    parts = []
-    for e in seq.events:
-        if e.kind == "delay":
-            parts.append("tau" if e.duration_factor == 1 else f"{e.duration_factor}tau")
-        elif e.phase_deg in _PHASE_NAMES:
-            parts.append(_PHASE_NAMES[e.phase_deg])
-        else:
-            phase = Fraction(e.phase_deg).limit_denominator(10**6)
-            parts.append(f"p{float(phase):g}")
-    return " - ".join(parts)
 
 
 # The seven built-in cycles.  Transcriptions are cross-checked in the test
@@ -263,7 +238,7 @@ def validate_cyclic(seq: PulseSequence) -> int:
             u = collective_rotation(1, e.phase_deg, np.pi / 2) @ u
     sign = np.trace(u).real / 2.0
     residual = float(np.linalg.norm(u - sign * np.eye(2)))
-    if residual > CYCLIC_TOL or abs(abs(sign) - 1.0) > CYCLIC_TOL:
+    if not (residual <= CYCLIC_TOL and abs(abs(sign) - 1.0) <= CYCLIC_TOL):
         raise NonCyclicSequenceError(seq.name, residual)
     return 1 if sign > 0 else -1
 
@@ -285,13 +260,11 @@ class FrameMatrix:
     ``entries`` has shape (3, M): rows are the X, Y, Z axes, columns the M
     windows, each entry in {-1, 0, +1} with exactly one nonzero per column.
     Delays spanning k*tau contribute k equal columns.  For sequences that
-    begin with a pulse there is no pre-pulse window; ``leading_pulse`` records
-    this.
+    begin with a pulse there is no pre-pulse window.
     """
 
     sequence_name: str
     entries: np.ndarray
-    leading_pulse: bool
 
     @property
     def windows(self) -> int:
@@ -322,9 +295,7 @@ def frame_matrix(seq: PulseSequence) -> FrameMatrix:
             columns.extend([v] * e.duration_factor)
     entries = np.array(columns, dtype=np.int64).T
     entries.flags.writeable = False
-    return FrameMatrix(
-        sequence_name=seq.name, entries=entries, leading_pulse=seq.starts_with_pulse
-    )
+    return FrameMatrix(sequence_name=seq.name, entries=entries)
 
 
 def row_sum_check(f: FrameMatrix) -> tuple[np.ndarray, str]:
@@ -378,10 +349,10 @@ def schedule(
     width is borrowed from the final delay instead.  Zero-length free steps
     are dropped.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if pulse_width < 0:
-        raise ValueError("pulse width must be nonnegative")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau!r}")
+    if not 0 <= pulse_width < np.inf:
+        raise ValueError(f"pulse width must be nonnegative and finite, got {pulse_width!r}")
     if pulse_width > 0 and not any(e.kind == "delay" for e in seq.events):
         raise ValueError("finite-width pulses need at least one delay window")
     steps: list[tuple[str, float]] = []

@@ -28,9 +28,8 @@ platforms for a fixed NumPy version.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -59,7 +58,6 @@ __all__ = [
     "internal_hamiltonian",
     "internal_hamiltonian_stack",
     "dq_hamiltonian",
-    "coupling_from_geometry",
     "sample_couplings",
     "sample_disorder",
 ]
@@ -236,7 +234,10 @@ class SpinSystem:
         d = np.array(self.couplings_hz, dtype=np.float64)
         if d.shape != (n, n):
             raise ValueError(f"couplings must have shape ({n}, {n}), got {d.shape}")
-        if not np.allclose(d, d.T, rtol=0.0, atol=1e-9 * max(1.0, np.abs(d).max())):
+        scale = np.abs(d).max()
+        if not scale < np.inf:
+            raise ValueError("couplings_hz must be finite")
+        if not np.allclose(d, d.T, rtol=0.0, atol=1e-9 * max(1.0, scale)):
             raise ValueError("coupling matrix must be symmetric")
         if np.any(np.diag(d) != 0.0):
             raise ValueError("coupling matrix must have zero diagonal")
@@ -246,12 +247,17 @@ class SpinSystem:
         for name, arr in (("chemical_shifts_hz", shifts), ("disorder_hz", disorder)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have length {n}, got shape {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+        offset = float(self.global_offset_hz)
+        if not math.isfinite(offset):
+            raise ValueError(f"global_offset_hz must be finite, got {offset!r}")
         for arr in (d, shifts, disorder):
             arr.flags.writeable = False
         object.__setattr__(self, "couplings_hz", d)
         object.__setattr__(self, "chemical_shifts_hz", shifts)
         object.__setattr__(self, "disorder_hz", disorder)
-        object.__setattr__(self, "global_offset_hz", float(self.global_offset_hz))
+        object.__setattr__(self, "global_offset_hz", offset)
 
     @classmethod
     def create(
@@ -273,9 +279,6 @@ class SpinSystem:
             global_offset_hz=global_offset_hz,
         )
 
-    def replace(self, **changes) -> "SpinSystem":
-        return dataclasses.replace(self, **changes)
-
     @property
     def dim(self) -> int:
         return 1 << self.n_spins
@@ -284,46 +287,6 @@ class SpinSystem:
     def total_offsets_hz(self) -> np.ndarray:
         """Per-spin a_i = delta_i + h_i + global offset, in Hz."""
         return self.chemical_shifts_hz + self.disorder_hz + self.global_offset_hz
-
-    def to_dict(self) -> dict:
-        n = self.n_spins
-        iu = np.triu_indices(n, k=1)
-        return {
-            "n_spins": n,
-            "couplings_hz": [float(v) for v in self.couplings_hz[iu]],
-            "chemical_shifts_hz": [float(v) for v in self.chemical_shifts_hz],
-            "disorder_hz": [float(v) for v in self.disorder_hz],
-            "global_offset_hz": float(self.global_offset_hz),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SpinSystem":
-        n = int(doc["n_spins"])
-        flat = np.asarray(doc["couplings_hz"], dtype=np.float64)
-        expected = n * (n - 1) // 2
-        if flat.shape != (expected,):
-            raise ValueError(
-                f"couplings_hz must list the upper triangle row-major "
-                f"({expected} values for {n} spins), got {flat.shape}"
-            )
-        d = np.zeros((n, n))
-        iu = np.triu_indices(n, k=1)
-        d[iu] = flat
-        d = d + d.T
-        return cls(
-            n_spins=n,
-            couplings_hz=d,
-            chemical_shifts_hz=doc.get("chemical_shifts_hz", np.zeros(n)),
-            disorder_hz=doc.get("disorder_hz", np.zeros(n)),
-            global_offset_hz=doc.get("global_offset_hz", 0.0),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpinSystem":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -430,18 +393,6 @@ def dq_hamiltonian(system: SpinSystem) -> Operator:
     h = np.zeros((system.dim, system.dim), dtype=np.complex128)
     h[tables.dq_rows, tables.dq_cols] = values[tables.dq_pair]
     return h
-
-
-def coupling_from_geometry(r: float, theta: float, scale: float = 1.0) -> float:
-    """Dipolar coupling from pair geometry: ``scale * (1 - 3 cos^2 theta) / r^3``.
-
-    ``scale`` carries all physical prefactors (gyromagnetic ratios and
-    constants) in Hz * m^3; with the default 1.0 the bare angular/radial
-    factor is returned.  Vanishes at the magic angle.
-    """
-    if r <= 0:
-        raise ValueError(f"spin-pair distance must be positive, got {r}")
-    return scale * (1.0 - 3.0 * np.cos(theta) ** 2) / r**3
 
 
 def _philox(seed: int) -> np.random.Generator:

@@ -19,6 +19,38 @@ def random_unitary(seed: int, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def oracle_phases(u: np.ndarray) -> np.ndarray:
+    """Eigenphases in (-pi, pi] from the general eigen-solver, independent of the Cayley path."""
+    theta = np.angle(np.linalg.eigvals(u))
+    theta[theta <= -np.pi] = np.pi
+    return theta
+
+
+def loglog_slope(
+    x: np.ndarray,
+    y: np.ndarray,
+    n_points: int = 4,
+    floor: float = 1e-13,
+    side: str = "small",
+) -> float:
+    """Least-squares slope of log10(y) vs log10(x) over an asymptotic window.
+
+    Keeps points with ``y > floor`` (the numerical noise floor), then fits
+    the ``n_points`` smallest-x points (``side="small"``) or largest-x
+    points (``side="large"``).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    keep = (y > floor) & (x > 0)
+    x, y = x[keep], y[keep]
+    if x.size < 2:
+        raise ValueError("not enough points above the noise floor for a slope fit")
+    order = np.argsort(x)
+    idx = order[:n_points] if side == "small" else order[-n_points:]
+    coeffs = np.polyfit(np.log10(x[idx]), np.log10(y[idx]), 1)
+    return float(coeffs[0])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

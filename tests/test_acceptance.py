@@ -25,7 +25,6 @@ from spinweave.aht import (
 from spinweave.control import (
     SweepSpec,
     ensemble_fidelity,
-    loglog_slope,
     nth_order_fidelity,
 )
 from spinweave.experiments import (
@@ -54,6 +53,8 @@ from spinweave.spins import (
     sample_couplings,
     sample_disorder,
 )
+
+from conftest import loglog_slope
 
 SEED = 2026
 SPECTROSCOPIC_FACTORS = {

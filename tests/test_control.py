@@ -16,20 +16,18 @@ from spinweave.control import (
     cycle_unitary,
     ensemble_fidelity,
     fidelity,
-    loglog_slope,
     nth_order_fidelities,
     nth_order_fidelity,
     pulse_unitary,
     resolve_threads,
 )
 from spinweave.aht import magnus_series
-from spinweave.control import _eigenphase_fidelity, _ensemble_infidelities
+from spinweave.control import _CycleKernel, _eigenphase_fidelity, _ensemble_infidelities
 from spinweave.operators import (
     BranchCutWarning,
     HermitianPropagator,
     expm_hermitian,
-    principal_eigenphases,
-    unitarity_defect,
+    require_unitary,
 )
 from spinweave.sequences import BUILTIN_NAMES, builtin, parse_sequence, schedule, validate_cyclic
 from spinweave.spins import (
@@ -44,7 +42,7 @@ from spinweave.spins import (
     sample_disorder,
 )
 
-from conftest import random_unitary
+from conftest import loglog_slope, oracle_phases, random_unitary
 
 
 def rotation_2x2(axis: str, angle: float) -> np.ndarray:
@@ -60,6 +58,34 @@ class TestErrorModel:
     def test_rejects_negative_width(self):
         with pytest.raises(ValueError):
             ErrorModel(pulse_width=-1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_physical_inputs_raise(bad):
+    couplings = sample_couplings(3, 3, 1000.0)
+    system = SpinSystem.create(couplings)
+    whh = builtin("WHH")
+    with pytest.raises(ValueError, match="tau"):
+        schedule(whh, bad)
+    with pytest.raises(ValueError, match="pulse width"):
+        schedule(whh, 4e-6, bad)
+    with pytest.raises(ValueError, match="tau"):
+        cycle_unitary(system, whh, IDEAL, bad)
+    with pytest.raises(ValueError, match="tau"):
+        ensemble_fidelity(SweepSpec("tau", (bad,), ("WHH",), n_spins=3, n_coupling_sets=1))
+    for field in ("pulse_width", "rotation_error", "transient_leading", "transient_trailing"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ErrorModel(**{field: bad})
+    bad_couplings = couplings.copy()
+    bad_couplings[0, 1] = bad_couplings[1, 0] = bad
+    with pytest.raises(ValueError, match="couplings_hz must be finite"):
+        SpinSystem.create(bad_couplings)
+    with pytest.raises(ValueError, match="chemical_shifts_hz must be finite"):
+        SpinSystem.create(couplings, chemical_shifts_hz=[0.0, bad, 0.0])
+    with pytest.raises(ValueError, match="disorder_hz must be finite"):
+        SpinSystem.create(couplings, disorder_hz=[bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="global_offset_hz must be finite"):
+        SpinSystem.create(couplings, global_offset_hz=bad)
 
 
 class TestPulseUnitary:
@@ -168,7 +194,16 @@ class TestCycleUnitary:
             sample_couplings(9, 3, 1500.0), disorder_hz=[20, -10, 5]
         )
         u = cycle_unitary(system, builtin("MREV8"), error, 4e-6)
-        assert unitarity_defect(u) < 1e-10
+        require_unitary(u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cycle_is_not_unitary(self, bad, monkeypatch):
+        system = SpinSystem.create(sample_couplings(9, 3, 1500.0))
+        kernel = _CycleKernel(internal_hamiltonian_stack([system]), IDEAL)
+        blocks = [np.full_like(b, bad) for b in kernel.free.blocks(4e-6)]
+        monkeypatch.setattr(kernel.free, "blocks", lambda t: blocks)
+        with pytest.raises(NumericalDiagnosticError, match="not unitary"):
+            kernel.cycles(builtin("WHH"), 4e-6)
 
 
 def expm_cycle_oracle(system, seq, error, tau):
@@ -286,7 +321,7 @@ class TestFidelity:
         assert fidelity(u, m=6) == pytest.approx(manual, abs=1e-14)
         # the root and the fidelity share one eigen path; check both against
         # the general eigen-solver
-        oracle = abs(np.exp(1j * principal_eigenphases(np.linalg.eigvals(u), 6) / 6).sum()) / 16
+        oracle = abs(np.exp(1j * oracle_phases(u) / 6).sum()) / 16
         assert manual == pytest.approx(oracle, abs=1e-14)
         assert fidelity(u, m=6) == pytest.approx(oracle, abs=1e-14)
 
@@ -520,7 +555,7 @@ class TestEigenphaseFidelity:
         system = SpinSystem.create(sample_couplings(1, 5, 5000.0 / 3.0))
         u = cycle_unitary(system, seq, IDEAL, tau)
         m = seq.cycle_windows
-        theta = principal_eigenphases(np.linalg.eigvals(u), m)
+        theta = oracle_phases(u)
         assert (theta > 0).any() and (theta < 0).any()
         oracle = min(abs(np.exp(1j * theta / m).sum()) / 32, 1.0)
         assert fidelity(u, m=m) == pytest.approx(oracle, abs=1e-12)

@@ -14,7 +14,6 @@ from spinweave.experiments import (
     coherence_intensities,
     fit_decay,
     mqc_experiment,
-    oscillation_scaling,
 )
 from spinweave.operators import HermitianPropagator, expm_hermitian
 from spinweave.sequences import builtin, parse_sequence
@@ -146,23 +145,9 @@ class TestFitDecay:
         v = np.exp(-(t**3.0) / 0.3)  # true g outside the stretched default [0.5, 2.5]
         fit = fit_decay(DecayCurve(t, v, "avg"), "stretched")
         assert fit.stretch <= 2.5 + 1e-9
-        fit_wide = fit_decay(DecayCurve(t, v, "avg"), "stretched", stretch_bounds=(0.5, 4.0))
-        assert fit_wide.stretch == pytest.approx(3.0, rel=0.01)
 
 
 class TestOscillationScaling:
-    def test_exact_synthetic_slope(self):
-        offsets = np.array([100.0, 200.0, 400.0])
-        assert oscillation_scaling(offsets, 0.31 * offsets) == pytest.approx(0.31, rel=1e-12)
-
-    def test_requires_three_points(self):
-        with pytest.raises(ValueError):
-            oscillation_scaling([100.0, 200.0], [57.0, 114.0])
-
-    def test_rejects_all_zero_offsets(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            oscillation_scaling([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-
     @pytest.mark.parametrize(
         "name,factor", [("WHH", 1 / np.sqrt(3)), ("MREV16", 1 / 3)]
     )
@@ -182,7 +167,10 @@ class TestOscillationScaling:
             }
             fit = fit_decay(c_avg(curves["x"], curves["y"], curves["z"]), "oscillating")
             freqs.append(fit.freq_hz)
-        slope = oscillation_scaling(offsets, freqs)
+        # fitted frequencies are nonnegative (cosine is even in f): a
+        # least-squares slope through the origin against |offset|
+        offsets = np.abs(offsets)
+        slope = np.sum(np.asarray(freqs) * offsets) / np.sum(offsets**2)
         assert slope == pytest.approx(factor, rel=0.02)
 
 
@@ -372,7 +360,7 @@ class TestWindowValidation:
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_protected_window_rejects_unbounded_tau(self, tau):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
             ProtectedWindow(builtin("WHH"), 2, tau)
 
     def test_protected_window_rejects_pulse_wider_than_window(self):

@@ -12,9 +12,8 @@ from spinweave.operators import (
     expm_hermitian,
     frobenius_magnitude,
     hermiticity_defect,
-    principal_eigenphases,
     require_hermitian,
-    spectral_norm,
+    require_unitary,
     unitary_root,
 )
 from spinweave.spins import (
@@ -27,7 +26,7 @@ from spinweave.spins import (
     sample_disorder,
 )
 
-from conftest import random_hermitian, random_unitary
+from conftest import oracle_phases, random_hermitian, random_unitary
 
 
 class TestExpmHermitian:
@@ -94,12 +93,12 @@ class TestHermitianPropagator:
 
     def test_spectral_norm(self):
         h = random_hermitian(12, 16, scale=3.0)
-        assert HermitianPropagator(h).spectral_norm == pytest.approx(spectral_norm(h), rel=1e-12)
+        assert HermitianPropagator(h).spectral_norm == pytest.approx(np.abs(np.linalg.eigvalsh(h)).max(), rel=1e-12)
         stack = sector_stack(4, 3)
         norms = HermitianPropagator(stack, magnetization_sectors(4)).spectral_norm
         assert norms.shape == (3,)
         for norm, member in zip(norms, stack):
-            assert norm == pytest.approx(spectral_norm(member), rel=1e-12)
+            assert norm == pytest.approx(np.abs(np.linalg.eigvalsh(member)).max(), rel=1e-12)
 
     def test_rejects_an_element_outside_the_blocks(self):
         h = internal_hamiltonian(SpinSystem.create(sample_couplings(5, 3, 1000.0)))
@@ -139,6 +138,21 @@ class TestHermiticityChecks:
         with pytest.raises(ValueError, match="square"):
             require_hermitian(np.zeros((2, 2, 4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_elements_are_rejected(self, bad):
+        h = np.eye(4, dtype=complex)
+        h[1, 1] = bad
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(h)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            expm_hermitian(h, 1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(np.stack([np.eye(4), h]))
+        with pytest.raises(ValueError, match="not unitary"):
+            require_unitary(np.full((4, 4), bad, dtype=complex))
+        with pytest.raises(ValueError, match="not unitary"):
+            require_unitary(h)
+
 
 class TestUnitaryRoot:
     def test_first_root_is_input(self):
@@ -168,8 +182,7 @@ class TestUnitaryRoot:
         with pytest.warns(BranchCutWarning) as record:
             here = inspect.currentframe().f_lineno
             unitary_root(u, 2)
-            principal_eigenphases(np.diag(u), 2)
-        assert [(w.filename, w.lineno) for w in record] == [(__file__, here + 1), (__file__, here + 2)]
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, here + 1)]
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -179,17 +192,6 @@ class TestUnitaryRoot:
     def test_rejects_bad_root_order(self, m):
         with pytest.raises(ValueError, match="root order"):
             unitary_root(random_unitary(4, 4), m)
-        with pytest.raises(ValueError, match="root order"):
-            principal_eigenphases(np.ones(4), m)
-
-    def test_principal_phases_put_minus_pi_on_pi(self):
-        lam = np.array([complex(-1.0, -0.0), 1j, -1j])  # np.angle gives -pi first
-        assert np.array_equal(principal_eigenphases(lam, 1), [np.pi, np.pi / 2, -np.pi / 2])
-
-
-def oracle_phases(u: np.ndarray, m: int = 1) -> np.ndarray:
-    """Principal eigenphases from the general eigen-solver, independent of the Cayley path."""
-    return principal_eigenphases(np.linalg.eigvals(u), m)
 
 
 def assert_same_circle_points(theta, ref, tol=1e-12):
@@ -302,7 +304,3 @@ class TestFrobeniusMagnitude:
             frobenius_magnitude(h), rel=1e-12
         )
 
-
-def test_spectral_norm_matches_eigvalsh():
-    h = random_hermitian(11, 16, scale=3.0)
-    assert spectral_norm(h) == pytest.approx(np.abs(np.linalg.eigvalsh(h)).max(), rel=1e-12)

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from spinweave.sequences import (
     BUILTIN_NAMES,
     NonCyclicSequenceError,
+    PulseEvent,
+    PulseSequence,
     SequenceParseError,
     ascii_frame,
     builtin,
     frame_matrix,
     parse_sequence,
-    render_sequence,
     row_sum_check,
     schedule,
     validate_cyclic,
@@ -30,6 +30,10 @@ EXPECTED_COUNTS = {
 }
 
 
+def pulse_phases(seq):
+    return [e.phase_deg for e in seq.events if e.kind == "pulse"]
+
+
 class TestParser:
     def test_whh(self):
         seq = parse_sequence(WHH_TEXT, "WHH")
@@ -37,7 +41,7 @@ class TestParser:
         assert seq.cycle_windows == 6
         kinds = [e.kind for e in seq.events]
         assert kinds == ["delay", "pulse"] * 4 + ["delay"]
-        assert seq.pulse_phases_deg == (180.0, 90.0, 270.0, 0.0)
+        assert pulse_phases(seq) == [180.0, 90.0, 270.0, 0.0]
 
     def test_bare_delay(self):
         seq = parse_sequence("tau")
@@ -57,8 +61,8 @@ class TestParser:
 
     def test_phase_extension_in_degrees(self):
         seq = parse_sequence("tau - p45 - tau")
-        assert seq.pulse_phases_deg == (45.0,)
-        assert parse_sequence("tau - -p45 - tau").pulse_phases_deg == (225.0,)
+        assert pulse_phases(seq) == [45.0]
+        assert pulse_phases(parse_sequence("tau - -p45 - tau")) == [225.0]
 
     def test_unknown_token_reports_position(self):
         with pytest.raises(SequenceParseError) as err:
@@ -80,23 +84,6 @@ class TestParser:
         with pytest.raises(SequenceParseError):
             parse_sequence("0tau - x - tau")
 
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_round_trip_builtins(self, name):
-        seq = builtin(name)
-        assert parse_sequence(render_sequence(seq), name).events == seq.events
-
-    @given(
-        st.lists(
-            st.sampled_from(["tau", "2tau", "3tau", "x", "-x", "y", "-y"]),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_round_trip_random(self, tokens):
-        text = " - ".join(tokens)
-        seq = parse_sequence(text)
-        assert parse_sequence(render_sequence(seq)).events == seq.events
-
 
 class TestBuiltins:
     @pytest.mark.parametrize("name,counts", EXPECTED_COUNTS.items())
@@ -108,9 +95,9 @@ class TestBuiltins:
         assert builtin("WHH").events == parse_sequence(WHH_TEXT).events
 
     def test_yxx_sequences_start_with_pulse(self):
-        assert builtin("YXX24").starts_with_pulse
-        assert builtin("YXX48").starts_with_pulse
-        assert not builtin("WHH").starts_with_pulse
+        assert builtin("YXX24").events[0].kind == "pulse"
+        assert builtin("YXX48").events[0].kind == "pulse"
+        assert builtin("WHH").events[0].kind == "delay"
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown sequence"):
@@ -132,6 +119,11 @@ class TestCyclicity:
 
     def test_two_opposite_pulses_cyclic(self):
         assert validate_cyclic(parse_sequence("tau - x - tau - -x - tau")) == 1
+
+    def test_non_finite_phase_not_cyclic(self):
+        events = (PulseEvent.delay(1), PulseEvent.pulse(float("nan")), PulseEvent.delay(1))
+        with pytest.raises(NonCyclicSequenceError):
+            validate_cyclic(PulseSequence("nan-phase", events))
 
 
 class TestFrameMatrix:
@@ -159,7 +151,6 @@ class TestFrameMatrix:
     def test_leading_pulse_window_excluded(self):
         fm = frame_matrix(builtin("YXX24"))
         assert fm.windows == 24
-        assert fm.leading_pulse
 
     def test_requires_cyclic(self):
         with pytest.raises(NonCyclicSequenceError):

@@ -10,7 +10,6 @@ from spinweave.spins import (
     SpinSystem,
     collective_operator,
     collective_rotation,
-    coupling_from_geometry,
     dipolar_hamiltonian,
     dq_hamiltonian,
     embedded_spin,
@@ -259,22 +258,6 @@ class TestDqHamiltonian:
         assert np.abs(dq_hamiltonian(system) - oracle).max() < 1e-9
 
 
-class TestCouplingFromGeometry:
-    def test_magic_angle(self):
-        assert coupling_from_geometry(1.0, np.arccos(1 / np.sqrt(3))) == pytest.approx(0.0, abs=1e-12)
-
-    def test_parallel_vs_perpendicular_ratio(self):
-        r = 2e-10
-        assert coupling_from_geometry(r, 0.0) / coupling_from_geometry(r, np.pi / 2) == pytest.approx(-2.0)
-
-    def test_inverse_cube(self):
-        assert coupling_from_geometry(2e-10, np.pi / 2) / coupling_from_geometry(4e-10, np.pi / 2) == pytest.approx(8.0)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            coupling_from_geometry(0.0, 0.1)
-
-
 class TestSampling:
     def test_default_sigma_constant(self):
         assert DEFAULT_COUPLING_SIGMA_HZ == pytest.approx(5000.0 / 3.0)
@@ -320,20 +303,6 @@ class TestSampling:
 
 
 class TestSpinSystem:
-    def test_json_round_trip(self):
-        system = SpinSystem.create(
-            sample_couplings(3, 4, 500.0),
-            chemical_shifts_hz=[1, 2, 3, 4],
-            disorder_hz=[-1, 0, 1, 2],
-            global_offset_hz=12.5,
-        )
-        restored = SpinSystem.from_json(system.to_json())
-        assert restored.n_spins == 4
-        assert np.allclose(restored.couplings_hz, system.couplings_hz)
-        assert np.allclose(restored.chemical_shifts_hz, system.chemical_shifts_hz)
-        assert np.allclose(restored.disorder_hz, system.disorder_hz)
-        assert restored.global_offset_hz == system.global_offset_hz
-
     def test_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
             SpinSystem.create([[0.0, 1.0], [2.0, 0.0]])
