@@ -193,6 +193,15 @@ class TestUnitaryRoot:
         with pytest.raises(ValueError, match="root order"):
             unitary_root(random_unitary(4, 4), m)
 
+    def test_principal_phases_put_minus_pi_on_pi(self):
+        lam = np.array([complex(-1.0, -0.0), 1j, -1j, 1.0])  # np.angle gives -pi first
+        phases = np.array([np.pi, np.pi / 2, -np.pi / 2, 0.0])
+        theta = np.sort(_unitary_eigenphases(np.diag(lam), 1))
+        assert np.allclose(theta, np.sort(phases), rtol=0, atol=1e-15)
+        with pytest.warns(BranchCutWarning):
+            root = unitary_root(np.diag(lam), 2)
+        assert np.allclose(np.diag(root), np.exp(0.5j * phases), rtol=0, atol=1e-15)
+
 
 def assert_same_circle_points(theta, ref, tol=1e-12):
     """Equal as points on the circle, each list read from the middle of the widest gap of ``ref``."""
@@ -304,3 +313,8 @@ class TestFrobeniusMagnitude:
             frobenius_magnitude(h), rel=1e-12
         )
 
+
+def test_spectral_norm_matches_eigvalsh():
+    # a negative eigenvalue dominates: the norm is the largest |lambda|, not the largest lambda
+    h = random_hermitian(11, 16, scale=3.0) - 40.0 * np.eye(16)
+    assert HermitianPropagator(h).spectral_norm == pytest.approx(np.abs(np.linalg.eigvalsh(h)).max(), rel=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spinweave.sequences import (
     BUILTIN_NAMES,
@@ -32,6 +33,20 @@ EXPECTED_COUNTS = {
 
 def pulse_phases(seq):
     return [e.phase_deg for e in seq.events if e.kind == "pulse"]
+
+
+PHASE_TOKENS = {0.0: "x", 90.0: "y", 180.0: "-x", 270.0: "-y"}
+
+
+def dsl_text(seq):
+    """Write a sequence in the DSL's canonical tokens, independently of the parser."""
+    parts = []
+    for e in seq.events:
+        if e.kind == "delay":
+            parts.append("tau" if e.duration_factor == 1 else f"{e.duration_factor}tau")
+        else:
+            parts.append(PHASE_TOKENS.get(e.phase_deg, f"p{e.phase_deg:g}"))
+    return " - ".join(parts)
 
 
 class TestParser:
@@ -83,6 +98,23 @@ class TestParser:
     def test_zero_delay_rejected(self):
         with pytest.raises(SequenceParseError):
             parse_sequence("0tau - x - tau")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_round_trip_builtins(self, name):
+        seq = builtin(name)
+        assert parse_sequence(dsl_text(seq), name).events == seq.events
+
+    @given(
+        st.lists(
+            st.sampled_from(["tau", "2tau", "3tau", "x", "-x", "y", "-y", "p45", "-p30"]),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_round_trip_random(self, tokens):
+        text = " - ".join(tokens)
+        seq = parse_sequence(text)
+        assert parse_sequence(dsl_text(seq)).events == seq.events
 
 
 class TestBuiltins:
