@@ -176,9 +176,13 @@ class _CycleKernel:
 
     Holds what every sequence shares: the factorization of the H_int stack
     by magnetization sector (:class:`HermitianPropagator`) and, for finite
-    pulses, the phase-0 pulse in sector order.  H_int commutes with S_z,
-    so the pulse of phase phi is that pulse turned about z:
-    ``exp(-i phi S_z) P_0 exp(+i phi S_z)``.
+    pulses, the phase-0 pulse ``P_0`` in sector order.  A finite-pulse cycle
+    is a walk over windows, each a free step of duration ``a`` (possibly 0)
+    and the pulse of phase phi after it, applied as one matmul by
+    ``Z_phi (P_0 F_a) Z_phi^dag`` with ``Z_phi = exp(-i phi S_z)``: H_int
+    commutes with S_z, so Z turns ``P_0`` into the phase-phi pulse and
+    commutes with the sector-diagonal free step ``F_a``.  ``P_0 F_a`` is
+    built once per free duration, by one matmul per sector block.
     """
 
     def __init__(self, hamiltonians: np.ndarray, error: ErrorModel):
@@ -189,13 +193,23 @@ class _CycleKernel:
         if not error.is_delta:
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
             order = self.free.layout.order
-            self.pulse0 = _pulse(0.0, error, self.n_spins, hamiltonians)[:, order[:, None], order]
+            # P_0 F_a per free duration a, P_0 itself at a = 0
+            self.folded = {0.0: _pulse(0.0, error, self.n_spins, hamiltonians)[:, order[:, None], order]}
 
     def cycles(self, seq: PulseSequence, tau: float) -> np.ndarray:
         """(B, d, d) cycle propagators in the standard basis, each checked unitary to 1e-10."""
         n, error, free = self.n_spins, self.error, self.free
         order, inverse, spans = free.layout.order, free.layout.inverse, free.layout.spans
         steps = schedule(seq, tau, error.pulse_width)
+        if not error.is_delta:
+            # fold each free step into the pulse after it, as ("pulse", (a, phase));
+            # a trailing free step stays a sector step
+            windows, a = [], 0.0
+            for kind, value in steps:
+                if kind == "pulse":
+                    windows.append((kind, (a, value)))
+                a = a + value if kind == "free" else 0.0
+            steps = windows + ([("free", a)] if a else [])
         phases = {value for kind, value in steps if kind == "pulse"}
         m_z = magnetization(n)[order]
         pulses = {}
@@ -204,8 +218,12 @@ class _CycleKernel:
                 r = pulse_unitary(phase, error, 1)
                 pulses[phase] = (kron_power(r, (n + 1) // 2), kron_power(r, n // 2))
             else:
-                z = np.exp(-1j * np.deg2rad(phase) * m_z)
-                pulses[phase] = (z[:, None] * self.pulse0) * z.conj()
+                a, phi = phase
+                if a not in self.folded:
+                    p0, blocks = self.folded[0.0], free.blocks(a)
+                    self.folded[a] = np.concatenate([p0[..., s] @ f for s, f in zip(spans, blocks)], axis=-1)
+                z = np.exp(-1j * np.deg2rad(phi) * m_z)
+                pulses[phase] = self.folded[a] * (z[:, None] * z.conj())
         stack, dim = self.members, 1 << n
         u = np.empty((stack, dim, dim), dtype=np.complex128)
         u[:] = np.eye(dim)
@@ -260,10 +278,11 @@ def cycle_unitary(
     A delta pulse with its rotation error and transient kicks is exactly
     ``r^{(x)N}`` with ``r`` the one-spin pulse, and is applied as two
     Kronecker factors on ``ceil(N/2)`` and ``floor(N/2)`` spins.
-    Finite-width pulses do not conserve S_z and are applied as dense
-    matrices: one factorization builds the phase-0 pulse, and every other
-    phase is that pulse turned about z.  The result is checked to be
-    unitary to 1e-10.
+    A finite-width pulse does not conserve S_z, so it is folded with the
+    free step before it into one dense window ``P_phi F_a``, applied by one
+    matmul: one factorization builds the phase-0 pulse, ``P_0 F_a`` is
+    built once per free duration, and every phase turns it about z.  The
+    result is checked to be unitary to 1e-10.
     """
     return _CycleKernel(internal_hamiltonian_stack([system]), error).cycles(seq, tau)[0]
 
@@ -472,11 +491,12 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
     def run(task):
         i, start = task
         point = dataclasses.replace(spec, **{spec.parameter: spec.grid[i]})
+        couplings = {
+            s: sample_couplings(point.base_seed + s, point.n_spins, point.coupling_sigma_hz)
+            for s in {s for s, _ in members[start : start + chunk]}
+        }
         systems = []
         for set_idx, dis_idx in members[start : start + chunk]:
-            couplings = sample_couplings(
-                point.base_seed + set_idx, point.n_spins, point.coupling_sigma_hz
-            )
             if point.disorder_sigma_hz > 0.0:
                 disorder = sample_disorder(
                     point.base_seed + DISORDER_SEED_OFFSET + dis_idx,
@@ -487,7 +507,7 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
                 disorder = np.zeros(point.n_spins)
             systems.append(
                 SpinSystem.create(
-                    couplings, disorder_hz=disorder, global_offset_hz=point.global_offset_hz
+                    couplings[set_idx], disorder_hz=disorder, global_offset_hz=point.global_offset_hz
                 )
             )
         error = ErrorModel.symmetric_transients(
@@ -529,8 +549,8 @@ def ensemble_fidelity(spec: SweepSpec, threads: int | None = None) -> list[Sweep
 
     Members are propagated in stacks: a task is one grid value and one
     chunk of ``max(1, 2**16 // d**2)`` consecutive members (256 at 4 spins,
-    16 at 6, 1 at 8 and above), whose H_int factorization and finite
-    phase-0 pulse every sequence shares.  Each member's ``1 - F`` equals
+    16 at 6, 1 at 8 and above), whose H_int factorization and finite-pulse
+    windows ``P_0 F_a`` every sequence shares.  Each member's ``1 - F`` equals
     ``1 - fidelity(cycle_unitary(system, ...), m)`` bit for bit.
 
     Deterministic for a fixed ``base_seed``: chunks are fixed by member

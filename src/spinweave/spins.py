@@ -237,7 +237,7 @@ class SpinSystem:
         scale = np.abs(d).max()
         if not scale < np.inf:
             raise ValueError("couplings_hz must be finite")
-        if not np.allclose(d, d.T, rtol=0.0, atol=1e-9 * max(1.0, scale)):
+        if not np.abs(d - d.T).max() <= 1e-9 * max(1.0, scale):
             raise ValueError("coupling matrix must be symmetric")
         if np.any(np.diag(d) != 0.0):
             raise ValueError("coupling matrix must have zero diagonal")

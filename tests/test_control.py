@@ -246,13 +246,18 @@ ORACLE_ERRORS = {
     "finite": ErrorModel(
         pulse_width=1e-6, rotation_error=0.02, transient_leading=0.015, transient_trailing=0.03
     ),
+    # t_w = tau at tau = 4 us leaves no free step mid-cycle: every built-in
+    # opens with a pulse, and pulses follow pulses (2 pairs in WHH, 47 in YXX48)
+    "finite-width-tau": ErrorModel(
+        pulse_width=4e-6, rotation_error=0.02, transient_leading=0.015, transient_trailing=0.03
+    ),
 }
 
 
 class TestCycleKernelOracle:
     """The sector-blocked, Kronecker-factored kernel against dense expm products."""
 
-    @pytest.mark.parametrize("n_spins", [3, 5, 6])
+    @pytest.mark.parametrize("n_spins", [3, 4, 5, 6])
     @pytest.mark.parametrize("error_name", sorted(ORACLE_ERRORS))
     def test_matches_expm_composition(self, n_spins, error_name):
         system = SpinSystem.create(
@@ -491,6 +496,19 @@ STACK_SPECS = {
         transient=0.02,
         base_seed=32,
     ),
+    # each width builds its own windows; at t_w = tau pulses follow pulses
+    "4-spin-pulse-width": SweepSpec(
+        parameter="pulse_width",
+        grid=(1e-6, 4e-6),
+        sequences=("WHH", "CORY48", "YXX48"),
+        n_spins=4,
+        n_coupling_sets=2,
+        n_disorder_samples=3,
+        disorder_sigma_hz=100.0,
+        rotation_error=0.01,
+        transient=0.01,
+        base_seed=33,
+    ),
 }
 
 
@@ -507,7 +525,7 @@ class TestStackedEnsemble:
             disorder_sigma = value if spec.parameter == "disorder_sigma_hz" else spec.disorder_sigma_hz
             rotation = value if spec.parameter == "rotation_error" else spec.rotation_error
             error = ErrorModel(
-                pulse_width=spec.pulse_width,
+                pulse_width=value if spec.parameter == "pulse_width" else spec.pulse_width,
                 rotation_error=rotation,
                 transient_leading=spec.transient,
                 transient_trailing=spec.transient,

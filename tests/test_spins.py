@@ -315,6 +315,15 @@ class TestSpinSystem:
         with pytest.raises(ValueError, match="length"):
             SpinSystem.create(np.zeros((2, 2)), chemical_shifts_hz=[1.0])
 
+    def test_symmetry_tolerance(self):
+        # atol is 1e-9 of the largest coupling: half of it is symmetrized, twice raises
+        atol = 1e-9 * 2000.0
+        system = SpinSystem.create([[0.0, 2000.0], [2000.0 - 0.5 * atol, 0.0]])
+        assert system.couplings_hz[0, 1] == system.couplings_hz[1, 0]
+        assert system.couplings_hz[0, 1] == pytest.approx(2000.0 - 0.25 * atol, rel=0.0, abs=1e-12)
+        with pytest.raises(ValueError, match="must be symmetric"):
+            SpinSystem.create([[0.0, 2000.0], [2000.0 - 2.0 * atol, 0.0]])
+
     def test_kron_embedding_oracle_for_single_site(self):
         # embedded_spin agrees with an explicit kron chain
         op = embedded_spin(3, 1, "y")
