@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import os
 import queue
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ import numpy as np
 
 from .aht import MagnusSeries, magnus_series
 from .operators import (
+    MAX_SPINS,
     HermitianPropagator,
     NumericalDiagnosticError,
     Operator,
@@ -61,6 +64,7 @@ __all__ = [
     "fidelity",
     "nth_order_fidelity",
     "nth_order_fidelities",
+    "ConfigError",
     "SweepSpec",
     "SweepRow",
     "SWEEPABLE_PARAMETERS",
@@ -399,6 +403,32 @@ SWEEPABLE_PARAMETERS = (
 )
 
 
+class ConfigError(ValueError):
+    """Aggregated configuration problems, one human-readable line each.
+
+    A line about a :class:`SweepSpec` field opens with the field's name.
+    """
+
+    def __init__(self, errors: list[str]):
+        super().__init__("invalid configuration:\n  " + "\n  ".join(errors))
+        self.errors = errors
+
+
+def _field_problem(name: str, value, integer: bool) -> str | None:
+    """What is wrong with ``value`` as a value of SweepSpec field ``name``, or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        return "must be an integer" if integer else "must be a number"
+    if not abs(value) <= sys.float_info.max:
+        return "is non-finite"
+    if name == "n_spins" and not 2 <= value <= MAX_SPINS:
+        return f"must be in 2..{MAX_SPINS}"
+    if name in ("n_coupling_sets", "n_disorder_samples", "coupling_sigma_hz", "tau") and not value > 0:
+        return "must be positive"
+    if name in ("disorder_sigma_hz", "pulse_width", "transient", "base_seed") and value < 0:
+        return "must be nonnegative"
+    return None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-parameter fidelity sweep over a seeded ensemble.
@@ -407,6 +437,14 @@ class SweepSpec:
     their configured values.  ``transient`` sets symmetric edge transients
     (alpha_l = alpha_tr).  The ensemble crosses ``n_coupling_sets`` coupling
     draws with ``n_disorder_samples`` disorder draws.
+
+    The spec checks its own fields, one rule per field (:func:`_field_problem`;
+    the grid values take the swept field's rule), and raises
+    :class:`ConfigError` listing every broken rule.  Every Philox key the
+    ensemble draws must stay below 2**128, the grid must increase strictly,
+    and each pulse must fit its window (:func:`spinweave.sequences.schedule`)
+    at each (tau, pulse_width) of the sweep.  Sequence names are normalized
+    to upper case.
     """
 
     parameter: str
@@ -425,15 +463,52 @@ class SweepSpec:
     base_seed: int = 2026
 
     def __post_init__(self):
+        errors, invalid = [], set()
         if self.parameter not in SWEEPABLE_PARAMETERS:
-            raise ValueError(
-                f"sweep parameter must be one of {SWEEPABLE_PARAMETERS}, "
-                f"got {self.parameter!r}"
-            )
-        if len(self.grid) == 0:
-            raise ValueError("sweep grid is empty")
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
-        object.__setattr__(self, "sequences", tuple(self.sequences))
+            errors.append(f"parameter must name a sweep parameter {SWEEPABLE_PARAMETERS}, got {self.parameter!r}")
+        sequences = self.sequences
+        if not isinstance(sequences, (list, tuple)) or not sequences or not all(
+            isinstance(s, str) and s.upper() in BUILTIN_NAMES for s in sequences
+        ):
+            errors.append(f"sequences must be a nonempty list of {BUILTIN_NAMES}, got {sequences!r}")
+        else:
+            object.__setattr__(self, "sequences", tuple(s.upper() for s in sequences))
+        for f in dataclasses.fields(self)[3:]:  # the numeric fields, after parameter, grid and sequences
+            value = getattr(self, f.name)
+            if problem := _field_problem(f.name, value, isinstance(f.default, int)):
+                errors.append(f"{f.name} {problem}, got {value!r}")
+                invalid.add(f.name)
+            else:
+                object.__setattr__(self, f.name, type(f.default)(value))
+        if not invalid & {"base_seed", "n_coupling_sets", "n_disorder_samples"}:
+            # the last key of the coupling stream or of the disorder stream
+            last_key = self.base_seed + max(self.n_coupling_sets, DISORDER_SEED_OFFSET + self.n_disorder_samples) - 1
+            if last_key >= 2**128:
+                errors.append(f"base_seed plus the ensemble's seed offsets must stay below 2**128, got {self.base_seed!r}")
+        grid = self.grid
+        if not isinstance(grid, (list, tuple, np.ndarray)):
+            errors.append(f"grid must be a list of numbers, got {grid!r}")
+        elif len(grid) == 0:
+            errors.append("grid is empty")
+        elif self.parameter in SWEEPABLE_PARAMETERS:
+            rule = (_field_problem(self.parameter, v, False) for v in grid)
+            problems = [f"{self.parameter} grid value {p}, got {v!r}" for v, p in zip(grid, rule) if p]
+            if not problems:
+                object.__setattr__(self, "grid", grid := tuple(float(v) for v in grid))
+                if any(b <= a for a, b in zip(grid, grid[1:])):
+                    problems.append("grid must be strictly increasing")
+            errors += problems
+        if not errors:
+            taus = self.grid if self.parameter == "tau" else (self.tau,)
+            widths = self.grid if self.parameter == "pulse_width" else (self.pulse_width,)
+            for name in self.sequences:
+                try:
+                    for tau, width in ((t, w) for t in taus for w in widths if w > 0):  # a delta pulse fits
+                        schedule(builtin(name), tau, width)
+                except ValueError as exc:
+                    errors.append(f"pulse_width does not fit its window: {exc}")
+        if errors:
+            raise ConfigError(errors)
 
 
 @dataclass(frozen=True)
@@ -451,10 +526,13 @@ def resolve_threads(threads: int | None = None) -> int:
 
     Usable cores are those in the process's CPU affinity mask where the
     platform reports one, else ``os.cpu_count()``.  A set ``SPINWEAVE_THREADS``
-    that is not an integer of at least 1 raises ``ValueError`` naming it.
+    that is not an integer of at least 1 raises ``ValueError`` naming it, and
+    so does an explicit ``threads`` that is not an int of at least 1.
     """
     if threads is not None:
-        return max(1, int(threads))
+        if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+            raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+        return int(threads)
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
@@ -482,41 +560,40 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
     members = [
         (s, d) for s in range(spec.n_coupling_sets) for d in range(spec.n_disorder_samples)
     ]
-    if not members:
-        raise ValueError("ensemble is empty")
     results = np.zeros((len(spec.grid), len(sequences), len(members)))
     chunk = max(1, 2**16 // (1 << spec.n_spins) ** 2)
     tasks = [(i, start) for i in range(len(spec.grid)) for start in range(0, len(members), chunk)]
 
     def run(task):
         i, start = task
-        point = dataclasses.replace(spec, **{spec.parameter: spec.grid[i]})
+        # the swept fields at grid point i, read without re-checking the spec
+        point = {**{name: getattr(spec, name) for name in SWEEPABLE_PARAMETERS}, spec.parameter: spec.grid[i]}
         couplings = {
-            s: sample_couplings(point.base_seed + s, point.n_spins, point.coupling_sigma_hz)
+            s: sample_couplings(spec.base_seed + s, spec.n_spins, spec.coupling_sigma_hz)
             for s in {s for s, _ in members[start : start + chunk]}
         }
         systems = []
         for set_idx, dis_idx in members[start : start + chunk]:
-            if point.disorder_sigma_hz > 0.0:
+            if point["disorder_sigma_hz"] > 0.0:
                 disorder = sample_disorder(
-                    point.base_seed + DISORDER_SEED_OFFSET + dis_idx,
-                    point.n_spins,
-                    point.disorder_sigma_hz,
+                    spec.base_seed + DISORDER_SEED_OFFSET + dis_idx,
+                    spec.n_spins,
+                    point["disorder_sigma_hz"],
                 )
             else:
-                disorder = np.zeros(point.n_spins)
+                disorder = np.zeros(spec.n_spins)
             systems.append(
                 SpinSystem.create(
-                    couplings[set_idx], disorder_hz=disorder, global_offset_hz=point.global_offset_hz
+                    couplings[set_idx], disorder_hz=disorder, global_offset_hz=point["global_offset_hz"]
                 )
             )
         error = ErrorModel.symmetric_transients(
-            point.transient, point.pulse_width, point.rotation_error
+            point["transient"], point["pulse_width"], point["rotation_error"]
         )
         kernel = _CycleKernel(internal_hamiltonian_stack(systems), error)
         for j, seq in enumerate(sequences):
             results[i, j, start : start + len(systems)] = 1.0 - _eigenphase_fidelity(
-                kernel.cycles(seq, point.tau), seq.cycle_windows
+                kernel.cycles(seq, point["tau"]), seq.cycle_windows
             )
 
     # the calling thread drains the queue alongside threads - 1 helpers
@@ -560,10 +637,9 @@ def ensemble_fidelity(spec: SweepSpec, threads: int | None = None) -> list[Sweep
     """
     results = _ensemble_infidelities(spec, threads)
     n_members = results.shape[-1]
-    names = [builtin(name).name for name in spec.sequences]
     rows = []
     for i, value in enumerate(spec.grid):
-        for j, name in enumerate(names):
+        for j, name in enumerate(spec.sequences):
             member_vals = results[i, j]
             rows.append(
                 SweepRow(

@@ -64,7 +64,7 @@ FIT_MAX_NFEV = 500
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """A normalized signal sampled at block boundaries N * t_c."""
+    """A normalized signal sampled at block boundaries N * t_c; times and values must be finite."""
 
     times: np.ndarray
     values: np.ndarray
@@ -76,6 +76,8 @@ class DecayCurve:
         v = np.asarray(self.values, dtype=float)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("times and values must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("times and values must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -396,6 +398,8 @@ def mqc_phi_count(n_spins: int, phi_count: int | None = None) -> int:
     """Tag-grid size: ``phi_count``, which must not alias orders up to ``n_spins``, or a power of two >= ``4 n_spins``."""
     if phi_count is None:
         return 1 << int(np.ceil(np.log2(4 * n_spins)))
+    if isinstance(phi_count, bool) or not isinstance(phi_count, (int, np.integer)):
+        raise ValueError(f"phi_count must be an integer, got {phi_count!r}")
     if phi_count < 2 * n_spins + 2:
         raise ValueError(
             f"phi_count={phi_count} aliases coherence orders up to {n_spins}; "

@@ -1,8 +1,9 @@
 """Sweep configuration, figure presets, and result persistence.
 
 A sweep is described by a single JSON document; :func:`validate_config`
-applies defaults, checks bounds, and returns both the normalized document
-(which round-trips through the loader) and the executable sweep spec.
+maps it onto a :class:`spinweave.control.SweepSpec`, which applies the
+defaults and checks every value, and returns both the normalized document
+(which round-trips through the loader) and the spec.
 Result files embed the resolved configuration and its SHA-256 digest, so
 every output is self-describing, and all float formatting is shortest
 round-trip, so reruns with the same seed are byte-identical regardless of
@@ -17,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,15 +26,15 @@ import numpy as np
 
 from .aht import magnus_series, term_magnitudes
 from .control import (
-    DISORDER_SEED_OFFSET,
     SWEEPABLE_PARAMETERS,
+    ConfigError,
     SweepRow,
     SweepSpec,
     ensemble_fidelity,
     nth_order_fidelities,
 )
-from .operators import MAX_SPINS, frobenius_magnitude
-from .sequences import BUILTIN_NAMES, builtin, schedule
+from .operators import frobenius_magnitude
+from .sequences import BUILTIN_NAMES, builtin
 from .spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
@@ -58,31 +58,21 @@ __all__ = [
 ]
 
 # The config document names each SweepSpec field by its own name, except
-# these two, which carry their unit.
-_DOCUMENT_NAMES = {"tau": "tau_s", "pulse_width": "pulse_width_s"}
+# tau and pulse_width, which carry their unit, and the grid, which is a field
+# of the sweep object.
+_DOCUMENT_NAMES = {"tau": "tau_s", "pulse_width": "pulse_width_s", "grid": "sweep.grid"}
 
 
 def _document_name(name: str) -> str:
     return _DOCUMENT_NAMES.get(name, name)
 
 
-# document name -> SweepSpec field, for every field after the swept parameter and grid
-_FIELDS = {_document_name(f.name): f for f in dataclasses.fields(SweepSpec)[2:]}
+# document name -> SweepSpec field name, for every field after the swept parameter and grid
+_FIELDS = {_document_name(f.name): f.name for f in dataclasses.fields(SweepSpec)[2:]}
 _SWEEPABLE = {_document_name(name): name for name in SWEEPABLE_PARAMETERS}
 _DEFAULT_SWEEP = {"parameter": "tau_s", "grid": [2e-6, 4e-6, 8e-6]}
-_POSITIVE = ("n_coupling_sets", "n_disorder_samples", "coupling_sigma_hz", "tau")
-_NONNEGATIVE = ("disorder_sigma_hz", "pulse_width", "transient", "base_seed")
-_SEED_LIMIT = 1 << 128  # Philox keys (spins.sample_couplings, sample_disorder)
 
 CSV_COLUMNS = ("sweep_param", "value", "sequence", "mean_infidelity", "stddev", "n_samples")
-
-
-class ConfigError(ValueError):
-    """Aggregated configuration problems, one human-readable line each."""
-
-    def __init__(self, errors: list[str]):
-        super().__init__("invalid configuration:\n  " + "\n  ".join(errors))
-        self.errors = errors
 
 
 @dataclass(frozen=True)
@@ -97,49 +87,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _value_problem(field: dataclasses.Field, value, values: dict | None = None) -> str | None:
-    """What is wrong with ``value`` as a value of a SweepSpec ``field``, or None.
-
-    A field whose default is an int takes an int, any other a finite number;
-    bools are neither.  ``values`` holds the fields checked before this one:
-    every Philox key the ensemble draws, ``base_seed + set`` and
-    ``base_seed + DISORDER_SEED_OFFSET + sample``, must stay below 2**128.
-    """
-    name = field.name
-    if isinstance(field.default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            return "must be an integer"
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        return "must be a number"
-    elif not abs(value) <= sys.float_info.max:
-        return "is non-finite"
-    if name == "n_spins" and not 2 <= value <= MAX_SPINS:
-        return f"must be in 2..{MAX_SPINS}"
-    if name in _POSITIVE and not value > 0:
-        return "must be positive"
-    if name in _NONNEGATIVE and value < 0:
-        return "must be nonnegative"
-    if name == "base_seed":
-        values = values or {}
-        last_key = value + max(
-            values.get("n_coupling_sets", 1) - 1,
-            DISORDER_SEED_OFFSET + values.get("n_disorder_samples", 1) - 1,
-        )
-        if last_key >= _SEED_LIMIT:
-            return "plus the ensemble's seed offsets must stay below 2**128"
-    return None
-
-
 def validate_config(doc: dict | None) -> NormalizedConfig:
-    """Apply defaults and validate a sweep-config document.
+    """Map a sweep-config document onto a :class:`SweepSpec`.
 
-    The document holds every SweepSpec field under its own name (``tau_s``
-    and ``pulse_width_s`` for ``tau`` and ``pulse_width``) with its default,
-    plus ``sweep``: the swept field and its grid.  One rule per field checks
-    each value and grid value, and each pulse must fit its window
-    (:func:`spinweave.sequences.schedule`) at each grid point.  Raises
-    :class:`ConfigError` carrying every detected problem.  The returned
-    document re-validates to an identical config (round-trip).
+    The document holds SweepSpec fields under their own names (``tau_s``
+    and ``pulse_width_s`` for ``tau`` and ``pulse_width``), each omitted one
+    taking its default, plus ``sweep``: the swept field and its grid.  This
+    function only checks the document's shape (an object, no unknown
+    fields, a ``sweep`` object with a known ``parameter``); the value rules
+    are SweepSpec's own and apply to the Python API too.  Raises
+    :class:`ConfigError` carrying every detected problem, fields named as
+    the document spells them.  The returned document re-validates to an
+    identical config (round-trip).
     """
     doc = {} if doc is None else doc
     if not isinstance(doc, dict):
@@ -148,72 +107,29 @@ def validate_config(doc: dict | None) -> NormalizedConfig:
     unknown = set(doc) - set(_FIELDS) - {"sweep"}
     if unknown:
         errors.append(f"unknown fields: {', '.join(sorted(map(str, unknown)))}")
-
-    values = {}
-    for key, f in _FIELDS.items():
-        value = doc.get(key, f.default)
-        if f.name == "sequences":
-            if not isinstance(value, (list, tuple)) or not value or not all(
-                isinstance(v, str) and v.upper() in BUILTIN_NAMES for v in value
-            ):
-                errors.append(
-                    f"sequences must be a nonempty list of {BUILTIN_NAMES}, got {value!r}"
-                )
-                continue
-            value = tuple(v.upper() for v in value)
-        elif problem := _value_problem(f, value, values):
-            errors.append(f"{key} {problem}, got {value!r}")
-            continue
-        else:
-            value = type(f.default)(value)
-        values[f.name] = value
-
     sweep = doc.get("sweep", _DEFAULT_SWEEP)
-    parameter, grid = None, []
     if not isinstance(sweep, dict) or set(sweep) - {"parameter", "grid"}:
         errors.append("sweep must be an object with fields 'parameter' and 'grid'")
-    else:
-        parameter = sweep.get("parameter")
-        if not isinstance(parameter, str) or parameter not in _SWEEPABLE:
-            errors.append(
-                f"sweep.parameter must be one of {sorted(_SWEEPABLE)}, got {parameter!r}"
-            )
-            parameter = None
-        grid = sweep.get("grid", [])
-        if not isinstance(grid, (list, tuple)):
-            errors.append(f"sweep.grid must be a list, got {grid!r}")
-        elif not grid:
-            errors.append("sweep.grid is empty")
-        elif parameter is not None:
-            problems = [(v, _value_problem(_FIELDS[parameter], v)) for v in grid]
-            errors += [f"sweep.grid value for {parameter} {p}, got {v!r}" for v, p in problems if p]
-            if not any(p for _, p in problems):
-                grid = [float(v) for v in grid]
-                if any(b <= a for a, b in zip(grid, grid[1:])):
-                    errors.append("sweep.grid must be strictly increasing")
-    if errors:
-        raise ConfigError(errors)
-
-    spec = SweepSpec(parameter=_SWEEPABLE[parameter], grid=tuple(grid), **values)
-    points = [dataclasses.replace(spec, **{spec.parameter: v}) for v in spec.grid]
-    for name in spec.sequences:
-        for point in points:
-            try:
-                schedule(builtin(name), point.tau, point.pulse_width)
-            except ValueError as exc:
-                errors.append(str(exc))
-                break
+        sweep = sweep if isinstance(sweep, dict) else {}
+    raw = sweep.get("parameter")
+    parameter = _SWEEPABLE.get(raw) if isinstance(raw, str) else None
+    if parameter is None:
+        errors.append(f"sweep.parameter must be one of {sorted(_SWEEPABLE)}, got {raw!r}")
+    values = {name: doc[key] for key, name in _FIELDS.items() if key in doc}
+    try:
+        spec = SweepSpec(parameter, sweep.get("grid", []), **values)
+    except ConfigError as exc:
+        # each problem opens with the field it names; sweep.parameter was checked above
+        problems = (problem.partition(" ") for problem in exc.errors)
+        errors += [f"{_document_name(field)} {rest}" for field, _, rest in problems if field != "parameter"]
     if errors:
         raise ConfigError(errors)
 
     # SweepSpec order, with the sweep before base_seed: JSON results keep this key order
-    document = {
-        _document_name(name): list(value) if name == "sequences" else value
-        for name, value in values.items()
-        if name != "base_seed"
-    }
-    document["sweep"] = {"parameter": parameter, "grid": grid}
-    document["base_seed"] = values["base_seed"]
+    document = {key: getattr(spec, name) for key, name in _FIELDS.items() if name != "base_seed"}
+    document["sequences"] = list(spec.sequences)
+    document["sweep"] = {"parameter": _document_name(spec.parameter), "grid": list(spec.grid)}
+    document["base_seed"] = spec.base_seed
     return NormalizedConfig(document=document, spec=spec)
 
 

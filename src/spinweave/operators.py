@@ -191,11 +191,12 @@ class HermitianPropagator:
         return np.max([np.abs(w).max(axis=-1) for w, _ in self._factors], axis=0)
 
     def blocks(self, t: float) -> list[np.ndarray]:
-        """Per-span propagators ``exp(-i h_k t)`` in ``layout.spans`` order."""
+        """Per-span propagators ``exp(-i h_k t)`` in ``layout.spans`` order; an overflowing phase raises."""
         if t not in self._blocks:
-            self._blocks[t] = [
-                (v * np.exp(-1j * w * t)[..., None, :]) @ dagger(v) for w, v in self._factors
-            ]
+            phases = [np.exp(-1j * w * t) for w, _ in self._factors]
+            if not all(np.isfinite(p).all() for p in phases):
+                raise NumericalDiagnosticError(f"phases of exp(-i h t) overflow at t = {t!r}")
+            self._blocks[t] = [(v * p[..., None, :]) @ dagger(v) for p, (_, v) in zip(phases, self._factors)]
         return self._blocks[t]
 
     def at(self, t: float) -> Operator:

@@ -407,8 +407,8 @@ def sample_couplings(seed: int, n_spins: int, sigma_hz: float = DEFAULT_COUPLING
     Entries fill the upper triangle row-major; the draw is a pure function
     of ``seed``.
     """
-    if sigma_hz <= 0:
-        raise ValueError("sigma_hz must be positive")
+    if not 0 < sigma_hz < np.inf:
+        raise ValueError(f"sigma_hz must be positive and finite, got {sigma_hz!r}")
     draws = _philox(seed).normal(0.0, sigma_hz, size=n_spins * (n_spins - 1) // 2)
     d = np.zeros((n_spins, n_spins))
     d[np.triu_indices(n_spins, k=1)] = draws
@@ -421,6 +421,6 @@ def sample_disorder(seed: int, n_spins: int, sigma_hz: float) -> np.ndarray:
     The unit draw depends only on ``seed``, so sweeping ``sigma_hz`` rescales
     one fixed sample instead of resampling.
     """
-    if sigma_hz < 0:
-        raise ValueError("sigma_hz must be nonnegative")
+    if not 0 <= sigma_hz < np.inf:
+        raise ValueError(f"sigma_hz must be nonnegative and finite, got {sigma_hz!r}")
     return sigma_hz * _philox(seed).normal(0.0, 1.0, size=n_spins)

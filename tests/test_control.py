@@ -627,6 +627,13 @@ def test_resolve_threads_rejects_bad_env(monkeypatch, value):
     assert resolve_threads(2) == 2
 
 
+@pytest.mark.parametrize("threads", [0, -3, 2.0, True])
+def test_resolve_threads_rejects_bad_argument(threads):
+    # 0 and -3 were once clamped to 1 without a word
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+        resolve_threads(threads)
+
+
 def test_collective_phase_operator_interpolates_axes():
     n = 2
     sx, sy = collective_operator(n, "x"), collective_operator(n, "y")

@@ -140,6 +140,14 @@ class TestFitDecay:
         with pytest.raises(ValueError, match="6 points"):
             fit_decay(DecayCurve(t, np.exp(-t), "avg"))
 
+    def test_rejects_non_finite_point(self):
+        # one nan point once ran eight solves before "decay fit failed from every starting point"
+        t = np.linspace(0, 1, 8)
+        v = np.exp(-t)
+        v[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_decay(DecayCurve(t, v, "avg"))
+
     def test_default_stretch_bounds(self):
         t = np.linspace(0, 1, 24)
         v = np.exp(-(t**3.0) / 0.3)  # true g outside the stretched default [0.5, 2.5]

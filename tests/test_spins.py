@@ -301,6 +301,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_disorder(1, 4, -1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        # a nan matrix and +/-inf fields were once returned without an error
+        with pytest.raises(ValueError, match="finite"):
+            sample_couplings(1, 3, sigma)
+        with pytest.raises(ValueError, match="finite"):
+            sample_disorder(1, 3, sigma)
+
 
 class TestSpinSystem:
     def test_validation(self):
