@@ -36,6 +36,7 @@ from .operators import (
     as_operator,
     dagger,
     expm_hermitian,
+    require_hermitian,
     require_unitary,
     unitary_root,
 )
@@ -84,6 +85,17 @@ class WeakPulseWarning(UserWarning):
     """Finite pulse whose drive strength is below the internal Hamiltonian scale."""
 
 
+def _angle_overflows(name: str, value: float) -> bool:
+    """Whether an error field's rotation angle is not finite.
+
+    The main rotation turns by (pi/2)(1 + rotation_error), an edge kick by
+    (pi/2) times its transient; other fields set no angle.
+    """
+    if name == "rotation_error":
+        return not math.isfinite((math.pi / 2) * (1.0 + value))
+    return name.startswith("transient") and not math.isfinite((math.pi / 2) * value)
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """Pulse imperfections applied to every pi/2 pulse of a cycle.
@@ -94,6 +106,9 @@ class ErrorModel:
         transient_leading: leading-edge phase transient strength alpha_l,
             as a fraction of the pi/2 rotation, applied 90 deg out of phase.
         transient_trailing: trailing-edge counterpart alpha_tr.
+
+    Every field must be finite, and so must each rotation angle it sets
+    (:func:`_angle_overflows`).
     """
 
     pulse_width: float = 0.0
@@ -105,6 +120,8 @@ class ErrorModel:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if _angle_overflows(name, value):
+                raise ValueError(f"{name} overflows its rotation angle, got {value!r}")
         if self.pulse_width < 0:
             raise ValueError("pulse_width must be nonnegative")
 
@@ -171,7 +188,7 @@ def pulse_unitary(
     if not error.is_delta:
         if h_int is None:
             raise ValueError("finite-width pulses require the internal Hamiltonian")
-        _warn_if_weak(error, float(HermitianPropagator(h_int).spectral_norm.max()))
+        _warn_if_weak(error, float(np.abs(np.linalg.eigvalsh(require_hermitian(h_int))).max()))
     return _pulse(phase_deg, error, n_spins, h_int)
 
 
@@ -426,6 +443,8 @@ def _field_problem(name: str, value, integer: bool) -> str | None:
         return "must be positive"
     if name in ("disorder_sigma_hz", "pulse_width", "transient", "base_seed") and value < 0:
         return "must be nonnegative"
+    if _angle_overflows(name, value):
+        return "overflows its rotation angle"
     return None
 
 

@@ -13,6 +13,11 @@ optionally lets them evolve during a window (free or protected by a
 decoupling sequence) and reverses the growth.  The tagged signal is a
 Fourier series in the tag angle whose coefficients, the spectrum, are
 computed directly as sums over the elements of each coherence order.
+
+Only the two fits, :func:`fit_decay` and :func:`cluster_size`, use scipy.
+They import its least-squares solver when they run, so a process that
+never fits (a sweep, a cycle, a Magnus series, an MQC spectrum) never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .control import ErrorModel, IDEAL, cycle_unitary
 from .operators import HermitianPropagator, Operator, as_operator
@@ -206,6 +210,8 @@ def fit_decay(curve: DecayCurve, model: str = "stretched") -> FitResult:
     ``FIT_MAX_NFEV`` evaluations per start returns the best-so-far
     parameters with ``converged=False``.
     """
+    from scipy.optimize import least_squares  # loaded at the first fit, see the module docstring
+
     if model not in DEFAULT_STRETCH_BOUNDS:
         raise ValueError(f"model must be 'stretched' or 'oscillating', got {model!r}")
     t = curve.times
@@ -247,7 +253,7 @@ def fit_decay(curve: DecayCurve, model: str = "stretched") -> FitResult:
     for x0 in starts:
         x0 = np.clip(x0, lower + 1e-12, upper - 1e-12)
         try:
-            res = scipy.optimize.least_squares(
+            res = least_squares(
                 residuals, x0, bounds=(lower, upper), max_nfev=FIT_MAX_NFEV, method="trf"
             )
         except Exception:
@@ -428,10 +434,11 @@ def mqc_experiment(
     recovers the ``c_n`` exactly when ``phi_count >= 2N + 2``.  Without a
     window the intensities are those of the grown state and sum to 1.
     ``H_DQ`` keeps the parity of the number of down spins, so ``U`` is
-    factored over the two parity sectors.  ``tau_dq`` must be finite.
+    factored over the two parity sectors.  ``tau_dq`` must be finite and
+    nonnegative.
     """
-    if not np.isfinite(tau_dq):
-        raise ValueError(f"tau_dq must be finite, got {tau_dq!r}")
+    if not 0.0 <= tau_dq < np.inf:
+        raise ValueError(f"tau_dq must be finite and nonnegative, got {tau_dq!r}")
     n = system.n_spins
     phi_count = mqc_phi_count(n, phi_count)
     if window is None:
@@ -472,6 +479,8 @@ def cluster_size(spectrum: CoherenceSpectrum, components: int = 1) -> tuple[floa
     per component, ascending.  Requires at least 3 distinct |n| with
     appreciable intensity.
     """
+    from scipy.optimize import least_squares  # loaded at the first fit, see the module docstring
+
     if components not in (1, 2):
         raise ValueError("components must be 1 or 2")
     orders = spectrum.orders.astype(float)
@@ -511,7 +520,7 @@ def cluster_size(spectrum: CoherenceSpectrum, components: int = 1) -> tuple[floa
     best = None
     for x0 in starts:
         x0 = np.clip(x0, lower + 1e-9, upper - 1e-9)
-        res = scipy.optimize.least_squares(
+        res = least_squares(
             lambda p: model(p) - weights, x0, bounds=(lower, upper), max_nfev=2000
         )
         if best is None or res.cost < best.cost:

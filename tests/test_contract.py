@@ -39,6 +39,9 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NEGATIVE = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False, allow_nan=False)
 NON_POSITIVE = st.floats(max_value=0.0, allow_infinity=False, allow_nan=False)
 NOT_AN_INT = st.booleans() | st.floats(allow_nan=False) | st.none() | st.text(max_size=3)
+# finite values whose pulse angle, (pi/2)(1 + value) or (pi/2) value, overflows
+HUGE = st.floats(min_value=1.2e308, allow_infinity=False)
+OVERFLOWING = HUGE | HUGE.map(lambda v: -v)
 
 # SweepSpec field -> values its rule rejects
 BAD_VALUES = {
@@ -52,9 +55,9 @@ BAD_VALUES = {
     "tau": NON_FINITE | NON_POSITIVE,
     "pulse_width": NON_FINITE | NEGATIVE,
     "disorder_sigma_hz": NON_FINITE | NEGATIVE,
-    "transient": NON_FINITE | NEGATIVE,
+    "transient": NON_FINITE | NEGATIVE | HUGE,
     "global_offset_hz": NON_FINITE,
-    "rotation_error": NON_FINITE,
+    "rotation_error": NON_FINITE | OVERFLOWING,
 }
 # A small valid sweep; each test breaks one field of it.
 BASE = dict(parameter="rotation_error", grid=(0.0,), sequences=("WHH",), n_spins=2, n_coupling_sets=1)
@@ -142,6 +145,8 @@ class TestMotivatingDefects:
             ("transient", -0.05),
             ("n_spins", True),
             ("n_coupling_sets", 2.5),
+            ("rotation_error", -1.7e308),  # ran a whole cycle, then "defect nan" (exit 3)
+            ("transient", 1.7e308),
         ],
     )
     def test_rejected_when_built(self, field, value):
@@ -152,6 +157,20 @@ class TestMotivatingDefects:
     def test_grid_must_increase(self, grid):
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepSpec("tau", grid, ("WHH",), n_spins=3, n_coupling_sets=1)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("rotation_error", -1.7e308), ("transient_leading", 1.7e308), ("transient_trailing", -1.7e308)],
+    )
+    def test_overflowing_pulse_angle_rejected_when_built(self, field, value):
+        # the cycle once ran to a nan defect: cos of an infinite angle in collective_rotation
+        with pytest.raises(ValueError, match=f"{field} overflows its rotation angle"):
+            cycle_unitary(SYSTEM, WHH, ErrorModel(**{field: value}))
+
+    def test_negative_tau_dq_rejected(self):
+        # once returned a spectrum, though the CLI's --tau-dq rejects it
+        with pytest.raises(ValueError, match="tau_dq must be finite and nonnegative"):
+            mqc_experiment(SYSTEM, -1e-4)
 
     def test_seed_beyond_philox_keys_rejected_before_any_draw(self):
         # the second coupling set's key, base_seed + 1, is 2**128
@@ -177,7 +196,7 @@ def test_spin_system(bad):
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ErrorModel)])
 @given(data=st.data())
 def test_error_model_and_cycle(field, data):
-    bad = data.draw(NON_FINITE | NEGATIVE if field == "pulse_width" else NON_FINITE)
+    bad = data.draw(NON_FINITE | NEGATIVE if field == "pulse_width" else NON_FINITE | OVERFLOWING)
     rejects_or_finite(lambda: cycle_unitary(SYSTEM, WHH, ErrorModel(**{field: bad})))
 
 
@@ -200,7 +219,7 @@ def test_samplers(sigma, disorder_sigma, seed):
     rejects_or_finite(lambda: sample_disorder(seed, 3, 10.0))
 
 
-@given(bad=NON_FINITE | NEGATIVE, cycles=st.integers(max_value=-1) | NOT_AN_INT, tau_dq=NON_FINITE)
+@given(bad=NON_FINITE | NEGATIVE, cycles=st.integers(max_value=-1) | NOT_AN_INT, tau_dq=NON_FINITE | NEGATIVE)
 def test_windows_and_mqc(bad, cycles, tau_dq):
     rejects_or_finite(lambda: mqc_experiment(SYSTEM, 1e-4, window=FreeWindow(bad)))
     rejects_or_finite(lambda: mqc_experiment(SYSTEM, 1e-4, window=ProtectedWindow(WHH, 2, bad)))

@@ -294,6 +294,18 @@ class TestCli:
         result = self.runner.invoke(main, ["sweep", "--set", "n_spins=40"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "settings",
+        [["sweep.parameter=rotation_error", "sweep.grid=[-1.7e308]"], ["transient=1.7e308"]],
+    )
+    def test_sweep_overflowing_pulse_angle_exits_2(self, tmp_path, settings):
+        # once ran the sweep to "defect nan" (exit 3)
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        result = self.runner.invoke(main, ["sweep", *args, "--output", str(tmp_path / "s.csv")])
+        assert result.exit_code == 2, result.output
+        assert "overflows its rotation angle" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
     @pytest.mark.parametrize("command", ["sweep", "preset"])
     def test_bad_threads_variable_exits_2(self, tmp_path, command, value):
