@@ -57,6 +57,7 @@ from .experiments import (
     FreeWindow,
     ProtectedWindow,
     autocorrelation,
+    autocorrelations,
     c_avg,
     cluster_size,
     coherence_intensities,

@@ -22,7 +22,8 @@ from .experiments import (
     MIN_FIT_POINTS,
     FreeWindow,
     ProtectedWindow,
-    autocorrelation,
+    _block_counts,
+    autocorrelations,
     c_avg,
     fit_decay,
     mqc_experiment,
@@ -259,15 +260,14 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
     sequence = _load_sequence(seq_name)
     try:
         schedule(sequence, tau_s, pulse_width)
+        error = ErrorModel(pulse_width=pulse_width)
     except ValueError as exc:
         raise click.UsageError(f"--pulse-width: {exc}") from exc
     try:
         block_list = [int(b) for b in blocks.split(",") if b.strip() != ""]
-        if any(b < 0 for b in block_list):
-            raise ValueError("cycle counts must be nonnegative")
+        n_points = len(_block_counts(block_list))
     except ValueError as exc:
         raise click.UsageError(f"bad --blocks value: {exc}") from exc
-    n_points = len(set(block_list))
     if fit_model and n_points < MIN_FIT_POINTS:
         raise click.UsageError(
             f"--fit needs at least {MIN_FIT_POINTS} distinct --blocks values, got {n_points}"
@@ -275,12 +275,8 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
     system = SpinSystem.create(
         sample_couplings(seed, spins, coupling_sigma_hz), global_offset_hz=offset_hz
     )
-    error = ErrorModel(pulse_width=pulse_width)
     try:
-        curves = {
-            axis: autocorrelation(system, sequence, error, tau_s, axis, block_list)
-            for axis in ("x", "y", "z")
-        }
+        curves = autocorrelations(system, sequence, error, tau_s, "xyz", block_list)
     except NumericalDiagnosticError as exc:
         _fail_numerical(exc)
     avg = c_avg(curves["x"], curves["y"], curves["z"])

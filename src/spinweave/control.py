@@ -96,6 +96,13 @@ def _angle_overflows(name: str, value: float) -> bool:
     return name.startswith("transient") and not math.isfinite((math.pi / 2) * value)
 
 
+def _drive_problem(pulse_width: float, rotation_error: float) -> str | None:
+    """Why a finite pulse's drive ``(pi/2)(1 + rotation_error) / pulse_width`` is unusable, or None."""
+    if pulse_width > 0 and not math.isfinite((math.pi / 2) * (1.0 + rotation_error) / pulse_width):
+        return f"pulse_width {pulse_width!r} with rotation_error {rotation_error!r} overflows the pulse drive"
+    return None
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """Pulse imperfections applied to every pi/2 pulse of a cycle.
@@ -108,7 +115,7 @@ class ErrorModel:
         transient_trailing: trailing-edge counterpart alpha_tr.
 
     Every field must be finite, and so must each rotation angle it sets
-    (:func:`_angle_overflows`).
+    (:func:`_angle_overflows`) and a finite pulse's drive (:func:`_drive_problem`).
     """
 
     pulse_width: float = 0.0
@@ -124,6 +131,8 @@ class ErrorModel:
                 raise ValueError(f"{name} overflows its rotation angle, got {value!r}")
         if self.pulse_width < 0:
             raise ValueError("pulse_width must be nonnegative")
+        if problem := _drive_problem(self.pulse_width, self.rotation_error):
+            raise ValueError(problem)
 
     @classmethod
     def symmetric_transients(
@@ -462,8 +471,9 @@ class SweepSpec:
     :class:`ConfigError` listing every broken rule.  Every Philox key the
     ensemble draws must stay below 2**128, the grid must increase strictly,
     and each pulse must fit its window (:func:`spinweave.sequences.schedule`)
-    at each (tau, pulse_width) of the sweep.  Sequence names are normalized
-    to upper case.
+    at each (tau, pulse_width) of the sweep, with a finite drive
+    (:func:`_drive_problem`) at each (pulse_width, rotation_error).
+    Sequence names are normalized to upper case.
     """
 
     parameter: str
@@ -520,6 +530,8 @@ class SweepSpec:
         if not errors:
             taus = self.grid if self.parameter == "tau" else (self.tau,)
             widths = self.grid if self.parameter == "pulse_width" else (self.pulse_width,)
+            epsilons = self.grid if self.parameter == "rotation_error" else (self.rotation_error,)
+            errors += filter(None, (_drive_problem(w, e) for w in widths for e in epsilons))
             for name in self.sequences:
                 try:
                     for tau, width in ((t, w) for t in taus for w in widths if w > 0):  # a delta pulse fits

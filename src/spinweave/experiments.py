@@ -1,11 +1,11 @@
 """Simulated analogues of the decoupling and coherence experiments.
 
-Autocorrelation experiments propagate a collective deviation operator
-through repeated decoupling cycles and read back its overlap with the
-initial operator; curves are normalized at t = 0, which stands in for the
-hardware reference-experiment normalization.  Decay curves are fit with a
-stretched exponential (time-suspension sequences) or an oscillating
-stretched exponential (spectroscopic sequences).
+Autocorrelation experiments read the overlap of a collective deviation
+operator after N decoupling cycles with the initial one, normalized at t = 0
+as the hardware reference experiment is; every power U^N of the cycle comes
+from one eigendecomposition U = V e^{i theta} V^dag, which also gives the
+protected MQC window.  Decay curves are fit with a stretched exponential
+(time-suspension sequences) or an oscillating one (spectroscopic sequences).
 
 The multiple-quantum-coherence experiment grows coherences under the
 double-quantum Hamiltonian, phase-tags them with a collective z rotation,
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ErrorModel, IDEAL, cycle_unitary
-from .operators import HermitianPropagator, Operator, as_operator
+from .operators import HermitianPropagator, Operator, _unitary_eigenphases, as_operator, dagger
 from .sequences import PulseSequence, schedule
 from .spins import (
     SpinSystem,
@@ -48,6 +48,7 @@ __all__ = [
     "ProtectedWindow",
     "MqcResult",
     "autocorrelation",
+    "autocorrelations",
     "c_avg",
     "fit_decay",
     "coherence_intensities",
@@ -86,6 +87,45 @@ class DecayCurve:
         object.__setattr__(self, "values", v)
 
 
+def _block_counts(blocks) -> list[int]:
+    """Sorted distinct block counts, each an ``int`` or ``np.integer`` (not bool) in 0..2**53."""
+    blocks = list(blocks)
+    for b in blocks:
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or not 0 <= b <= 2**53:
+            raise ValueError(f"block counts must be integers in 0..2**53, got {b!r}")
+    return sorted(set(map(int, blocks)))
+
+
+def autocorrelations(
+    system: SpinSystem,
+    seq: PulseSequence,
+    error: ErrorModel = IDEAL,
+    tau: float = 4e-6,
+    axes: str = "xyz",
+    blocks=(0, 1, 2, 4, 8, 16, 32, 64),
+) -> dict[str, DecayCurve]:
+    """Autocorrelations ``C_aa(N t_c)`` along each of ``axes``, as ``{axis: DecayCurve}``.
+
+    ``C(N) = Tr(U^N S U^{-N} S) / Tr(S S)``.  The cycle is decomposed once for all axes,
+    ``U = V diag(e^{i theta}) V^dag`` (:func:`_unitary_eigenphases`), and with
+    ``w = |V^dag S V|^2`` all blocks take one product: ``C(N) = sum_ab w_ab e^{i N (theta_a
+    - theta_b)} / sum w``, so C(0) = 1 exactly and |C| <= 1 to roundoff.  Blocks are sorted
+    and deduplicated, each an integer in 0..2**53.  Each curve equals :func:`autocorrelation`.
+    """
+    counts = _block_counts(blocks)
+    theta, v = _unitary_eigenphases(cycle_unitary(system, seq, error, tau), 1, basis=True)
+    skip = 0 if counts[:1] == [0] else 1  # row 0 of turns is N = 0, whose value normalizes each curve
+    turns = np.exp(1j * np.multiply.outer(np.array([0] * skip + counts, dtype=float), theta))
+    times = np.array([n * seq.cycle_time(tau) for n in counts])
+    meta = {"sequence": seq.name, "tau_s": tau, "n_spins": system.n_spins, "pulse_width_s": error.pulse_width}
+    curves = {}
+    for axis in axes:
+        w = np.abs(dagger(v) @ collective_operator(system.n_spins, axis) @ v) ** 2
+        c = np.einsum("ka,ka->k", turns, turns.conj() @ w).real
+        curves[axis] = DecayCurve(times, c[skip:] / c[0], axis, dict(meta))
+    return curves
+
+
 def autocorrelation(
     system: SpinSystem,
     seq: PulseSequence,
@@ -94,46 +134,8 @@ def autocorrelation(
     axis: str = "x",
     blocks=(0, 1, 2, 4, 8, 16, 32, 64),
 ) -> DecayCurve:
-    """Autocorrelation ``C_aa(N t_c)`` of the collective ``axis`` operator.
-
-    ``C(N) = Tr(U^N S U^{-N} S) / Tr(S S)`` with U one cycle propagator, so
-    the curve equals 1 at N = 0 by construction.  The blocks are visited in
-    increasing order, and the step between two of them is one conjugation
-    by ``U^g``, with ``U^g`` built once per distinct gap g by
-    ``np.linalg.matrix_power``.
-    """
-    blocks = sorted({int(b) for b in blocks})
-    if blocks and blocks[0] < 0:
-        raise ValueError("block counts must be nonnegative")
-    u = cycle_unitary(system, seq, error, tau)
-    s0 = collective_operator(system.n_spins, axis)
-    # Tr(A S) = vdot(S, A) for Hermitian S
-    norm = float(np.vdot(s0, s0).real)
-    steps: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # gap g -> (U^g, U^-g)
-    values = []
-    s_t = s0
-    cursor = 0
-    for n in blocks:
-        if n > cursor:
-            if n - cursor not in steps:
-                u_g = np.linalg.matrix_power(u, n - cursor)
-                steps[n - cursor] = (u_g, u_g.conj().T)
-            u_g, u_g_dag = steps[n - cursor]
-            s_t = u_g @ s_t @ u_g_dag
-            cursor = n
-        values.append(float(np.vdot(s0, s_t).real) / norm)
-    t_c = seq.cycle_time(tau)
-    return DecayCurve(
-        times=np.array([n * t_c for n in blocks]),
-        values=np.array(values),
-        axis=axis,
-        meta={
-            "sequence": seq.name,
-            "tau_s": tau,
-            "n_spins": system.n_spins,
-            "pulse_width_s": error.pulse_width,
-        },
-    )
+    """``C_aa(N t_c)`` of one axis: the one-axis call of :func:`autocorrelations`."""
+    return autocorrelations(system, seq, error, tau, axis, blocks)[axis]
 
 
 def c_avg(cx: DecayCurve, cy: DecayCurve, cz: DecayCurve) -> DecayCurve:
@@ -424,7 +426,8 @@ def mqc_experiment(
 
     The collective Z operator ``rho_0`` grows to ``rho_tau = U rho_0 U^dag``,
     ``U = exp(-i H_DQ tau_dq)``, is tagged by ``Z_phi = exp(-i phi S_z)``,
-    evolves under the window propagator ``W`` and is reversed, so that
+    evolves under the window propagator ``W`` (``V e^{i k theta} V^dag`` for k
+    protected cycles, each ``V e^{i theta} V^dag``) and is reversed, so that
     ``S(phi) = Tr(U^dag W Z_phi rho_tau Z_phi^dag W^dag U rho_0) / Tr(rho_0^2)
     = sum_n c_n exp(-i n phi)``, with ``c_n`` the sum of ``rho_tau[a, b]
     Q[b, a] / Tr(rho_0^2)`` over ``m_a - m_b = n`` and ``Q = W^dag rho_tau W``
@@ -446,8 +449,8 @@ def mqc_experiment(
     elif isinstance(window, FreeWindow):
         w = HermitianPropagator(internal_hamiltonian(system), magnetization_sectors(n)).at(window.duration)
     elif isinstance(window, ProtectedWindow):
-        u_cyc = cycle_unitary(system, window.sequence, window.error, window.tau)
-        w = np.linalg.matrix_power(u_cyc, window.cycles)
+        theta, v = _unitary_eigenphases(cycle_unitary(system, window.sequence, window.error, window.tau), 1, basis=True)
+        w = (v * np.exp(1j * window.cycles * theta)) @ dagger(v)
     else:
         raise TypeError(f"unsupported window {window!r}")
     u_fwd = HermitianPropagator(dq_hamiltonian(system), parity_sectors(n)).at(tau_dq)

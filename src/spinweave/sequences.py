@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator
-from .spins import collective_rotation, embedded_spin
+from .spins import collective_rotation
 
 __all__ = [
     "PulseEvent",
@@ -35,7 +34,6 @@ __all__ = [
     "FrameMatrix",
     "frame_matrix",
     "row_sum_check",
-    "frame_offset_average",
     "ascii_frame",
     "schedule",
 ]
@@ -308,25 +306,6 @@ def row_sum_check(f: FrameMatrix) -> tuple[np.ndarray, str]:
     sums = f.row_sums()
     label = "time-suspension" if np.all(sums == 0) else "spectroscopic"
     return sums, label
-
-
-def frame_offset_average(f: FrameMatrix, system) -> Operator:
-    """Zeroth-order average of the offset Hamiltonian implied by the F-matrix.
-
-    Each window contributes its signed toggling-frame axis, so the average is
-    ``sum_axis (row_sum_axis / M) * sum_i a_i S_axis^i`` in rad/s.  Exact for
-    delta pulses; matches the directly integrated zeroth-order average.
-    """
-    a = 2.0 * np.pi * system.total_offsets_hz
-    n = system.n_spins
-    sums = f.row_sums()
-    out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    for row, axis in enumerate("xyz"):
-        if sums[row] == 0:
-            continue
-        weighted = sum(a[i] * embedded_spin(n, i, axis) for i in range(n))
-        out = out + (sums[row] / f.windows) * weighted
-    return out
 
 
 def ascii_frame(f: FrameMatrix) -> str:

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from spinweave.sequences import FrameMatrix
+from spinweave.spins import SpinSystem, embedded_spin
+
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
 
@@ -24,6 +27,25 @@ def oracle_phases(u: np.ndarray) -> np.ndarray:
     theta = np.angle(np.linalg.eigvals(u))
     theta[theta <= -np.pi] = np.pi
     return theta
+
+
+def frame_offset_average(f: FrameMatrix, system: SpinSystem) -> np.ndarray:
+    """Zeroth-order average of the offset Hamiltonian implied by the F-matrix.
+
+    Each window contributes its signed toggling-frame axis, so the average is
+    ``sum_axis (row_sum_axis / M) * sum_i a_i S_axis^i`` in rad/s.  Exact for
+    delta pulses; matches the directly integrated zeroth-order average.
+    """
+    a = 2.0 * np.pi * system.total_offsets_hz
+    n = system.n_spins
+    sums = f.row_sums()
+    out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for row, axis in enumerate("xyz"):
+        if sums[row] == 0:
+            continue
+        weighted = sum(a[i] * embedded_spin(n, i, axis) for i in range(n))
+        out = out + (sums[row] / f.windows) * weighted
+    return out
 
 
 def loglog_slope(

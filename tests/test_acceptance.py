@@ -41,7 +41,6 @@ from spinweave.sequences import (
     BUILTIN_NAMES,
     builtin,
     frame_matrix,
-    frame_offset_average,
     row_sum_check,
 )
 from spinweave.spins import (
@@ -54,7 +53,7 @@ from spinweave.spins import (
     sample_disorder,
 )
 
-from conftest import loglog_slope
+from conftest import frame_offset_average, loglog_slope
 
 SEED = 2026
 SPECTROSCOPIC_FACTORS = {

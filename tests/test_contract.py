@@ -9,6 +9,7 @@ through the Python API or a config document.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from spinweave.experiments import (
     FreeWindow,
     MqcResult,
     ProtectedWindow,
+    autocorrelation,
     mqc_experiment,
 )
 from spinweave.harness import validate_config
@@ -172,6 +174,33 @@ class TestMotivatingDefects:
         with pytest.raises(ValueError, match="tau_dq must be finite and nonnegative"):
             mqc_experiment(SYSTEM, -1e-4)
 
+    @pytest.mark.parametrize("block", [2.5, True, math.inf, math.nan, -1, 10**20])
+    def test_bad_block_count_rejected(self, block):
+        # 2.5 and True were cast to 2 and 1, inf raised OverflowError, and
+        # 10**20 ran matrix_power to "times and values must be finite"
+        expected = f"block counts must be integers in 0..2**53, got {block!r}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            autocorrelation(SYSTEM, WHH, IDEAL, 4e-6, "x", [0, block])
+
+    @pytest.mark.parametrize("fields", [{"pulse_width": 1e-320}, {"pulse_width": 1e-6, "rotation_error": 1e305}])
+    def test_overflowing_pulse_drive_rejected(self, fields):
+        # both pulse angles are finite; the cycle once ended in "matrix is
+        # not Hermitian (relative asymmetry nan)"
+        with pytest.raises(ValueError, match="pulse_width .* overflows the pulse drive"):
+            cycle_unitary(SYSTEM, WHH, ErrorModel(**fields))
+
+    @pytest.mark.parametrize(
+        "parameter,grid,fields",
+        [
+            ("pulse_width", (1e-320, 1e-6), {}),
+            ("rotation_error", (0.0, 1e305), {"pulse_width": 1e-6}),
+            ("tau", (4e-6,), {"pulse_width": 1e-320}),
+        ],
+    )
+    def test_sweep_with_overflowing_pulse_drive_rejected(self, parameter, grid, fields):
+        with pytest.raises(ConfigError, match="pulse_width .* overflows the pulse drive"):
+            SweepSpec(parameter, grid, ("WHH",), n_spins=3, n_coupling_sets=1, **fields)
+
     def test_seed_beyond_philox_keys_rejected_before_any_draw(self):
         # the second coupling set's key, base_seed + 1, is 2**128
         with pytest.raises(ValueError, match="base_seed"):
@@ -225,6 +254,11 @@ def test_windows_and_mqc(bad, cycles, tau_dq):
     rejects_or_finite(lambda: mqc_experiment(SYSTEM, 1e-4, window=ProtectedWindow(WHH, 2, bad)))
     rejects_or_finite(lambda: mqc_experiment(SYSTEM, 1e-4, window=ProtectedWindow(WHH, cycles)))
     rejects_or_finite(lambda: mqc_experiment(SYSTEM, tau_dq))
+
+
+@given(blocks=st.lists(st.integers(-(2**60), 2**60) | NOT_AN_INT | NON_FINITE, max_size=4))
+def test_autocorrelation_blocks(blocks):
+    rejects_or_finite(lambda: autocorrelation(SYSTEM, WHH, IDEAL, 4e-6, "x", blocks))
 
 
 @given(phi_count=st.integers(max_value=7) | NOT_AN_INT | NON_FINITE)

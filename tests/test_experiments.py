@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +10,7 @@ from spinweave.experiments import (
     FreeWindow,
     ProtectedWindow,
     autocorrelation,
+    autocorrelations,
     c_avg,
     cluster_size,
     coherence_intensities,
@@ -77,6 +79,73 @@ class TestAutocorrelation:
         system = SpinSystem.create(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             autocorrelation(system, builtin("WHH"), IDEAL, 4e-6, "x", [-1, 0])
+
+
+def mp_polar(u: np.ndarray) -> mpmath.matrix:
+    """Unitary polar factor of ``u`` by Newton's iteration ``X <- (X + X^-dag) / 2`` at the working precision."""
+    x = mpmath.matrix(u.tolist())
+    for _ in range(6):
+        x = (x + mpmath.inverse(x).H) / 2
+    return x
+
+
+def mp_autocorrelation(u: mpmath.matrix, s: np.ndarray, blocks) -> np.ndarray:
+    """``Tr(U^N S U^-N S) / Tr(S S)`` with U^N by repeated squaring, no eigenbasis."""
+    s = mpmath.matrix(s.tolist())
+
+    def overlap(a):
+        return mpmath.re(sum(a[i, j] * s[j, i] for i in range(s.rows) for j in range(s.rows)))
+
+    values = []
+    for n in blocks:
+        power, base = mpmath.eye(u.rows), u
+        while n:
+            power, base, n = (power * base if n & 1 else power), base * base, n >> 1
+        values.append(float(overlap(power * s * power.H) / overlap(s)))
+    return np.array(values)
+
+
+class TestAutocorrelations:
+    FINITE = ErrorModel(pulse_width=1e-6, rotation_error=0.02, transient_leading=0.01, transient_trailing=-0.01)
+
+    @pytest.mark.parametrize("error", [IDEAL, FINITE], ids=["delta", "finite"])
+    def test_members_equal_one_axis_calls_bit_for_bit(self, error):
+        system = SpinSystem.create(
+            sample_couplings(11, 4, 5000.0), disorder_hz=[30, -10, 0, 5], global_offset_hz=1000.0
+        )
+        blocks = [64, 0, 3, 1, 4096, 3]
+        curves = autocorrelations(system, builtin("BR24"), error, 4e-6, "xyz", blocks)
+        assert list(curves) == ["x", "y", "z"]
+        for axis, curve in curves.items():
+            single = autocorrelation(system, builtin("BR24"), error, 4e-6, axis, blocks)
+            assert np.array_equal(curve.values, single.values)
+            assert np.array_equal(curve.times, single.times)
+            assert (curve.axis, curve.meta) == (axis, single.meta)
+            assert curve.values[0] == 1.0
+            # without N = 0 among the blocks, the curve is still normalized by it
+            tail = autocorrelation(system, builtin("BR24"), error, 4e-6, axis, [4096, 1])
+            assert np.abs(tail.values - curve.values[[1, 4]]).max() < 1e-14
+        assert np.ptp(curves["x"].values) > 0.1
+
+    @pytest.mark.parametrize(
+        "n_spins,name,error",
+        [(2, "WHH", IDEAL), (3, "BR24", IDEAL), (3, "CORY48", FINITE)],
+        ids=["2-WHH", "3-BR24", "3-CORY48-finite"],
+    )
+    def test_matches_extended_precision_oracle(self, n_spins, name, error):
+        # the float cycle projected onto the unitaries and powered at 40 digits
+        system = SpinSystem.create(
+            sample_couplings(2026, n_spins, 5000.0 / 3.0), global_offset_hz=1000.0
+        )
+        blocks = [0, 1, 7, 100, 1000, 4096, 10_000]
+        curves = autocorrelations(system, builtin(name), error, 4e-6, "xyz", blocks)
+        with mpmath.workdps(40):
+            u = mp_polar(cycle_unitary(system, builtin(name), error, 4e-6))
+            for axis, curve in curves.items():
+                oracle = mp_autocorrelation(u, collective_operator(n_spins, axis), blocks)
+                assert np.abs(curve.values - oracle).max() < 1e-12
+                assert np.abs(curve.values).max() <= 1.0 + 1e-14
+        assert min(np.ptp(c.values) for c in curves.values()) > 1e-3
 
 
 class TestCAvg:

@@ -154,6 +154,13 @@ class TestValidateConfig:
         assert result.exit_code == 2, result.output
         assert "rotation_error must be a number" in result.output
 
+    def test_overflowing_pulse_drive_exits_2(self, tmp_path):
+        args = ["--set", "pulse_width_s=1e-320", "--set", "sweep.parameter=rotation_error", "--set", "sweep.grid=[0.0]"]
+        result = CliRunner().invoke(main, ["sweep", *args, "--output", str(tmp_path / "out.csv")])
+        assert result.exit_code == 2, result.output
+        assert "pulse_width_s 1e-320 with rotation_error 0.0 overflows the pulse drive" in result.output
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_config_digest_is_pinned(self, name):
         doc = {} if name == "default" else _sweep_preset(name, "ci")
@@ -422,6 +429,8 @@ class TestCli:
             (["exp", "autocorr", "--seq", "WHH", "--tau", "0"], "--tau"),
             (["exp", "autocorr", "--seq", "WHH", "--pulse-width", "5e-6"], "--pulse-width"),
             (["exp", "autocorr", "--seq", "WHH", "--blocks", "-1,2"], "--blocks"),
+            (["exp", "autocorr", "--seq", "WHH", "--blocks", "0,100000000000000000000"], "--blocks"),
+            (["exp", "autocorr", "--seq", "WHH", "--pulse-width", "1e-320"], "--pulse-width"),
             (["exp", "autocorr", "--seq", "WHH", "--coupling-sigma-hz", "0"], "--coupling-sigma-hz"),
             (["exp", "mqc", "--phi-count", "3"], "--phi-count"),
             (["exp", "mqc", "--spins", "11"], "--spins"),
