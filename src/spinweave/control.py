@@ -15,12 +15,14 @@ do not depend on the parallelism degree.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import os
 import queue
 import sys
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,16 +42,27 @@ from .operators import (
     require_unitary,
     unitary_root,
 )
-from .sequences import BUILTIN_NAMES, PulseSequence, builtin, schedule
+from .sequences import (
+    _FRAME_ROTATIONS,
+    BUILTIN_NAMES,
+    NonCyclicSequenceError,
+    PulseSequence,
+    builtin,
+    schedule,
+    validate_cyclic,
+)
 from .spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
+    _parity_blocks,
+    _toggled_dipolar_blocks,
     collective_phase_operator,
     collective_rotation,
     internal_hamiltonian_stack,
     kron_power,
     magnetization,
     magnetization_sectors,
+    parity_sectors,
     sample_couplings,
     sample_disorder,
 )
@@ -204,30 +217,88 @@ def pulse_unitary(
 class _CycleKernel:
     """Cycle propagators of one member stack under one error model.
 
-    Holds what every sequence shares: the factorization of the H_int stack
-    by magnetization sector (:class:`HermitianPropagator`) and, for finite
-    pulses, the phase-0 pulse ``P_0`` in sector order.  A finite-pulse cycle
-    is a walk over windows, each a free step of duration ``a`` (possibly 0)
-    and the pulse of phase phi after it, applied as one matmul by
-    ``Z_phi (P_0 F_a) Z_phi^dag`` with ``Z_phi = exp(-i phi S_z)``: H_int
-    commutes with S_z, so Z turns ``P_0`` into the phase-phi pulse and
-    commutes with the sector-diagonal free step ``F_a``.  ``P_0 F_a`` is
-    built once per free duration, by one matmul per sector block.
+    A cycle takes one of two paths, chosen from the inputs alone.  With the
+    error model ``IDEAL``, every member's ``total_offsets_hz`` zero, only
+    cardinal pulse phases and a cyclic sequence (``validate_cyclic`` gives
+    ``s``), window j's toggling-frame Hamiltonian is ``H_D^(a_j)``, H_D
+    with its axis turned to the frame-matrix axis ``a_j`` of x, y, z
+    (:data:`spinweave.sequences._FRAME_ROTATIONS`), and the cycle is
+    ``s^N prod_j exp(-i H_D^(a_j) tau_j)``.  Each ``H_D^(a)`` commutes with
+    the global parities, so the walk runs on the parity blocks of
+    :func:`spinweave.spins._parity_blocks` (4 of d/4 for even N, 1 of d/2
+    for odd N), one (B, blocks, k, k) matmul per free step, with every
+    ``H_D^(a)`` factored by one batched :class:`HermitianPropagator`.
+
+    Every other cycle takes the lab-frame path, which factors the H_int
+    stack by magnetization sector (built on first use) and, for finite
+    pulses, holds the phase-0 pulse ``P_0`` in sector order.  A
+    finite-pulse cycle is a walk over windows, each a free step of
+    duration ``a`` (possibly 0) and the pulse of phase phi after it,
+    applied as one matmul by ``Z_phi (P_0 F_a) Z_phi^dag`` with
+    ``Z_phi = exp(-i phi S_z)``: H_int commutes with S_z, so Z turns
+    ``P_0`` into the phase-phi pulse and commutes with the sector-diagonal
+    free step ``F_a``.  ``P_0 F_a`` is built once per free duration, by one
+    matmul per sector block.
     """
 
-    def __init__(self, hamiltonians: np.ndarray, error: ErrorModel):
-        self.members, dim = hamiltonians.shape[:2]
-        self.n_spins = dim.bit_length() - 1
-        self.free = HermitianPropagator(hamiltonians, magnetization_sectors(self.n_spins))
+    def __init__(self, systems: Sequence[SpinSystem], error: ErrorModel):
+        self.systems = systems
+        self.members, self.n_spins = len(systems), systems[0].n_spins
         self.error = error
+        self.offset_free = error == IDEAL and not any(np.any(s.total_offsets_hz) for s in systems)
         if not error.is_delta:
+            hamiltonians = internal_hamiltonian_stack(systems)
+            self.free = HermitianPropagator(hamiltonians, magnetization_sectors(self.n_spins))
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
             order = self.free.layout.order
             # P_0 F_a per free duration a, P_0 itself at a = 0
             self.folded = {0.0: _pulse(0.0, error, self.n_spins, hamiltonians)[:, order[:, None], order]}
 
+    @functools.cached_property
+    def free(self) -> HermitianPropagator:
+        """The H_int stack factored by magnetization sector."""
+        return HermitianPropagator(internal_hamiltonian_stack(self.systems), magnetization_sectors(self.n_spins))
+
+    @functools.cached_property
+    def parity(self) -> HermitianPropagator:
+        """``H_D^(x,y,z)`` of every member on the parity blocks, as one (B * 3 * blocks, k, k) stack."""
+        h = _toggled_dipolar_blocks(np.stack([s.couplings_hz for s in self.systems]))
+        return HermitianPropagator(h.reshape(-1, *h.shape[-2:]))
+
     def cycles(self, seq: PulseSequence, tau: float) -> np.ndarray:
         """(B, d, d) cycle propagators in the standard basis, each checked unitary to 1e-10."""
+        sign = None
+        if self.offset_free and all(e.phase_deg in _FRAME_ROTATIONS for e in seq.events if e.kind == "pulse"):
+            try:
+                sign = validate_cyclic(seq)
+            except NonCyclicSequenceError:
+                pass
+        u = self._lab_cycles(seq, tau) if sign is None else self._parity_cycles(seq, tau, sign)
+        _check_unitary(u, seq)
+        return u if sign is None else _parity_blocks(self.n_spins).to_standard(u)
+
+    def _parity_cycles(self, seq: PulseSequence, tau: float, sign: int) -> np.ndarray:
+        """(B, blocks, k, k) cycle propagators on the parity blocks."""
+        blocks = _parity_blocks(self.n_spins)
+        k = blocks.states.shape[1]
+        u = np.empty((self.members, blocks.blocks, k, k), dtype=np.complex128)
+        u[:] = np.eye(k)
+        buf = np.empty_like(u)
+        frame = np.eye(3, dtype=np.int64)
+        for kind, value in schedule(seq, tau):
+            if kind == "pulse":
+                frame = frame @ _FRAME_ROTATIONS[value]
+            else:
+                axis = int(np.flatnonzero(frame[:, 2])[0])
+                free = self.parity.blocks(value)[0].reshape(self.members, 3, *u.shape[1:])
+                np.matmul(free[:, axis], u, out=buf)
+                u, buf = buf, u
+        if sign ** self.n_spins < 0:
+            np.negative(u, out=u)
+        return u
+
+    def _lab_cycles(self, seq: PulseSequence, tau: float) -> np.ndarray:
+        """(B, d, d) cycle propagators composed in the lab frame."""
         n, error, free = self.n_spins, self.error, self.free
         order, inverse, spans = free.layout.order, free.layout.inverse, free.layout.spans
         steps = schedule(seq, tau, error.pulse_width)
@@ -277,15 +348,25 @@ class _CycleKernel:
                 u, buf = buf, u
         np.take(u, inverse, axis=1, out=buf, mode="clip")
         np.take(buf, inverse, axis=2, out=u, mode="clip")
-        residual = np.matmul(dagger(u), u, out=buf)
-        residual.reshape(stack, -1)[:, :: dim + 1] -= 1.0
-        residual = residual.view(np.float64)
-        defect = np.sqrt(np.einsum("bij,bij->b", residual, residual) / dim)
-        if not np.all(defect <= 1e-10):
-            raise NumericalDiagnosticError(
-                f"cycle propagator of {seq.name!r} is not unitary (defect {defect.max():.3e})"
-            )
         return u
+
+
+def _check_unitary(u: np.ndarray, seq: PulseSequence) -> None:
+    """Raise unless each member of a (B, ..., k, k) block stack is unitary to 1e-10.
+
+    The defect is ``|u^dag u - I|_F / sqrt(rows)`` over all of a member's
+    blocks; for blocks of an orthonormal basis it is the defect of the
+    standard-basis matrix, and a block repeated by a symmetry repeats its share.
+    """
+    k = u.shape[-1]
+    residual = np.matmul(dagger(u), u).reshape(len(u), -1, k * k)
+    residual[..., :: k + 1] -= 1.0
+    residual = residual.reshape(len(u), -1).view(np.float64)
+    defect = np.sqrt(np.einsum("bi,bi->b", residual, residual) / (u[0].size // k))
+    if not np.all(defect <= 1e-10):
+        raise NumericalDiagnosticError(
+            f"cycle propagator of {seq.name!r} is not unitary (defect {defect.max():.3e})"
+        )
 
 
 def cycle_unitary(
@@ -301,8 +382,18 @@ def cycle_unitary(
 
     This is the one-member call of the stacked cycle kernel that
     :func:`ensemble_fidelity` runs on whole member stacks, so a member of a
-    sweep equals this call bit for bit.  The product is accumulated with its
-    rows in magnetization-sector order, the order in which
+    sweep equals this call bit for bit.
+
+    With ``error`` equal to ``IDEAL``, no offsets in ``system``
+    (``total_offsets_hz`` all zero), cardinal pulse phases and a cyclic
+    ``seq``, the cycle is walked in the toggling frame on parity blocks:
+    each window's Hamiltonian is H_D with its axis turned to the
+    frame-matrix axis, all three commute with the global parities, and
+    each free step is one matmul on 4 blocks of d/4 (even N) or one block
+    of d/2 (odd N), scattered into the standard basis at the end.
+
+    Every other cycle is composed in the lab frame.  The product is
+    accumulated with its rows in magnetization-sector order, the order in which
     :class:`spinweave.operators.HermitianPropagator` factors H_int.  A free
     step is one matmul per sector block, built once per distinct duration.
     A delta pulse with its rotation error and transient kicks is exactly
@@ -311,10 +402,23 @@ def cycle_unitary(
     A finite-width pulse does not conserve S_z, so it is folded with the
     free step before it into one dense window ``P_phi F_a``, applied by one
     matmul: one factorization builds the phase-0 pulse, ``P_0 F_a`` is
-    built once per free duration, and every phase turns it about z.  The
-    result is checked to be unitary to 1e-10.
+    built once per free duration, and every phase turns it about z.  On
+    either path the result is checked to be unitary to 1e-10.
     """
-    return _CycleKernel(internal_hamiltonian_stack([system]), error).cycles(seq, tau)[0]
+    return _CycleKernel([system], error).cycles(seq, tau)[0]
+
+
+@functools.cache
+def _parity_split(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the d x d elements between even and odd down-spin parity, and the (2, d/2) states of each parity (built once per d)."""
+    layout = parity_sectors(dim.bit_length() - 1)
+    halves = np.stack([layout.order[span] for span in layout.spans])
+    odd = np.zeros(dim, dtype=bool)
+    odd[halves[1]] = True
+    off_block = odd[:, None] != odd
+    for arr in (halves, off_block):
+        arr.flags.writeable = False
+    return off_block, halves
 
 
 def _eigenphase_fidelity(u: np.ndarray, m: int) -> np.ndarray:
@@ -322,13 +426,25 @@ def _eigenphase_fidelity(u: np.ndarray, m: int) -> np.ndarray:
 
     The principal root maps each eigenphase ``theta`` in ``(-pi, pi]`` to
     ``theta / m``; the phases come from ``eigvalsh`` of the centred Cayley
-    transform of each member (:func:`spinweave.operators._unitary_eigenphases`,
-    which :func:`unitary_root` shares), and no eigenbasis is needed for the
-    trace.
+    transform (:func:`spinweave.operators._unitary_eigenphases`, which
+    :func:`unitary_root` shares), and no eigenbasis is needed for the
+    trace.  A member whose elements between even and odd down-spin parity
+    are all exactly zero is solved on its two :func:`parity_sectors` blocks
+    of d/2, each centred on its own trace phase, and the two complex block
+    traces are summed before the division by d.
     """
-    theta = _unitary_eigenphases(u, m, stacklevel=3)
-    tr = np.exp(1j * theta / m).sum(axis=-1)
-    return np.minimum(np.abs(tr) / u.shape[-1], 1.0)
+    dim = u.shape[-1]
+    split = ~u[:, _parity_split(dim)[0]].any(axis=1) if dim > 1 else np.zeros(len(u), dtype=bool)
+    if not split.any():
+        tr = np.exp(1j * _unitary_eigenphases(u, m, stacklevel=3) / m).sum(axis=-1)
+    else:
+        tr = np.empty(len(u), dtype=np.complex128)
+        if not split.all():
+            tr[~split] = np.exp(1j * _unitary_eigenphases(u[~split], m, stacklevel=3) / m).sum(axis=-1)
+        halves = _parity_split(dim)[1]
+        blocks = u[split][:, halves[:, :, None], halves[:, None, :]]
+        tr[split] = np.exp(1j * _unitary_eigenphases(blocks, m, stacklevel=3) / m).sum(axis=-1).sum(axis=-1)
+    return np.minimum(np.abs(tr) / dim, 1.0)
 
 
 def fidelity(u_exp: Operator, u_th: Operator | None = None, m: int = 1) -> float:
@@ -346,6 +462,9 @@ def fidelity(u_exp: Operator, u_th: Operator | None = None, m: int = 1) -> float
     transform more than 1e-7 from Hermitian) raise
     :class:`NumericalDiagnosticError`, and for ``m > 1`` an eigenphase
     within 1e-9 of the branch cut at pi warns :class:`BranchCutWarning`.
+    A ``u_exp`` whose elements between even and odd down-spin parity are
+    all exactly zero, as every parity-path :func:`cycle_unitary` is, is
+    solved on its two parity blocks of d/2 and the block traces summed.
     With a target the explicit root of :func:`unitary_root`, built from
     ``eigh`` of the same transform, is used.
     """
@@ -583,8 +702,8 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
 
     A task is one grid value and one chunk of ``max(1, 2**16 // d**2)``
     consecutive members, a constant of the spin count.  It builds the
-    chunk's H_int stack and one :class:`_CycleKernel`, which every sequence
-    of the task shares.  Members are ordered coupling set major, disorder
+    chunk's systems and one :class:`_CycleKernel`, which every sequence of
+    the task shares.  Members are ordered coupling set major, disorder
     sample minor.
     """
     sequences = [builtin(name) for name in spec.sequences]
@@ -621,7 +740,7 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
         error = ErrorModel.symmetric_transients(
             point["transient"], point["pulse_width"], point["rotation_error"]
         )
-        kernel = _CycleKernel(internal_hamiltonian_stack(systems), error)
+        kernel = _CycleKernel(systems, error)
         for j, seq in enumerate(sequences):
             results[i, j, start : start + len(systems)] = 1.0 - _eigenphase_fidelity(
                 kernel.cycles(seq, point["tau"]), seq.cycle_windows
@@ -658,8 +777,11 @@ def ensemble_fidelity(spec: SweepSpec, threads: int | None = None) -> list[Sweep
     Members are propagated in stacks: a task is one grid value and one
     chunk of ``max(1, 2**16 // d**2)`` consecutive members (256 at 4 spins,
     16 at 6, 1 at 8 and above), whose H_int factorization and finite-pulse
-    windows ``P_0 F_a`` every sequence shares.  Each member's ``1 - F`` equals
-    ``1 - fidelity(cycle_unitary(system, ...), m)`` bit for bit.
+    windows ``P_0 F_a`` every sequence shares; for ideal, offset-free
+    members it is the factorization of ``H_D^(x,y,z)`` on the parity
+    blocks instead (:func:`cycle_unitary`).  Each member's ``1 - F`` equals
+    ``1 - fidelity(cycle_unitary(system, ...), m)`` bit for bit, on either
+    path.
 
     Deterministic for a fixed ``base_seed``: chunks are fixed by member
     index, never by thread count, and the mean/stddev reductions are

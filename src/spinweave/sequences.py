@@ -231,9 +231,12 @@ def validate_cyclic(seq: PulseSequence) -> int:
     proportional to identity.
     """
     u = np.eye(2, dtype=np.complex128)
+    rotations: dict[float, np.ndarray] = {}
     for e in seq.events:
         if e.kind == "pulse":
-            u = collective_rotation(1, e.phase_deg, np.pi / 2) @ u
+            if e.phase_deg not in rotations:
+                rotations[e.phase_deg] = collective_rotation(1, e.phase_deg, np.pi / 2)
+            u = rotations[e.phase_deg] @ u
     sign = np.trace(u).real / 2.0
     residual = float(np.linalg.norm(u - sign * np.eye(2)))
     if not (residual <= CYCLIC_TOL and abs(abs(sign) - 1.0) <= CYCLIC_TOL):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from spinweave import control
 from spinweave.control import (
     DISORDER_SEED_OFFSET,
     ErrorModel,
@@ -37,7 +38,9 @@ from spinweave.spins import (
     dipolar_hamiltonian,
     internal_hamiltonian,
     internal_hamiltonian_stack,
+    magnetization,
     magnetization_sectors,
+    parity_sectors,
     sample_couplings,
     sample_disorder,
 )
@@ -198,10 +201,20 @@ class TestCycleUnitary:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cycle_is_not_unitary(self, bad, monkeypatch):
-        system = SpinSystem.create(sample_couplings(9, 3, 1500.0))
-        kernel = _CycleKernel(internal_hamiltonian_stack([system]), IDEAL)
+        # a disorder field puts WHH on the lab-frame path
+        system = SpinSystem.create(sample_couplings(9, 3, 1500.0), disorder_hz=[20.0, -10.0, 5.0])
+        kernel = _CycleKernel([system], IDEAL)
         blocks = [np.full_like(b, bad) for b in kernel.free.blocks(4e-6)]
         monkeypatch.setattr(kernel.free, "blocks", lambda t: blocks)
+        with pytest.raises(NumericalDiagnosticError, match="not unitary"):
+            kernel.cycles(builtin("WHH"), 4e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parity_cycle_is_not_unitary(self, bad, monkeypatch):
+        system = SpinSystem.create(sample_couplings(9, 3, 1500.0))
+        kernel = _CycleKernel([system], IDEAL)
+        blocks = [np.full_like(b, bad) for b in kernel.parity.blocks(4e-6)]
+        monkeypatch.setattr(kernel.parity, "blocks", lambda t: blocks)
         with pytest.raises(NumericalDiagnosticError, match="not unitary"):
             kernel.cycles(builtin("WHH"), 4e-6)
 
@@ -276,6 +289,73 @@ class TestCycleKernelOracle:
         system = SpinSystem.create([[0.0, 5e5], [5e5, 0.0]])
         with pytest.warns(WeakPulseWarning):
             cycle_unitary(system, builtin("WHH"), ErrorModel(pulse_width=1e-4), 4e-4)
+
+
+MINUS_IDENTITY = parse_sequence("tau - x - tau - x - tau - x - tau - x", "minus_identity")
+
+
+def count_lab_cycles(monkeypatch) -> list[str]:
+    """Names of the sequences that ``_CycleKernel`` composes in the lab frame from now on."""
+    calls = []
+    lab = _CycleKernel._lab_cycles
+    monkeypatch.setattr(_CycleKernel, "_lab_cycles", lambda self, seq, tau: calls.append(seq.name) or lab(self, seq, tau))
+    return calls
+
+
+class TestParityBranch:
+    """Ideal, offset-free cycles walked on parity blocks in the toggling frame."""
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6, 7])
+    def test_matches_lab_kernel_and_expm_oracle(self, n_spins, monkeypatch):
+        systems = [SpinSystem.create(sample_couplings(80 + n_spins + k, n_spins, 5000.0 / 3.0)) for k in range(2)]
+        kernel = _CycleKernel(systems, IDEAL)
+        off_block = np.subtract.outer(magnetization(n_spins), magnetization(n_spins)) % 2 == 1
+        sequences = [builtin(name) for name in BUILTIN_NAMES] + [MINUS_IDENTITY]
+        lab = [kernel._lab_cycles(seq, 4e-6) for seq in sequences]
+        calls = count_lab_cycles(monkeypatch)
+        for seq, expected in zip(sequences, lab):
+            u = kernel.cycles(seq, 4e-6)
+            assert not u[:, off_block].any(), seq.name
+            assert np.abs(u - expected).max() < 1e-12, seq.name
+            assert np.abs(u[1] - expm_cycle_oracle(systems[1], seq, IDEAL, 4e-6)).max() < 1e-12, seq.name
+        assert calls == []
+        assert validate_cyclic(MINUS_IDENTITY) == -1
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "non-cardinal phases",
+            "non-cyclic",
+            "disorder",
+            "global offset",
+            "chemical shift",
+            "pulse width",
+            "rotation error",
+            "transient",
+        ],
+    )
+    def test_other_inputs_take_the_lab_frame_path(self, case, monkeypatch):
+        couplings = sample_couplings(7, 4, 5000.0 / 3.0)
+        fields = {
+            "disorder": {"disorder_hz": [30.0, 0.0, 0.0, 0.0]},
+            "global offset": {"global_offset_hz": 50.0},
+            "chemical shift": {"chemical_shifts_hz": [0.0, 0.0, -20.0, 0.0]},
+        }
+        errors = {
+            "pulse width": ErrorModel(pulse_width=1e-6),
+            "rotation error": ErrorModel(rotation_error=0.01),
+            "transient": ErrorModel.symmetric_transients(0.01),
+        }
+        sequences = {
+            "non-cardinal phases": parse_sequence("tau - p45 - tau - p45 - tau - p45 - tau - p45", "p45"),
+            "non-cyclic": parse_sequence("tau - x - 2tau - y - tau", "non_cyclic"),
+        }
+        system = SpinSystem.create(couplings, **fields.get(case, {}))
+        error, seq = errors.get(case, IDEAL), sequences.get(case, builtin("CORY48"))
+        calls = count_lab_cycles(monkeypatch)
+        u = cycle_unitary(system, seq, error, 4e-6)
+        assert calls == [seq.name]
+        assert np.abs(u - expm_cycle_oracle(system, seq, error, 4e-6)).max() < 1e-12
 
 
 class TestSectorFactorization:
@@ -509,6 +589,24 @@ STACK_SPECS = {
         transient=0.01,
         base_seed=33,
     ),
+    # ideal and offset-free: the parity branch; 6 spins stack 16 members
+    "6-spin-parity-blocks": SweepSpec(
+        parameter="tau",
+        grid=(2e-6, 4e-6),
+        sequences=("WHH", "BR24", "CORY48", "YXX24"),
+        n_spins=6,
+        n_coupling_sets=16,
+        base_seed=34,
+    ),
+    # odd N on the parity branch, in chunks of 4 and 1
+    "7-spin-parity-chunk-boundary": SweepSpec(
+        parameter="tau",
+        grid=(2e-6, 4e-6),
+        sequences=("WHH", "MREV8", "YXX48"),
+        n_spins=7,
+        n_coupling_sets=5,
+        base_seed=35,
+    ),
 }
 
 
@@ -524,6 +622,7 @@ class TestStackedEnsemble:
         for i, value in enumerate(spec.grid):
             disorder_sigma = value if spec.parameter == "disorder_sigma_hz" else spec.disorder_sigma_hz
             rotation = value if spec.parameter == "rotation_error" else spec.rotation_error
+            tau = value if spec.parameter == "tau" else spec.tau
             error = ErrorModel(
                 pulse_width=value if spec.parameter == "pulse_width" else spec.pulse_width,
                 rotation_error=rotation,
@@ -534,7 +633,7 @@ class TestStackedEnsemble:
                 seq = builtin(name)
                 for k, (set_idx, dis_idx) in enumerate(members):
                     system = member_system(spec, set_idx, dis_idx, disorder_sigma)
-                    single = 1.0 - fidelity(cycle_unitary(system, seq, error, spec.tau), m=seq.cycle_windows)
+                    single = 1.0 - fidelity(cycle_unitary(system, seq, error, tau), m=seq.cycle_windows)
                     assert stacked[i, j, k] == single, (value, name, k)
 
     def test_weak_finite_pulse_warns_in_sweep(self):
@@ -583,6 +682,60 @@ class TestEigenphaseFidelity:
         for m in (1, 4):
             values = _eigenphase_fidelity(stack, m)
             assert [fidelity(u, m=m) for u in stack] == list(values)
+
+
+def parity_block_unitary(seed: int, n_spins: int, phases=None) -> np.ndarray:
+    """A unitary with random blocks on the two parity sectors and exact zeros between them.
+
+    ``phases`` sets the eigenphases of the even block instead.
+    """
+    layout = parity_sectors(n_spins)
+    u = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
+    for k, span in enumerate(layout.spans):
+        block = random_unitary(seed + k, span.stop - span.start)
+        if k == 0 and phases is not None:
+            block = (block * np.exp(1j * np.asarray(phases))) @ block.conj().T
+        rows = layout.order[span]
+        u[np.ix_(rows, rows)] = block
+    return u
+
+
+def eigenphase_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Shapes of the stacks ``_eigenphase_fidelity`` solves from now on."""
+    shapes = []
+    solve = control._unitary_eigenphases
+    monkeypatch.setattr(control, "_unitary_eigenphases", lambda u, *a, **k: shapes.append(u.shape) or solve(u, *a, **k))
+    return shapes
+
+
+class TestParitySplitFidelity:
+    """Members with exact zeros between the parity sectors are solved on two blocks of d/2."""
+
+    @pytest.mark.parametrize("n_spins", [1, 2, 4, 5])
+    def test_matches_eigvals_oracle(self, n_spins, monkeypatch):
+        u = parity_block_unitary(3 * n_spins, n_spins)
+        dim = u.shape[0]
+        shapes = eigenphase_shapes(monkeypatch)
+        for m in (1, 3, 16):
+            oracle = min(abs(np.exp(1j * oracle_phases(u) / m).sum()) / dim, 1.0)
+            assert fidelity(u, m=m) == pytest.approx(oracle, rel=0, abs=1e-13)
+        assert set(shapes) == {(1, 2, dim // 2, dim // 2)}
+
+    def test_mixed_stack_equals_one_member_calls(self, monkeypatch):
+        stack = np.stack(
+            [parity_block_unitary(10, 4), random_unitary(11, 16), parity_block_unitary(12, 4), random_unitary(13, 16)]
+        )
+        shapes = eigenphase_shapes(monkeypatch)
+        for m in (1, 4):
+            values = _eigenphase_fidelity(stack, m)
+            assert [fidelity(u, m=m) for u in stack] == list(values)
+        assert (2, 16, 16) in shapes and (2, 2, 8, 8) in shapes
+
+    def test_block_phase_at_pi_warns(self):
+        u = parity_block_unitary(20, 3, phases=[np.pi, 0.1, -0.2, 0.3])
+        assert not u[np.subtract.outer(magnetization(3), magnetization(3)) % 2 == 1].any()
+        with pytest.warns(BranchCutWarning):
+            fidelity(u, m=2)
 
 
 class TestLoglogSlope:

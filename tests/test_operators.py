@@ -114,6 +114,18 @@ class TestHermitianPropagator:
             with pytest.raises(ValueError, match="not Hermitian"):
                 HermitianPropagator(stack, layout)
 
+    def test_block_defect_is_the_whole_matrix_defect(self):
+        # the asymmetry is measured on the gathered blocks, to the same tolerance
+        stack = sector_stack(4, 2)
+        layout = magnetization_sectors(4)
+        a, b = layout.order[layout.spans[2]][:2]
+        stack[1, a, b] += 1e-9 * np.abs(stack[1]).max()
+        with pytest.raises(ValueError, match="not Hermitian") as raised:
+            HermitianPropagator(stack, layout)
+        reported = float(str(raised.value).split("asymmetry ")[1].rstrip(")"))
+        assert reported == pytest.approx(hermiticity_defect(stack).max(), rel=1e-3)
+        assert reported > operators.DEFECT_TOL
+
     def test_rejects_a_layout_of_another_dimension(self):
         with pytest.raises(ValueError, match="layout"):
             HermitianPropagator(sector_stack(3, 1), magnetization_sectors(4))
