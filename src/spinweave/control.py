@@ -30,13 +30,15 @@ import numpy as np
 
 from .aht import MagnusSeries, magnus_series
 from .operators import (
+    DEFECT_TOL,
     MAX_SPINS,
     HermitianPropagator,
     NumericalDiagnosticError,
     Operator,
+    _require_unitary_blocks,
+    _unitarity_defects,
     _unitary_eigenphases,
     as_operator,
-    dagger,
     expm_hermitian,
     require_hermitian,
     require_unitary,
@@ -109,13 +111,6 @@ def _angle_overflows(name: str, value: float) -> bool:
     return name.startswith("transient") and not math.isfinite((math.pi / 2) * value)
 
 
-def _drive_problem(pulse_width: float, rotation_error: float) -> str | None:
-    """Why a finite pulse's drive ``(pi/2)(1 + rotation_error) / pulse_width`` is unusable, or None."""
-    if pulse_width > 0 and not math.isfinite((math.pi / 2) * (1.0 + rotation_error) / pulse_width):
-        return f"pulse_width {pulse_width!r} with rotation_error {rotation_error!r} overflows the pulse drive"
-    return None
-
-
 @dataclass(frozen=True)
 class ErrorModel:
     """Pulse imperfections applied to every pi/2 pulse of a cycle.
@@ -128,7 +123,9 @@ class ErrorModel:
         transient_trailing: trailing-edge counterpart alpha_tr.
 
     Every field must be finite, and so must each rotation angle it sets
-    (:func:`_angle_overflows`) and a finite pulse's drive (:func:`_drive_problem`).
+    (:func:`_angle_overflows`).  A finite pulse is built from its angle
+    and ``h_int t_w``, so no drive ``(pi/2) / t_w`` is formed and every
+    width that fits its window is usable.
     """
 
     pulse_width: float = 0.0
@@ -144,8 +141,6 @@ class ErrorModel:
                 raise ValueError(f"{name} overflows its rotation angle, got {value!r}")
         if self.pulse_width < 0:
             raise ValueError("pulse_width must be nonnegative")
-        if problem := _drive_problem(self.pulse_width, self.rotation_error):
-            raise ValueError(problem)
 
     @classmethod
     def symmetric_transients(
@@ -168,7 +163,8 @@ IDEAL = ErrorModel()
 
 
 def _warn_if_weak(error: ErrorModel, h_norm: float) -> None:
-    if (np.pi / 2) / error.pulse_width < h_norm:
+    """Warn if the pulse angle pi/2 is below the internal phase ``|H| t_w`` it accrues."""
+    if np.pi / 2 < h_norm * error.pulse_width:
         warnings.warn(
             "pulse drive strength below the internal Hamiltonian scale; "
             "the pulse is physically weak",
@@ -178,14 +174,20 @@ def _warn_if_weak(error: ErrorModel, h_norm: float) -> None:
 
 
 def _pulse(phase_deg: float, error: ErrorModel, n_spins: int, h_int: np.ndarray | None) -> np.ndarray:
-    """One pulse; finite pulses take ``h_int`` as one matrix or a (B, d, d) stack."""
+    """One pulse; finite pulses take ``h_int`` as one matrix or a (B, d, d) stack.
+
+    A finite pulse is ``exp(-i G)`` with ``G = h_int t_w + (pi/2)(1 + epsilon) S_phi``;
+    a ``G`` that overflows raises :class:`NumericalDiagnosticError`.
+    """
+    angle = (np.pi / 2) * (1.0 + error.rotation_error)
     if error.is_delta:
-        u = collective_rotation(n_spins, phase_deg, (np.pi / 2) * (1.0 + error.rotation_error))
+        u = collective_rotation(n_spins, phase_deg, angle)
     else:
-        omega1 = (np.pi / 2) / error.pulse_width
-        s_phi = collective_phase_operator(n_spins, phase_deg)
-        generator = h_int + omega1 * (1.0 + error.rotation_error) * s_phi
-        u = expm_hermitian(generator, error.pulse_width)
+        with np.errstate(over="ignore"):
+            generator = h_int * error.pulse_width + angle * collective_phase_operator(n_spins, phase_deg)
+        if not np.isfinite(generator).all():
+            raise NumericalDiagnosticError(f"pulse generator h_int t_w overflows at pulse_width {error.pulse_width!r}")
+        u = expm_hermitian(generator, 1.0)
     if error.transient_leading != 0.0:
         u = u @ collective_rotation(n_spins, phase_deg + 90.0, (np.pi / 2) * error.transient_leading)
     if error.transient_trailing != 0.0:
@@ -205,7 +207,9 @@ def pulse_unitary(
     kick (90 deg out of phase), the (1 + epsilon)-scaled main rotation, and
     the trailing kick.  Finite pulses evolve under
     ``h_int + omega_1 (1 + epsilon) S_phi`` for ``t_w`` with
-    ``omega_1 t_w = pi/2``, sandwiched by the same instantaneous edge kicks.
+    ``omega_1 t_w = pi/2``, sandwiched by the same instantaneous edge kicks;
+    the propagator is built as ``exp(-i (h_int t_w + (pi/2)(1 + epsilon) S_phi))``,
+    so ``omega_1`` itself is never formed.
     """
     if not error.is_delta:
         if h_int is None:
@@ -274,7 +278,11 @@ class _CycleKernel:
             except NonCyclicSequenceError:
                 pass
         u = self._lab_cycles(seq, tau) if sign is None else self._parity_cycles(seq, tau, sign)
-        _check_unitary(u, seq)
+        defect = _unitarity_defects(u)
+        if not np.all(defect <= DEFECT_TOL):
+            raise NumericalDiagnosticError(
+                f"cycle propagator of {seq.name!r} is not unitary (defect {defect.max():.3e})"
+            )
         return u if sign is None else _parity_blocks(self.n_spins).to_standard(u)
 
     def _parity_cycles(self, seq: PulseSequence, tau: float, sign: int) -> np.ndarray:
@@ -351,24 +359,6 @@ class _CycleKernel:
         return u
 
 
-def _check_unitary(u: np.ndarray, seq: PulseSequence) -> None:
-    """Raise unless each member of a (B, ..., k, k) block stack is unitary to 1e-10.
-
-    The defect is ``|u^dag u - I|_F / sqrt(rows)`` over all of a member's
-    blocks; for blocks of an orthonormal basis it is the defect of the
-    standard-basis matrix, and a block repeated by a symmetry repeats its share.
-    """
-    k = u.shape[-1]
-    residual = np.matmul(dagger(u), u).reshape(len(u), -1, k * k)
-    residual[..., :: k + 1] -= 1.0
-    residual = residual.reshape(len(u), -1).view(np.float64)
-    defect = np.sqrt(np.einsum("bi,bi->b", residual, residual) / (u[0].size // k))
-    if not np.all(defect <= 1e-10):
-        raise NumericalDiagnosticError(
-            f"cycle propagator of {seq.name!r} is not unitary (defect {defect.max():.3e})"
-        )
-
-
 def cycle_unitary(
     system: SpinSystem,
     seq: PulseSequence,
@@ -408,42 +398,37 @@ def cycle_unitary(
     return _CycleKernel([system], error).cycles(seq, tau)[0]
 
 
-@functools.cache
-def _parity_split(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the d x d elements between even and odd down-spin parity, and the (2, d/2) states of each parity (built once per d)."""
-    layout = parity_sectors(dim.bit_length() - 1)
-    halves = np.stack([layout.order[span] for span in layout.spans])
-    odd = np.zeros(dim, dtype=bool)
-    odd[halves[1]] = True
-    off_block = odd[:, None] != odd
-    for arr in (halves, off_block):
-        arr.flags.writeable = False
-    return off_block, halves
-
-
-def _eigenphase_fidelity(u: np.ndarray, m: int) -> np.ndarray:
+def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarray:
     """``|Tr(u^{1/m})| / d`` of each member of a (B, d, d) unitary stack, shape (B,).
 
     The principal root maps each eigenphase ``theta`` in ``(-pi, pi]`` to
     ``theta / m``; the phases come from ``eigvalsh`` of the centred Cayley
     transform (:func:`spinweave.operators._unitary_eigenphases`, which
     :func:`unitary_root` shares), and no eigenbasis is needed for the
-    trace.  A member whose elements between even and odd down-spin parity
-    are all exactly zero is solved on its two :func:`parity_sectors` blocks
-    of d/2, each centred on its own trace phase, and the two complex block
-    traces are summed before the division by d.
+    trace.  A member whose two off-diagonal blocks between the
+    :func:`parity_sectors` halves are exactly zero is solved on its two
+    diagonal blocks of d/2, each centred on its own trace phase, and the
+    two complex block traces are summed before the division by d.  With
+    ``check``, each member is first checked unitary to ``DEFECT_TOL`` on
+    the blocks it is solved on (``ValueError``).
     """
     dim = u.shape[-1]
-    split = ~u[:, _parity_split(dim)[0]].any(axis=1) if dim > 1 else np.zeros(len(u), dtype=bool)
-    if not split.any():
-        tr = np.exp(1j * _unitary_eigenphases(u, m, stacklevel=3) / m).sum(axis=-1)
-    else:
-        tr = np.empty(len(u), dtype=np.complex128)
-        if not split.all():
-            tr[~split] = np.exp(1j * _unitary_eigenphases(u[~split], m, stacklevel=3) / m).sum(axis=-1)
-        halves = _parity_split(dim)[1]
-        blocks = u[split][:, halves[:, :, None], halves[:, None, :]]
-        tr[split] = np.exp(1j * _unitary_eigenphases(blocks, m, stacklevel=3) / m).sum(axis=-1).sum(axis=-1)
+    parts = [(slice(None), u)]  # (members, the stack they are solved on)
+    if dim > 1:
+        halves = parity_sectors(dim.bit_length() - 1).order.reshape(2, -1)
+        rows, cols = halves[:, :, None], halves[:, None, :]
+        split = ~(u[:, rows[0], cols[1]].any(axis=(1, 2)) | u[:, rows[1], cols[0]].any(axis=(1, 2)))
+        if split.any():
+            members = np.flatnonzero(split)
+            parts = [(~split, u[~split]), (split, u[members[:, None, None, None], rows, cols])]
+    tr = np.empty(len(u), dtype=np.complex128)
+    for members, stack in parts:
+        if len(stack):
+            if check:
+                _require_unitary_blocks(stack)
+            roots = np.exp(1j * _unitary_eigenphases(stack, m, stacklevel=3) / m)
+            # block traces first, then their sum
+            tr[members] = roots.sum(axis=-1).reshape(len(stack), -1).sum(axis=-1)
     return np.minimum(np.abs(tr) / dim, 1.0)
 
 
@@ -458,18 +443,18 @@ def fidelity(u_exp: Operator, u_th: Operator | None = None, m: int = 1) -> float
     phases come from ``eigvalsh`` of the trace-centred Cayley transform of
     ``u_exp`` (recentred once if a phase sits near the cut), by the helper
     that scores whole member stacks in :func:`ensemble_fidelity`.  The input
-    must be unitary to 1e-10; eigenvalues off the unit circle (a Cayley
-    transform more than 1e-7 from Hermitian) raise
+    must be unitary to 1e-10 (else ``ValueError``); eigenvalues off the unit
+    circle (a Cayley transform more than 1e-7 from Hermitian) raise
     :class:`NumericalDiagnosticError`, and for ``m > 1`` an eigenphase
     within 1e-9 of the branch cut at pi warns :class:`BranchCutWarning`.
     A ``u_exp`` whose elements between even and odd down-spin parity are
     all exactly zero, as every parity-path :func:`cycle_unitary` is, is
-    solved on its two parity blocks of d/2 and the block traces summed.
-    With a target the explicit root of :func:`unitary_root`, built from
+    checked unitary and solved on its two :func:`parity_sectors` blocks of
+    d/2, and the block traces are summed.  With a target the explicit root of :func:`unitary_root`, built from
     ``eigh`` of the same transform, is used.
     """
     if u_th is None:
-        return float(_eigenphase_fidelity(require_unitary(u_exp)[None], m)[0])
+        return float(_eigenphase_fidelity(as_operator(u_exp)[None], m, check=True)[0])
     u_exp = as_operator(u_exp)
     u_th = require_unitary(u_th)
     if u_th.shape != u_exp.shape:
@@ -590,8 +575,7 @@ class SweepSpec:
     :class:`ConfigError` listing every broken rule.  Every Philox key the
     ensemble draws must stay below 2**128, the grid must increase strictly,
     and each pulse must fit its window (:func:`spinweave.sequences.schedule`)
-    at each (tau, pulse_width) of the sweep, with a finite drive
-    (:func:`_drive_problem`) at each (pulse_width, rotation_error).
+    at each (tau, pulse_width) of the sweep.
     Sequence names are normalized to upper case.
     """
 
@@ -649,8 +633,6 @@ class SweepSpec:
         if not errors:
             taus = self.grid if self.parameter == "tau" else (self.tau,)
             widths = self.grid if self.parameter == "pulse_width" else (self.pulse_width,)
-            epsilons = self.grid if self.parameter == "rotation_error" else (self.rotation_error,)
-            errors += filter(None, (_drive_problem(w, e) for w in widths for e in epsilons))
             for name in self.sequences:
                 try:
                     for tau, width in ((t, w) for t in taus for w in widths if w > 0):  # a delta pulse fits

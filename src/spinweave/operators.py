@@ -133,13 +133,31 @@ def require_hermitian(h: npt.ArrayLike) -> Operator:
     return h
 
 
-def require_unitary(u: npt.ArrayLike) -> Operator:
-    """``u`` as a complex matrix with ``|u^dag u - I|_F / sqrt(d)`` at most ``DEFECT_TOL``."""
-    u = as_operator(u)
-    dim = u.shape[0]
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(dim)) / np.sqrt(dim))
+def _unitarity_defects(blocks: np.ndarray) -> npt.NDArray[np.float64]:
+    """``|u^dag u - I|_F / sqrt(rows)`` of each member of a (B, ..., k, k) block stack, shape (B,).
+
+    A member's blocks are its diagonal blocks in some orthonormal basis,
+    with zeros elsewhere, so this is the defect of the whole matrix; a
+    block repeated by a symmetry is passed once and repeats its share.
+    """
+    k = blocks.shape[-1]
+    residual = np.matmul(dagger(blocks), blocks).reshape(len(blocks), -1, k * k)
+    residual[..., :: k + 1] -= 1.0
+    residual = residual.reshape(len(blocks), -1).view(np.float64)
+    return np.sqrt(np.einsum("bi,bi->b", residual, residual) / (blocks[0].size // k))
+
+
+def _require_unitary_blocks(blocks: np.ndarray) -> None:
+    """Raise unless every member of a (B, ..., k, k) block stack is unitary to ``DEFECT_TOL``."""
+    defect = _unitarity_defects(blocks).max()
     if not defect <= DEFECT_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+
+
+def require_unitary(u: npt.ArrayLike) -> Operator:
+    """``u`` as a complex matrix with ``|u^dag u - I|_F / sqrt(d)`` (:func:`_unitarity_defects`) at most ``DEFECT_TOL``."""
+    u = as_operator(u)
+    _require_unitary_blocks(u[None])
     return u
 
 
@@ -284,7 +302,8 @@ def _unitary_eigenphases(u: np.ndarray, m: int, basis: bool = False, stacklevel:
     Returns ``theta`` with the shape of ``u`` minus its last axis, and with
     ``basis`` also ``V`` (shape of ``u``) with ``u = V diag(e^{i theta}) V^dag``.
     """
-    stack = u.reshape(-1, *u.shape[-2:])
+    # _cayley shifts the diagonal through a flat view, which needs C order
+    stack = np.ascontiguousarray(u).reshape(-1, *u.shape[-2:])
     solve = np.linalg.eigh if basis else (lambda k: (np.linalg.eigvalsh(k), None))
     mu = np.angle(np.trace(stack, axis1=-2, axis2=-1))
     try:

@@ -20,9 +20,9 @@ of each sector.  Its matrix elements are placed from per-N pair tables
 the sector layout, so a stack of members is built in a few array
 operations (:func:`internal_hamiltonian_stack`), and so is
 :func:`dq_hamiltonian`, block-diagonal by :func:`parity_sectors`.
-The same tables place ``H_D`` with its axis turned to x, y or z straight
-into the global-parity blocks of :class:`_ParityBlocks`, on which the cycle
-kernel walks ideal, offset-free cycles.
+The same tables place ``H_D`` with its axis turned to x, y or z, whose
+global-parity blocks (:class:`_ParityBlocks`) the cycle kernel walks for
+ideal, offset-free cycles.
 
 Random ensembles use the counter-based Philox generator keyed directly by
 the user seed, so samples are reproducible bit-for-bit across runs and
@@ -336,7 +336,7 @@ def _pair_tables(n_spins: int) -> _PairTables:
 
 @dataclass(frozen=True)
 class _ParityBlocks:
-    """Parity blocks of the ``n``-spin space, and the terms that place ``H_D^(x,y,z)`` in them.
+    """Parity blocks of the ``n``-spin space, on which ``H_D^(x,y,z)`` are block-diagonal.
 
     ``H_D^(a) = sum_{i<j} d_ij (3 S_a^i S_a^j - S^i . S^j)`` commutes with
     ``Z^{(x)n}`` and with ``X^{(x)n}``, which maps state ``s`` to
@@ -349,19 +349,27 @@ class _ParityBlocks:
 
     Attributes:
         states: (2, k) for even n, (1, k) for odd n.
-        target: flat index of each term into the (blocks, k, k) stack.
-        pair: the pair whose coupling scales each term.
-        values: (3, terms) coefficients of the x, y and z axes.
     """
 
     states: npt.NDArray[np.intp]
-    target: npt.NDArray[np.intp]
-    pair: npt.NDArray[np.intp]
-    values: npt.NDArray[np.float64]
 
     @property
     def blocks(self) -> int:
         return 4 if len(self.states) == 2 else 1
+
+    def from_standard(self, h: np.ndarray) -> np.ndarray:
+        """The (B, blocks, k, k) blocks of a (B, d, d) standard-basis stack that commutes with both parities.
+
+        The index inverse of :meth:`to_standard`: block ``(sigma, p)`` is
+        ``h[s, t] + sigma h[s, ~t]`` over ``s, t`` in ``states[p]``.
+        """
+        states = self.states
+        rows = states[:, :, None]
+        same = h[:, rows, states[:, None, :]]
+        if len(states) == 1:
+            return same
+        swapped = h[:, rows, h.shape[-1] - 1 - states[:, None, :]]
+        return np.concatenate([same + swapped, same - swapped], axis=1)
 
     def to_standard(self, blocks: np.ndarray) -> np.ndarray:
         """The (B, d, d) standard-basis operator of a (B, blocks, k, k) block stack."""
@@ -382,65 +390,39 @@ class _ParityBlocks:
 
 @functools.cache
 def _parity_blocks(n_spins: int) -> _ParityBlocks:
-    """The parity blocks of the ``n_spins`` space and their term tables (built once per n)."""
-    tables = _pair_tables(n_spins)
-    dim = 1 << n_spins
-    n_pairs = len(tables.pairs[0])
-    parity = _bit_table(n_spins).sum(axis=1) % 2
-    # the standard-basis elements of H_D^(a): per pair, its 2 m_i m_j
-    # diagonal, its flip-flop and its double-quantum elements
-    diagonal_pair, diagonal_state = np.divmod(np.arange(n_pairs * dim), dim)
-    rows = np.concatenate([diagonal_state, tables.flip_rows, tables.dq_rows])
-    cols = np.concatenate([diagonal_state, tables.flip_cols, tables.dq_cols])
-    pair = np.concatenate([diagonal_pair, tables.flip_pair, tables.dq_pair])
-    values = np.concatenate(
-        [
-            np.outer([-0.5, -0.5, 1.0], tables.diagonal[:n_pairs].ravel()),
-            np.repeat([[0.25], [0.25], [-0.5]], len(tables.flip_rows), axis=1),
-            np.repeat([[0.75], [-0.75], [0.0]], len(tables.dq_rows), axis=1),
-        ],
-        axis=1,
-    )
-    states = np.arange(dim)
-    if n_spins % 2:
-        keep = parity[rows] == 0
-        members = states[parity == 0][None]
-    else:
-        # a row ~s repeats row s; a column ~t folds onto t, with sign sigma
-        keep = rows < dim // 2
-        members = np.stack([states[: dim // 2][parity[: dim // 2] == p] for p in (0, 1)])
-    rows, cols, pair, values = rows[keep], cols[keep], pair[keep], values[:, keep]
-    block = parity[rows]
-    k = members.shape[1]
-    position = np.empty(dim, dtype=np.intp)
-    position[members] = np.arange(k)
-    if n_spins % 2 == 0:
-        folded = cols >= dim // 2
-        cols = np.where(folded, dim - 1 - cols, cols)
-        block = np.concatenate([block, block + 2])
-        rows, cols, pair = (np.tile(a, 2) for a in (rows, cols, pair))
-        values = np.concatenate([values, np.where(folded, -values, values)], axis=1)
-    target = (block * k + position[rows]) * k + position[cols]
-    for arr in (members, target, pair, values):
-        arr.flags.writeable = False
-    return _ParityBlocks(members, target, pair, values)
+    """The parity blocks of the ``n_spins`` space (built once per n), from the halves of :func:`parity_sectors`."""
+    halves = parity_sectors(n_spins).order.reshape(2, -1)
+    # each half lists its states in basis order, those with spin 0 up first
+    return _ParityBlocks(halves[:1] if n_spins % 2 else halves[:, : halves.shape[1] // 2])
 
 
 def _toggled_dipolar_blocks(couplings_hz: np.ndarray) -> np.ndarray:
     """``H_D^(x)``, ``H_D^(y)`` and ``H_D^(z)`` of (B, n, n) couplings on the parity blocks, in rad/s.
 
-    Shape (B, 3, blocks, k, k) (:class:`_ParityBlocks`); each term is placed
-    straight from the pair tables, with no d x d intermediate.
+    Shape (B, 3, blocks, k, k) (:class:`_ParityBlocks`).  Each axis is
+    placed as a real (B, d, d) stack from the pair tables, one at a time: a
+    pair's ``2 m_i m_j`` diagonal, flip-flop and double-quantum elements
+    take the factors (-1/2, 1/4, 3/4) in ``H_D^(x)``, (-1/2, 1/4, -3/4) in
+    ``H_D^(y)`` and (1, -1/2, 0) in ``H_D^(z)``.  The blocks are read off by
+    :meth:`_ParityBlocks.from_standard`.
     """
     batch, n = couplings_hz.shape[:2]
     tables, parity = _pair_tables(n), _parity_blocks(n)
-    k = parity.states.shape[1]
-    size = parity.blocks * k * k
+    dim, k = 1 << n, parity.states.shape[1]
     d = TWO_PI * couplings_hz[:, tables.pairs[0], tables.pairs[1]]
-    weights = parity.values[None] * d[:, None, parity.pair]
-    index = parity.target + size * np.arange(3 * batch).reshape(batch, 3, 1)
-    h = np.bincount(index.ravel(), weights.ravel(), minlength=3 * batch * size)
-    return h.reshape(batch, 3, parity.blocks, k, k).astype(np.complex128)
+    # sum_ij 2 m_i m_j d_ij, which each axis scales by a power of two, exactly;
+    # every element is added to zeros, so a zero coupling leaves +0.0
+    zz = (d[:, :, None] * tables.diagonal[: d.shape[1]]).sum(axis=1)
+    out = np.empty((batch, 3, parity.blocks, k, k), dtype=np.complex128)
+    h = np.empty((batch, dim, dim))
+    for axis, (diagonal, flip, dq) in enumerate(((-0.5, 0.25, 0.75), (-0.5, 0.25, -0.75), (1.0, -0.5, 0.0))):
+        h.fill(0.0)
+        h.reshape(batch, -1)[:, :: dim + 1] += diagonal * zz
+        h[:, tables.flip_rows, tables.flip_cols] += flip * d[:, tables.flip_pair]
+        if dq:
+            h[:, tables.dq_rows, tables.dq_cols] += dq * d[:, tables.dq_pair]
+        out[:, axis] = parity.from_standard(h)
+    return out
 
 
 def _hamiltonian_stack(couplings_hz: np.ndarray, offsets_hz: np.ndarray) -> np.ndarray:

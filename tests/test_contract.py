@@ -24,6 +24,7 @@ from spinweave.control import (
     NumericalDiagnosticError,
     SweepSpec,
     cycle_unitary,
+    ensemble_fidelity,
 )
 from spinweave.experiments import (
     DecayCurve,
@@ -183,11 +184,14 @@ class TestMotivatingDefects:
             autocorrelation(SYSTEM, WHH, IDEAL, 4e-6, "x", [0, block])
 
     @pytest.mark.parametrize("fields", [{"pulse_width": 1e-320}, {"pulse_width": 1e-6, "rotation_error": 1e305}])
-    def test_overflowing_pulse_drive_rejected(self, fields):
-        # both pulse angles are finite; the cycle once ended in "matrix is
-        # not Hermitian (relative asymmetry nan)"
-        with pytest.raises(ValueError, match="pulse_width .* overflows the pulse drive"):
-            cycle_unitary(SYSTEM, WHH, ErrorModel(**fields))
+    def test_overflowing_pulse_drive_is_finite(self, fields):
+        # both pulse angles are finite, but the drive (pi/2)(1 + rotation_error)
+        # / pulse_width is not; the cycle once ended in "matrix is not Hermitian
+        # (relative asymmetry nan)".  A pulse is built from its angle and
+        # h_int t_w, so the drive is never formed
+        u = cycle_unitary(SYSTEM, WHH, ErrorModel(**fields))
+        assert np.isfinite(u).all()
+        assert np.abs(u.conj().T @ u - np.eye(len(u))).max() < 1e-12
 
     @pytest.mark.parametrize(
         "parameter,grid,fields",
@@ -197,9 +201,16 @@ class TestMotivatingDefects:
             ("tau", (4e-6,), {"pulse_width": 1e-320}),
         ],
     )
-    def test_sweep_with_overflowing_pulse_drive_rejected(self, parameter, grid, fields):
-        with pytest.raises(ConfigError, match="pulse_width .* overflows the pulse drive"):
-            SweepSpec(parameter, grid, ("WHH",), n_spins=3, n_coupling_sets=1, **fields)
+    def test_sweep_with_overflowing_pulse_drive_is_finite(self, parameter, grid, fields):
+        spec = SweepSpec(parameter, grid, ("WHH",), n_spins=3, n_coupling_sets=1, **fields)
+        rows = ensemble_fidelity(spec, threads=1)
+        assert len(rows) == len(grid)
+        assert all(math.isfinite(r.mean_infidelity) and 0.0 <= r.mean_infidelity <= 1.0 for r in rows)
+
+    def test_absurd_pulse_width_is_a_diagnostic(self):
+        # h_int t_w overflows: an explicit diagnostic, not nan
+        with pytest.raises(NumericalDiagnosticError, match="pulse generator h_int t_w overflows"):
+            cycle_unitary(SYSTEM, WHH, ErrorModel(pulse_width=1e306), tau=1e306)
 
     def test_seed_beyond_philox_keys_rejected_before_any_draw(self):
         # the second coupling set's key, base_seed + 1, is 2**128

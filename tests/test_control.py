@@ -731,6 +731,23 @@ class TestParitySplitFidelity:
             assert [fidelity(u, m=m) for u in stack] == list(values)
         assert (2, 16, 16) in shapes and (2, 2, 8, 8) in shapes
 
+    def test_one_by_one_unitary(self):
+        # d = 1 has no parity halves
+        assert fidelity([[1j]], m=2) == 1.0
+        with pytest.raises(ValueError, match="not unitary"):
+            fidelity([[1.1]])
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, 0.0])
+    def test_non_unitary_split_input_is_rejected(self, scale, monkeypatch):
+        # exact zeros between the parities, so the input is checked on its halves
+        u = parity_block_unitary(30, 4)
+        odd = parity_sectors(4).order[8:]
+        u[np.ix_(odd, odd)] *= scale
+        shapes = eigenphase_shapes(monkeypatch)
+        with pytest.raises(ValueError, match="not unitary"):
+            fidelity(u, m=4)
+        assert shapes == []
+
     def test_block_phase_at_pi_warns(self):
         u = parity_block_unitary(20, 3, phases=[np.pi, 0.1, -0.2, 0.3])
         assert not u[np.subtract.outer(magnetization(3), magnetization(3)) % 2 == 1].any()

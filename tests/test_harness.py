@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -154,12 +155,17 @@ class TestValidateConfig:
         assert result.exit_code == 2, result.output
         assert "rotation_error must be a number" in result.output
 
-    def test_overflowing_pulse_drive_exits_2(self, tmp_path):
-        args = ["--set", "pulse_width_s=1e-320", "--set", "sweep.parameter=rotation_error", "--set", "sweep.grid=[0.0]"]
+    def test_overflowing_pulse_drive_sweeps_finite(self, tmp_path):
+        # the drive (pi/2) / pulse_width overflows; the pulse is built from its angle
+        args = [
+            "--set", "pulse_width_s=1e-320", "--set", "n_spins=3", "--set", "n_coupling_sets=1",
+            "--set", 'sequences=["WHH"]', "--set", "sweep.parameter=rotation_error", "--set", "sweep.grid=[0.0]",
+        ]
         result = CliRunner().invoke(main, ["sweep", *args, "--output", str(tmp_path / "out.csv")])
-        assert result.exit_code == 2, result.output
-        assert "pulse_width_s 1e-320 with rotation_error 0.0 overflows the pulse drive" in result.output
-        assert not (tmp_path / "out.csv").exists()
+        assert result.exit_code == 0, result.output
+        rows = [l for l in (tmp_path / "out.csv").read_text().splitlines() if not l.startswith("#")]
+        infidelity = float(rows[1].split(",")[rows[0].split(",").index("mean_infidelity")])
+        assert 0.0 <= infidelity < 1e-6
 
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_config_digest_is_pinned(self, name):
@@ -430,7 +436,6 @@ class TestCli:
             (["exp", "autocorr", "--seq", "WHH", "--pulse-width", "5e-6"], "--pulse-width"),
             (["exp", "autocorr", "--seq", "WHH", "--blocks", "-1,2"], "--blocks"),
             (["exp", "autocorr", "--seq", "WHH", "--blocks", "0,100000000000000000000"], "--blocks"),
-            (["exp", "autocorr", "--seq", "WHH", "--pulse-width", "1e-320"], "--pulse-width"),
             (["exp", "autocorr", "--seq", "WHH", "--coupling-sigma-hz", "0"], "--coupling-sigma-hz"),
             (["exp", "mqc", "--phi-count", "3"], "--phi-count"),
             (["exp", "mqc", "--spins", "11"], "--spins"),
@@ -450,6 +455,24 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert named in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_exp_autocorr_overflowing_pulse_drive_is_finite(self, tmp_path):
+        # the drive (pi/2) / pulse_width overflows; the pulse is built from its angle
+        out = tmp_path / "ac.csv"
+        args = ["exp", "autocorr", "--seq", "WHH", "--spins", "3", "--pulse-width", "1e-320", "--output", str(out)]
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        values = [float(v) for row in rows for v in row]
+        assert rows and all(math.isfinite(v) for v in values)
+
+    def test_absurd_pulse_width_exits_3(self, tmp_path):
+        # h_int t_w overflows at t_w = 1e306 s
+        args = ["exp", "autocorr", "--seq", "WHH", "--spins", "2", "--tau", "1e306", "--pulse-width", "1e306"]
+        result = self.runner.invoke(main, args + ["--output", str(tmp_path / "ac.csv")])
+        assert result.exit_code == 3, result.output
+        assert "pulse generator h_int t_w overflows" in result.output
         assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_still_exits_3(self, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from spinweave import operators
 from spinweave.operators import (
     BranchCutWarning,
     HermitianPropagator,
+    _unitarity_defects,
     _unitary_eigenphases,
     expm_hermitian,
     frobenius_magnitude,
@@ -166,6 +167,29 @@ class TestHermiticityChecks:
             require_unitary(h)
 
 
+class TestUnitarityDefects:
+    def test_member_defects_match_dense_norm(self):
+        stack = np.stack([random_unitary(k, 8) for k in range(3)])
+        stack[1] *= 1.0 + 1e-6
+        stack[2, 3, 4] += 1e-3
+        defects = _unitarity_defects(stack)
+        assert defects.shape == (3,)
+        for defect, u in zip(defects, stack):
+            dense = np.linalg.norm(u.conj().T @ u - np.eye(8)) / np.sqrt(8)
+            assert defect == pytest.approx(dense, rel=1e-10, abs=1e-15)
+        assert defects[0] < 1e-14 < defects[1] < defects[2]
+
+    def test_blocks_give_the_defect_of_their_direct_sum(self):
+        blocks = np.stack([random_unitary(k, 4) for k in range(2)])
+        blocks[1] *= 1.0 + 1e-5
+        whole = np.zeros((8, 8), dtype=complex)
+        whole[:4, :4], whole[4:, 4:] = blocks
+        dense = np.linalg.norm(whole.conj().T @ whole - np.eye(8)) / np.sqrt(8)
+        assert _unitarity_defects(blocks[None])[0] == pytest.approx(dense, rel=1e-10)
+        with pytest.raises(ValueError, match="not unitary"):
+            require_unitary(whole)
+
+
 class TestUnitaryRoot:
     def test_first_root_is_input(self):
         u = random_unitary(3, 4)
@@ -254,6 +278,18 @@ class TestUnitaryEigenphases:
         for b, u in enumerate(stack):
             assert_same_circle_points(theta[b], oracle_phases(u))
             assert np.array_equal(_unitary_eigenphases(u, 1), theta[b])
+
+    def test_transposed_stack_matches_contiguous_copy(self):
+        # the Cayley shift of the diagonal goes through a flat view; on a
+        # transposed stack it once landed in a copy and was lost, and these
+        # unitaries read "off the unit circle (Cayley skew 1.265e+00)"
+        stack = np.stack([random_unitary(seed, 4) for seed in range(3)]).transpose(0, 2, 1)
+        assert not stack.flags.c_contiguous
+        contiguous = np.ascontiguousarray(stack)
+        assert np.array_equal(_unitary_eigenphases(stack, 1), _unitary_eigenphases(contiguous, 1))
+        theta, v = _unitary_eigenphases(stack, 1, basis=True)
+        theta_ref, v_ref = _unitary_eigenphases(contiguous, 1, basis=True)
+        assert np.array_equal(theta, theta_ref) and np.array_equal(v, v_ref)
 
     @pytest.mark.parametrize("dim", [4, 16, 256])
     @pytest.mark.parametrize("kind", SPECTRA)

@@ -8,6 +8,8 @@ from spinweave.operators import commutator, expm_hermitian, frobenius_magnitude
 from spinweave.spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
+    _parity_blocks,
+    _toggled_dipolar_blocks,
     collective_operator,
     collective_rotation,
     dipolar_hamiltonian,
@@ -386,6 +388,62 @@ class TestMagnetizationSectors:
         layout = magnetization_sectors(4)
         with pytest.raises(ValueError):
             layout.order[0] = 1
+
+
+def butterfly_basis(n_spins: int) -> np.ndarray:
+    """(blocks, d, k) columns of the parity blocks, built from bit counts alone.
+
+    Even n: ``(|s> + sigma |~s>) / sqrt(2)`` for the states ``s`` with spin 0
+    up and ``p`` down spins modulo 2, blocks ordered (+, 0), (+, 1), (-, 0),
+    (-, 1).  Odd n: ``|s>`` for the states with an even number of down spins.
+    """
+    dim = 1 << n_spins
+    parity = np.array([bin(s).count("1") % 2 for s in range(dim)])
+    if n_spins % 2:
+        return np.eye(dim)[:, parity == 0][None]
+    blocks = []
+    for sign in (1.0, -1.0):
+        for p in (0, 1):
+            states = [s for s in range(dim // 2) if parity[s] == p]
+            columns = np.zeros((dim, len(states)))
+            columns[states, range(len(states))] = 1.0 / np.sqrt(2.0)
+            columns[[dim - 1 - s for s in states], range(len(states))] += sign / np.sqrt(2.0)
+            blocks.append(columns)
+    return np.stack(blocks)
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6, 7])
+    def test_toggled_blocks_match_embedded_spin_projection(self, n_spins):
+        couplings = np.stack([sample_couplings(60 + n_spins + k, n_spins) for k in range(2)])
+        blocks = _toggled_dipolar_blocks(couplings)
+        basis = butterfly_basis(n_spins)
+        k = basis.shape[-1]
+        assert blocks.shape == (2, 3, len(basis), k, k)
+        spins = {a: [embedded_spin(n_spins, i, a) for i in range(n_spins)] for a in "xyz"}
+        for member, c in zip(blocks, couplings):
+            for axis, a in enumerate("xyz"):
+                h = sum(
+                    TWO_PI * c[i, j] * (3 * spins[a][i] @ spins[a][j] - sum(spins[b][i] @ spins[b][j] for b in "xyz"))
+                    for i in range(n_spins)
+                    for j in range(i + 1, n_spins)
+                )
+                reference = basis.transpose(0, 2, 1) @ h @ basis
+                scale = np.abs(h).max()
+                assert np.abs(member[axis] - reference).max() <= 1e-12 * scale, (n_spins, a)
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6, 7])
+    def test_from_standard_inverts_to_standard(self, n_spins):
+        parity = _parity_blocks(n_spins)
+        k = parity.states.shape[1]
+        rng = np.random.default_rng(n_spins)
+        blocks = rng.normal(size=(3, parity.blocks, k, k)) + 1j * rng.normal(size=(3, parity.blocks, k, k))
+        back = parity.from_standard(parity.to_standard(blocks))
+        # (a + b) / 2 + (a - b) / 2 is a to one ulp of the larger of a, b
+        pair = np.concatenate([blocks[:, 2:], blocks[:, :2]], axis=1) if parity.blocks == 4 else blocks
+        for part in (np.real, np.imag):
+            ulp = np.spacing(np.maximum(np.abs(part(blocks)), np.abs(part(pair))))
+            assert np.all(np.abs(part(back) - part(blocks)) <= ulp)
 
 
 def test_kron_power_equals_repeated_kron():
