@@ -56,8 +56,9 @@ from .sequences import (
 from .spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
+    _PAIR_FACTORS,
+    _pair_stack,
     _parity_blocks,
-    _toggled_dipolar_blocks,
     collective_phase_operator,
     collective_rotation,
     internal_hamiltonian_stack,
@@ -251,12 +252,10 @@ class _CycleKernel:
         self.error = error
         self.offset_free = error == IDEAL and not any(np.any(s.total_offsets_hz) for s in systems)
         if not error.is_delta:
-            hamiltonians = internal_hamiltonian_stack(systems)
-            self.free = HermitianPropagator(hamiltonians, magnetization_sectors(self.n_spins))
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
             order = self.free.layout.order
             # P_0 F_a per free duration a, P_0 itself at a = 0
-            self.folded = {0.0: _pulse(0.0, error, self.n_spins, hamiltonians)[:, order[:, None], order]}
+            self.folded = {0.0: _pulse(0.0, error, self.n_spins, internal_hamiltonian_stack(systems))[:, order[:, None], order]}
 
     @functools.cached_property
     def free(self) -> HermitianPropagator:
@@ -266,7 +265,9 @@ class _CycleKernel:
     @functools.cached_property
     def parity(self) -> HermitianPropagator:
         """``H_D^(x,y,z)`` of every member on the parity blocks, as one (B * 3 * blocks, k, k) stack."""
-        h = _toggled_dipolar_blocks(np.stack([s.couplings_hz for s in self.systems]))
+        couplings, blocks = np.stack([s.couplings_hz for s in self.systems]), _parity_blocks(self.n_spins)
+        # H_D^(a) is real: gathering its blocks from the real part halves their temporaries
+        h = np.stack([blocks.from_standard(_pair_stack(couplings, _PAIR_FACTORS[a]).real) for a in "xyz"], axis=1)
         return HermitianPropagator(h.reshape(-1, *h.shape[-2:]))
 
     def cycles(self, seq: PulseSequence, tau: float) -> np.ndarray:

@@ -105,23 +105,30 @@ def hermiticity_defect(h: npt.ArrayLike) -> float | npt.NDArray[np.float64]:
     A float for one matrix; for a (B, d, d) stack, the (B,) defects of its members.
     """
     h = np.asarray(h)
-    if h.ndim == 2:
-        scale = np.linalg.norm(h)
-        return 0.0 if scale == 0.0 else float(np.linalg.norm(h - h.conj().T) / scale)
-    scale = np.linalg.norm(h, axis=(-2, -1))
-    skew = np.linalg.norm(h - dagger(h), axis=(-2, -1))
-    return np.divide(skew, scale, out=np.zeros_like(scale), where=scale != 0.0)
+    defect = _hermiticity_defects([h])
+    return float(defect) if h.ndim == 2 else defect
+
+
+def _hermiticity_defects(blocks: list[np.ndarray]) -> npt.NDArray[np.float64]:
+    """:func:`hermiticity_defect` of each member of the matrix with these diagonal blocks, and zeros elsewhere.
+
+    The norms are summed in squares over the blocks; off-block elements add
+    nothing to either.  Each member is first scaled by ``2**-e``, where
+    ``2**e`` is the power of two just above its largest |element|, so the
+    norms neither overflow nor underflow.
+    """
+    peak = np.max([np.abs(b).max(axis=(-2, -1), initial=0.0) for b in blocks], axis=0)
+    # 2**-e with peak = f 2**e, 0.5 <= f < 1; capped where a subnormal peak would overflow it
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(peak)[1], 1021))[..., None, None]
+    blocks = [b * scale for b in blocks]
+    norm = np.sqrt(sum(np.linalg.norm(b, axis=(-2, -1)) ** 2 for b in blocks))
+    skew = np.sqrt(sum(np.linalg.norm(b - dagger(b), axis=(-2, -1)) ** 2 for b in blocks))
+    return np.divide(skew, norm, out=np.zeros_like(norm), where=norm != 0.0)
 
 
 def _require_hermitian_blocks(blocks: list[np.ndarray]) -> None:
-    """Raise unless the matrix with these diagonal blocks, and zeros elsewhere, is Hermitian to ``DEFECT_TOL``.
-
-    The defect is :func:`hermiticity_defect` of each member, summed in
-    squares over the blocks; off-block elements add nothing to either norm.
-    """
-    scale = np.sqrt(sum(np.linalg.norm(b, axis=(-2, -1)) ** 2 for b in blocks))
-    skew = np.sqrt(sum(np.linalg.norm(b - dagger(b), axis=(-2, -1)) ** 2 for b in blocks))
-    defect = np.max(np.divide(skew, scale, out=np.zeros_like(scale), where=scale != 0.0), initial=0.0)
+    """Raise unless the matrix with these diagonal blocks, and zeros elsewhere, is Hermitian to ``DEFECT_TOL``."""
+    defect = np.max(_hermiticity_defects(blocks), initial=0.0)
     if not defect <= DEFECT_TOL:
         raise ValueError(f"matrix is not Hermitian (relative asymmetry {defect:.3e})")
 
@@ -224,7 +231,8 @@ class HermitianPropagator:
     def blocks(self, t: float) -> list[np.ndarray]:
         """Per-span propagators ``exp(-i h_k t)`` in ``layout.spans`` order; an overflowing phase raises."""
         if t not in self._blocks:
-            phases = [np.exp(-1j * w * t) for w, _ in self._factors]
+            with np.errstate(over="ignore", invalid="ignore"):
+                phases = [np.exp(-1j * w * t) for w, _ in self._factors]
             if not all(np.isfinite(p).all() for p in phases):
                 raise NumericalDiagnosticError(f"phases of exp(-i h t) overflow at t = {t!r}")
             self._blocks[t] = [(v * p[..., None, :]) @ dagger(v) for p, (_, v) in zip(phases, self._factors)]

@@ -15,14 +15,16 @@ collective RF pulse.
 The internal Hamiltonian (secular dipolar plus z offsets) conserves total
 S_z, so it is block-diagonal once the basis is sorted by magnetization
 sector; :func:`magnetization_sectors` gives that ordering and the row span
-of each sector.  Its matrix elements are placed from per-N pair tables
-(the ZZ diagonal products and the flip-flop index pairs), cached beside
-the sector layout, so a stack of members is built in a few array
-operations (:func:`internal_hamiltonian_stack`), and so is
-:func:`dq_hamiltonian`, block-diagonal by :func:`parity_sectors`.
-The same tables place ``H_D`` with its axis turned to x, y or z, whose
-global-parity blocks (:class:`_ParityBlocks`) the cycle kernel walks for
-ideal, offset-free cycles.
+of each sector.  One builder, ``_pair_stack``, writes every two-spin
+operator of the package from cached per-N pair tables (each pair's
+``2 m_i m_j`` diagonal, flip-flop and double-quantum elements), with the
+factors of ``_PAIR_FACTORS``: ``H_D`` with its axis turned to x, y or z,
+and ``H_DQ``, plus z offsets.  So a stack of members is built in a few
+array operations (:func:`internal_hamiltonian_stack`), and so are
+:func:`dq_hamiltonian`, block-diagonal by :func:`parity_sectors`, and the
+toggled ``H_D^(x,y,z)``, whose global-parity blocks
+(:class:`_ParityBlocks`) the cycle kernel walks for ideal, offset-free
+cycles.
 
 Random ensembles use the counter-based Philox generator keyed directly by
 the user seed, so samples are reproducible bit-for-bit across runs and
@@ -299,23 +301,17 @@ class _PairTables:
     Attributes:
         pairs: ``(i, j)`` index arrays of the pairs ``i < j``, row-major.
         diagonal: ``(n_pairs + n, dim)`` rows: ``2 m_i m_j`` of each pair,
-            then ``m_i`` of each spin; coefficients times rows, summed, give
-            the diagonal of ``H_D + H_offset``.
-        flip_rows, flip_cols, flip_pair: the flip-flop elements, one per
-            pair and state whose two spins differ: ``h[row, col]`` takes
-            ``-d/2`` of pair ``flip_pair``.  ``dq_*``: the double-quantum
-            elements, where the two spins are equal.  No two pairs share
-            an element.
+            then ``m_i`` of each spin.
+        elements: ``(rows, cols, pair)`` of the flip-flop elements, one per
+            pair and state whose two spins differ, then of the
+            double-quantum elements, where the two spins are equal:
+            ``h[rows, cols]`` takes a multiple of the coupling of pair
+            ``pair``.  No two pairs share an element.
     """
 
     pairs: tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]
     diagonal: npt.NDArray[np.float64]
-    flip_rows: npt.NDArray[np.intp]
-    flip_cols: npt.NDArray[np.intp]
-    flip_pair: npt.NDArray[np.intp]
-    dq_rows: npt.NDArray[np.intp]
-    dq_cols: npt.NDArray[np.intp]
-    dq_pair: npt.NDArray[np.intp]
+    elements: tuple[tuple[npt.NDArray[np.intp], ...], ...]
 
 
 @functools.cache
@@ -328,10 +324,47 @@ def _pair_tables(n_spins: int) -> _PairTables:
     elements = []
     for equal in (False, True):  # flip-flop elements, then double-quantum ones
         states, pair = np.nonzero((bits[:, i] == bits[:, j]) == equal)
-        elements += [states ^ masks[pair], states, pair]
-    for arr in (i, j, diagonal, *elements):
+        elements.append((states ^ masks[pair], states, pair))
+    for arr in (i, j, diagonal, *(a for e in elements for a in e)):
         arr.flags.writeable = False
-    return _PairTables((i, j), diagonal, *elements)
+    return _PairTables((i, j), diagonal, tuple(elements))
+
+
+# Per operator, the factors a pair's coupling d takes on its 2 m_i m_j
+# diagonal, flip-flop and double-quantum elements: H_D with its axis
+# turned to x, y or z, d (3 S_a^i S_a^j - S^i . S^j), and H_DQ.
+_PAIR_FACTORS = {
+    "x": (-0.5, 0.25, 0.75),
+    "y": (-0.5, 0.25, -0.75),
+    "z": (1.0, -0.5, 0.0),
+    "dq": (0.0, 0.0, 0.25),
+}
+
+
+def _pair_stack(
+    couplings_hz: np.ndarray, factors: tuple[float, float, float], offsets_hz: np.ndarray | None = None
+) -> np.ndarray:
+    """The (B, d, d) pair operator of (B, n, n) couplings, plus ``sum_i a_i S_z^i`` of (B, n) offsets, in rad/s.
+
+    ``factors`` is an entry of :data:`_PAIR_FACTORS`.  Every element is
+    added to zeros, so a zero coupling leaves +0.0; the diagonal sums its
+    pair terms, then its offset terms, in table order.
+    """
+    batch, n = couplings_hz.shape[:2]
+    tables = _pair_tables(n)
+    dim = 1 << n
+    d = TWO_PI * couplings_hz[:, tables.pairs[0], tables.pairs[1]]
+    # the diagonal factors are powers of two, so scaling each term scales the sum exactly
+    coefficients = factors[0] * d
+    if offsets_hz is not None:
+        coefficients = np.concatenate([coefficients, TWO_PI * offsets_hz], axis=1)
+    h = np.zeros((batch, dim, dim), dtype=np.complex128)
+    diagonal = tables.diagonal[: coefficients.shape[1]]
+    h.reshape(batch, -1)[:, :: dim + 1] += (coefficients[:, :, None] * diagonal).sum(axis=1)
+    for factor, (rows, cols, pair) in zip(factors[1:], tables.elements):
+        if factor:
+            h[:, rows, cols] += factor * d[:, pair]
+    return h
 
 
 @dataclass(frozen=True)
@@ -396,49 +429,6 @@ def _parity_blocks(n_spins: int) -> _ParityBlocks:
     return _ParityBlocks(halves[:1] if n_spins % 2 else halves[:, : halves.shape[1] // 2])
 
 
-def _toggled_dipolar_blocks(couplings_hz: np.ndarray) -> np.ndarray:
-    """``H_D^(x)``, ``H_D^(y)`` and ``H_D^(z)`` of (B, n, n) couplings on the parity blocks, in rad/s.
-
-    Shape (B, 3, blocks, k, k) (:class:`_ParityBlocks`).  Each axis is
-    placed as a real (B, d, d) stack from the pair tables, one at a time: a
-    pair's ``2 m_i m_j`` diagonal, flip-flop and double-quantum elements
-    take the factors (-1/2, 1/4, 3/4) in ``H_D^(x)``, (-1/2, 1/4, -3/4) in
-    ``H_D^(y)`` and (1, -1/2, 0) in ``H_D^(z)``.  The blocks are read off by
-    :meth:`_ParityBlocks.from_standard`.
-    """
-    batch, n = couplings_hz.shape[:2]
-    tables, parity = _pair_tables(n), _parity_blocks(n)
-    dim, k = 1 << n, parity.states.shape[1]
-    d = TWO_PI * couplings_hz[:, tables.pairs[0], tables.pairs[1]]
-    # sum_ij 2 m_i m_j d_ij, which each axis scales by a power of two, exactly;
-    # every element is added to zeros, so a zero coupling leaves +0.0
-    zz = (d[:, :, None] * tables.diagonal[: d.shape[1]]).sum(axis=1)
-    out = np.empty((batch, 3, parity.blocks, k, k), dtype=np.complex128)
-    h = np.empty((batch, dim, dim))
-    for axis, (diagonal, flip, dq) in enumerate(((-0.5, 0.25, 0.75), (-0.5, 0.25, -0.75), (1.0, -0.5, 0.0))):
-        h.fill(0.0)
-        h.reshape(batch, -1)[:, :: dim + 1] += diagonal * zz
-        h[:, tables.flip_rows, tables.flip_cols] += flip * d[:, tables.flip_pair]
-        if dq:
-            h[:, tables.dq_rows, tables.dq_cols] += dq * d[:, tables.dq_pair]
-        out[:, axis] = parity.from_standard(h)
-    return out
-
-
-def _hamiltonian_stack(couplings_hz: np.ndarray, offsets_hz: np.ndarray) -> np.ndarray:
-    """``H_D + sum_i a_i S_z^i`` in rad/s for (B, n, n) couplings and (B, n) offsets."""
-    batch, n = offsets_hz.shape
-    tables = _pair_tables(n)
-    dim = 1 << n
-    d = TWO_PI * couplings_hz[:, tables.pairs[0], tables.pairs[1]]
-    coefficients = np.concatenate([d, TWO_PI * offsets_hz], axis=1)
-    h = np.zeros((batch, dim, dim), dtype=np.complex128)
-    h[:, tables.flip_rows, tables.flip_cols] = -0.5 * d[:, tables.flip_pair]
-    states = np.arange(dim)
-    h[:, states, states] = (coefficients[:, :, None] * tables.diagonal).sum(axis=1)
-    return h
-
-
 def dipolar_hamiltonian(system: SpinSystem) -> Operator:
     """Secular dipolar Hamiltonian in rad/s.
 
@@ -446,13 +436,13 @@ def dipolar_hamiltonian(system: SpinSystem) -> Operator:
     ``d_ij (2 S_z^i S_z^j - (S_+^i S_-^j + S_-^i S_+^j)/2)``.  Traceless and
     commuting with the total z magnetization.
     """
-    return _hamiltonian_stack(system.couplings_hz[None], np.zeros((1, system.n_spins)))[0]
+    return _pair_stack(system.couplings_hz[None], _PAIR_FACTORS["z"])[0]
 
 
 def offset_hamiltonian(system: SpinSystem) -> Operator:
     """Diagonal offset Hamiltonian ``sum_i a_i S_z^i`` in rad/s."""
     n = system.n_spins
-    return _hamiltonian_stack(np.zeros((1, n, n)), system.total_offsets_hz[None])[0]
+    return _pair_stack(np.zeros((1, n, n)), _PAIR_FACTORS["z"], system.total_offsets_hz[None])[0]
 
 
 def internal_hamiltonian(system: SpinSystem) -> Operator:
@@ -469,8 +459,9 @@ def internal_hamiltonian_stack(systems: Sequence[SpinSystem]) -> np.ndarray:
     n = systems[0].n_spins
     if any(s.n_spins != n for s in systems):
         raise ValueError("a Hamiltonian stack needs systems of one spin count")
-    return _hamiltonian_stack(
+    return _pair_stack(
         np.stack([s.couplings_hz for s in systems]),
+        _PAIR_FACTORS["z"],
         np.stack([s.total_offsets_hz for s in systems]),
     )
 
@@ -482,11 +473,7 @@ def dq_hamiltonian(system: SpinSystem) -> Operator:
     basis states differing by two units of total z magnetization.  ``J``
     is the system's dipolar coupling matrix.
     """
-    tables = _pair_tables(system.n_spins)
-    values = TWO_PI * system.couplings_hz[tables.pairs] / 4.0
-    h = np.zeros((system.dim, system.dim), dtype=np.complex128)
-    h[tables.dq_rows, tables.dq_cols] = values[tables.dq_pair]
-    return h
+    return _pair_stack(system.couplings_hz[None], _PAIR_FACTORS["dq"])[0]
 
 
 def _philox(seed: int) -> np.random.Generator:

@@ -38,6 +38,9 @@ from spinweave.harness import validate_config
 from spinweave.sequences import builtin, schedule
 from spinweave.spins import SpinSystem, sample_couplings, sample_disorder
 
+# an overflow inside a check is a failure, not a warning beside a result
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NEGATIVE = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False, allow_nan=False)
 NON_POSITIVE = st.floats(max_value=0.0, allow_infinity=False, allow_nan=False)
@@ -277,7 +280,6 @@ def test_mqc_phi_count(phi_count):
     rejects_or_finite(lambda: mqc_experiment(SYSTEM, 1e-4, phi_count=phi_count))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_overflowing_phase_is_a_diagnostic_not_nan():
     # exp(-i h t) at the largest float once gave an all-nan MQC spectrum
     with pytest.raises(NumericalDiagnosticError, match="overflow"):

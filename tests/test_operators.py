@@ -151,6 +151,22 @@ class TestHermiticityChecks:
         with pytest.raises(ValueError, match="square"):
             require_hermitian(np.zeros((2, 2, 4, 4)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e200])
+    def test_defect_does_not_depend_on_scale(self, scale):
+        # the norms once overflowed above ~1e154: a near-Hermitian matrix read
+        # 0 at 1e160 and was rejected with a nan asymmetry at 1e200
+        h = random_hermitian(3, 4)
+        skew = np.random.default_rng(4).normal(size=(4, 4))
+        near, far = h + 2e-13 * skew, h + 1e-3 * skew
+        defect = hermiticity_defect(near * scale)
+        assert 0.0 < defect == pytest.approx(hermiticity_defect(near), rel=1e-3)
+        assert np.array_equal(require_hermitian(near * scale), near * scale)
+        with pytest.raises(ValueError, match="not Hermitian") as raised:
+            require_hermitian(far * scale)
+        reported = float(str(raised.value).split("asymmetry ")[1].rstrip(")"))
+        assert reported == pytest.approx(hermiticity_defect(far), rel=1e-3)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_elements_are_rejected(self, bad):
         h = np.eye(4, dtype=complex)

@@ -8,8 +8,9 @@ from spinweave.operators import commutator, expm_hermitian, frobenius_magnitude
 from spinweave.spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
+    _PAIR_FACTORS,
+    _pair_stack,
     _parity_blocks,
-    _toggled_dipolar_blocks,
     collective_operator,
     collective_rotation,
     dipolar_hamiltonian,
@@ -416,7 +417,8 @@ class TestParityBlocks:
     @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6, 7])
     def test_toggled_blocks_match_embedded_spin_projection(self, n_spins):
         couplings = np.stack([sample_couplings(60 + n_spins + k, n_spins) for k in range(2)])
-        blocks = _toggled_dipolar_blocks(couplings)
+        parity = _parity_blocks(n_spins)
+        blocks = np.stack([parity.from_standard(_pair_stack(couplings, _PAIR_FACTORS[a])) for a in "xyz"], axis=1)
         basis = butterfly_basis(n_spins)
         k = basis.shape[-1]
         assert blocks.shape == (2, 3, len(basis), k, k)
@@ -445,6 +447,54 @@ class TestParityBlocks:
             ulp = np.spacing(np.maximum(np.abs(part(blocks)), np.abs(part(pair))))
             assert np.all(np.abs(part(back) - part(blocks)) <= ulp)
 
+
+
+class TestPairStack:
+    @staticmethod
+    def spins(n_spins):
+        return {a: [embedded_spin(n_spins, i, a) for i in range(n_spins)] for a in "xyz"}
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6])
+    def test_dq_factors_match_embedded_spin_oracle(self, n_spins):
+        couplings = np.stack([sample_couplings(80 + n_spins + k, n_spins) for k in range(3)])
+        h = _pair_stack(couplings, _PAIR_FACTORS["dq"])
+        assert h.shape == (3, 1 << n_spins, 1 << n_spins) and h.dtype == np.complex128
+        s = self.spins(n_spins)
+        for member, c in zip(h, couplings):
+            oracle = sum(
+                0.5 * TWO_PI * c[i, j] * (s["x"][i] @ s["x"][j] - s["y"][i] @ s["y"][j])
+                for i in range(n_spins)
+                for j in range(i + 1, n_spins)
+            )
+            assert np.abs(member - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6])
+    def test_z_with_offsets_matches_embedded_spin_oracle(self, n_spins):
+        couplings = np.stack([sample_couplings(90 + n_spins + k, n_spins) for k in range(3)])
+        offsets = np.random.default_rng(n_spins).normal(0.0, 500.0, size=(3, n_spins))
+        h = _pair_stack(couplings, _PAIR_FACTORS["z"], offsets)
+        assert h.shape == (3, 1 << n_spins, 1 << n_spins) and h.dtype == np.complex128
+        s = self.spins(n_spins)
+        for member, c, a in zip(h, couplings, offsets):
+            oracle = sum(
+                TWO_PI * c[i, j] * (3 * s["z"][i] @ s["z"][j] - sum(s[b][i] @ s[b][j] for b in "xyz"))
+                for i in range(n_spins)
+                for j in range(i + 1, n_spins)
+            ) + sum(TWO_PI * a[i] * s["z"][i] for i in range(n_spins))
+            assert np.abs(member - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5])
+    def test_zero_couplings_leave_no_negative_zero(self, n_spins):
+        partly = sample_couplings(100 + n_spins, n_spins)
+        partly[0, :] = partly[:, 0] = 0.0
+        parity = _parity_blocks(n_spins)
+        for couplings in (np.zeros((n_spins, n_spins)), partly):
+            system = SpinSystem.create(couplings)
+            built = [internal_hamiltonian(system), dq_hamiltonian(system)]
+            built += [parity.from_standard(_pair_stack(couplings[None], _PAIR_FACTORS[a])) for a in "xyz"]
+            for h in built:
+                parts = h.view(np.float64)
+                assert not np.any((parts == 0.0) & np.signbit(parts))
 
 def test_kron_power_equals_repeated_kron():
     rng = np.random.default_rng(5)
