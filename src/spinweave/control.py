@@ -35,6 +35,7 @@ from .operators import (
     HermitianPropagator,
     NumericalDiagnosticError,
     Operator,
+    _require_root_order,
     _require_unitary_blocks,
     _unitarity_defects,
     _unitary_eigenphases,
@@ -402,16 +403,18 @@ def cycle_unitary(
 def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarray:
     """``|Tr(u^{1/m})| / d`` of each member of a (B, d, d) unitary stack, shape (B,).
 
-    The principal root maps each eigenphase ``theta`` in ``(-pi, pi]`` to
-    ``theta / m``; the phases come from ``eigvalsh`` of the centred Cayley
-    transform (:func:`spinweave.operators._unitary_eigenphases`, which
-    :func:`unitary_root` shares), and no eigenbasis is needed for the
-    trace.  A member whose two off-diagonal blocks between the
-    :func:`parity_sectors` halves are exactly zero is solved on its two
-    diagonal blocks of d/2, each centred on its own trace phase, and the
-    two complex block traces are summed before the division by d.  With
-    ``check``, each member is first checked unitary to ``DEFECT_TOL`` on
-    the blocks it is solved on (``ValueError``).
+    Each eigenphase ``mu + c``, with the centred phases ``c`` and centre
+    ``mu`` from ``eigvalsh`` of the centred Cayley transform
+    (:func:`spinweave.operators._unitary_eigenphases`, which
+    :func:`unitary_root` shares), maps to ``(mu + c) / m``; no eigenbasis
+    is needed for the trace.  A member whose two off-diagonal blocks
+    between the :func:`parity_sectors` halves are exactly zero is solved
+    on its two diagonal blocks of d/2, each centred on its own trace
+    phase; the second centre is moved by 2 pi, if need be, to within pi
+    of the first, so the sum of the two block traces does not depend on
+    where ``np.angle`` wraps.  With ``check``, each member is first
+    checked unitary to ``DEFECT_TOL`` on the blocks it is solved on
+    (``ValueError``).
     """
     dim = u.shape[-1]
     parts = [(slice(None), u)]  # (members, the stack they are solved on)
@@ -427,7 +430,11 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarr
         if len(stack):
             if check:
                 _require_unitary_blocks(stack)
-            roots = np.exp(1j * _unitary_eigenphases(stack, m, stacklevel=3) / m)
+            c, mu = _unitary_eigenphases(stack)
+            if stack.ndim == 4:
+                # mu_1 - mu_0 wrapped into (-pi, pi]; an unwrapped centre keeps its bits
+                mu[:, 1] -= 2.0 * np.pi * np.ceil((mu[:, 1] - mu[:, 0]) / (2.0 * np.pi) - 0.5)
+            roots = np.exp(1j * (mu[..., None] + c) / m)
             # block traces first, then their sum
             tr[members] = roots.sum(axis=-1).reshape(len(stack), -1).sum(axis=-1)
     return np.minimum(np.abs(tr) / dim, 1.0)
@@ -438,22 +445,25 @@ def fidelity(u_exp: Operator, u_th: Operator | None = None, m: int = 1) -> float
 
     ``m`` rescales the experimental cycle propagator to an effective
     per-window unitary so sequences of different cycle lengths compare
-    fairly; ``u_th`` defaults to the identity (decoupling target).
+    fairly; ``u_th`` defaults to the identity (decoupling target).  ``m``
+    must be a positive integer (``ValueError``).
 
-    Without a target the trace is the sum of the root's eigenvalues, whose
-    phases come from ``eigvalsh`` of the trace-centred Cayley transform of
-    ``u_exp`` (recentred once if a phase sits near the cut), by the helper
-    that scores whole member stacks in :func:`ensemble_fidelity`.  The input
-    must be unitary to 1e-10 (else ``ValueError``); eigenvalues off the unit
-    circle (a Cayley transform more than 1e-7 from Hermitian) raise
-    :class:`NumericalDiagnosticError`, and for ``m > 1`` an eigenphase
-    within 1e-9 of the branch cut at pi warns :class:`BranchCutWarning`.
-    A ``u_exp`` whose elements between even and odd down-spin parity are
-    all exactly zero, as every parity-path :func:`cycle_unitary` is, is
-    checked unitary and solved on its two :func:`parity_sectors` blocks of
-    d/2, and the block traces are summed.  With a target the explicit root of :func:`unitary_root`, built from
-    ``eigh`` of the same transform, is used.
+    Without a target the trace is the sum of the root's eigenvalues
+    ``e^{i (mu + c) / m}``: ``c`` are the phases of ``u_exp`` centred on
+    its trace phase ``mu`` (or, if one sits near that cut, on the widest
+    gap), from ``eigvalsh`` of a Cayley transform, by the helper that
+    scores whole member stacks in :func:`ensemble_fidelity`.  A global
+    phase of ``u_exp`` only moves ``mu``, so F does not change.  The input
+    must be unitary to 1e-10 (else ``ValueError``); eigenvalues off the
+    unit circle (a Cayley transform more than 1e-7 from Hermitian) raise
+    :class:`NumericalDiagnosticError`.  A ``u_exp`` whose elements between
+    even and odd down-spin parity are all exactly zero, as every
+    parity-path :func:`cycle_unitary` is, is checked unitary and solved on
+    its two :func:`parity_sectors` blocks of d/2, and the block traces are
+    summed.  With a target the explicit root of :func:`unitary_root`,
+    built from ``eigh`` of the same transform, is used.
     """
+    _require_root_order(m)
     if u_th is None:
         return float(_eigenphase_fidelity(as_operator(u_exp)[None], m, check=True)[0])
     u_exp = as_operator(u_exp)

@@ -3,8 +3,8 @@
 Autocorrelation experiments read the overlap of a collective deviation
 operator after N decoupling cycles with the initial one, normalized at t = 0
 as the hardware reference experiment is; every power U^N of the cycle comes
-from one eigendecomposition U = V e^{i theta} V^dag, which also gives the
-protected MQC window.  Decay curves are fit with a stretched exponential
+from one eigendecomposition U = e^{i mu} V e^{i c} V^dag, which also gives the
+protected MQC window; the global phase e^{i mu} cancels in both.  Decay curves are fit with a stretched exponential
 (time-suspension sequences) or an oscillating one (spectroscopic sequences).
 
 The multiple-quantum-coherence experiment grows coherences under the
@@ -107,22 +107,22 @@ def autocorrelations(
     """Autocorrelations ``C_aa(N t_c)`` along each of ``axes``, as ``{axis: DecayCurve}``.
 
     ``C(N) = Tr(U^N S U^{-N} S) / Tr(S S)``.  The cycle is decomposed once for all axes,
-    ``U = V diag(e^{i theta}) V^dag`` (:func:`_unitary_eigenphases`), and with
-    ``w = |V^dag S V|^2`` all blocks take one product: ``C(N) = sum_ab w_ab e^{i N (theta_a
-    - theta_b)} / sum w``, so C(0) = 1 exactly and |C| <= 1 to roundoff.  Blocks are sorted
+    ``U = e^{i mu} V diag(e^{i c}) V^dag`` (:func:`_unitary_eigenphases`); ``mu`` cancels,
+    and with ``w = |V^dag S V|^2`` all blocks take one product: ``C(N) = sum_ab w_ab
+    e^{i N (c_a - c_b)} / sum w``, so C(0) = 1 exactly and |C| <= 1 to roundoff.  Blocks are sorted
     and deduplicated, each an integer in 0..2**53.  Each curve equals :func:`autocorrelation`.
     """
     counts = _block_counts(blocks)
-    theta, v = _unitary_eigenphases(cycle_unitary(system, seq, error, tau), 1, basis=True)
+    c, _, v = _unitary_eigenphases(cycle_unitary(system, seq, error, tau), basis=True)
     skip = 0 if counts[:1] == [0] else 1  # row 0 of turns is N = 0, whose value normalizes each curve
-    turns = np.exp(1j * np.multiply.outer(np.array([0] * skip + counts, dtype=float), theta))
+    turns = np.exp(1j * np.multiply.outer(np.array([0] * skip + counts, dtype=float), c))
     times = np.array([n * seq.cycle_time(tau) for n in counts])
     meta = {"sequence": seq.name, "tau_s": tau, "n_spins": system.n_spins, "pulse_width_s": error.pulse_width}
     curves = {}
     for axis in axes:
         w = np.abs(dagger(v) @ collective_operator(system.n_spins, axis) @ v) ** 2
-        c = np.einsum("ka,ka->k", turns, turns.conj() @ w).real
-        curves[axis] = DecayCurve(times, c[skip:] / c[0], axis, dict(meta))
+        corr = np.einsum("ka,ka->k", turns, turns.conj() @ w).real
+        curves[axis] = DecayCurve(times, corr[skip:] / corr[0], axis, dict(meta))
     return curves
 
 
@@ -426,8 +426,9 @@ def mqc_experiment(
 
     The collective Z operator ``rho_0`` grows to ``rho_tau = U rho_0 U^dag``,
     ``U = exp(-i H_DQ tau_dq)``, is tagged by ``Z_phi = exp(-i phi S_z)``,
-    evolves under the window propagator ``W`` (``V e^{i k theta} V^dag`` for k
-    protected cycles, each ``V e^{i theta} V^dag``) and is reversed, so that
+    evolves under the window propagator ``W`` (``V e^{i k c} V^dag`` for k
+    protected cycles, each ``e^{i mu} V e^{i c} V^dag``, whose global phase
+    cancels in ``W^dag rho W``) and is reversed, so that
     ``S(phi) = Tr(U^dag W Z_phi rho_tau Z_phi^dag W^dag U rho_0) / Tr(rho_0^2)
     = sum_n c_n exp(-i n phi)``, with ``c_n`` the sum of ``rho_tau[a, b]
     Q[b, a] / Tr(rho_0^2)`` over ``m_a - m_b = n`` and ``Q = W^dag rho_tau W``
@@ -449,8 +450,8 @@ def mqc_experiment(
     elif isinstance(window, FreeWindow):
         w = HermitianPropagator(internal_hamiltonian(system), magnetization_sectors(n)).at(window.duration)
     elif isinstance(window, ProtectedWindow):
-        theta, v = _unitary_eigenphases(cycle_unitary(system, window.sequence, window.error, window.tau), 1, basis=True)
-        w = (v * np.exp(1j * window.cycles * theta)) @ dagger(v)
+        c, _, v = _unitary_eigenphases(cycle_unitary(system, window.sequence, window.error, window.tau), basis=True)
+        w = (v * np.exp(1j * window.cycles * c)) @ dagger(v)
     else:
         raise TypeError(f"unsupported window {window!r}")
     u_fwd = HermitianPropagator(dq_hamiltonian(system), parity_sectors(n)).at(tau_dq)

@@ -16,10 +16,12 @@ Conventions used throughout the package:
 * Eigenphases of unitaries (fidelities and unitary roots) come from one
   Hermitian path: the unitary is turned by the phase of its trace and
   Cayley-transformed to a Hermitian matrix whose eigenvalues are
-  ``tan(theta / 2)`` of the centred phases, solved by ``eigvalsh`` or,
+  ``tan(c / 2)`` of the centred phases ``c``, solved by ``eigvalsh`` or,
   when a root needs the eigenbasis, ``eigh``.  A member with an eigenphase
-  near the centred cut is centred once more, opposite the largest gap of
-  its phases.
+  near the centred cut is centred once more, with the cut in the largest
+  gap of its phases.  That cut is the only branch rule: roots and
+  fidelities take ``(centre + c) / m``, never a principal branch, so a
+  global phase of the unitary does not move them.
 * One class, :class:`HermitianPropagator`, factors every Hermitian
   generator, by blocks when given a :class:`SectorLayout`: the internal
   Hamiltonian by magnetization sector, the double-quantum Hamiltonian by
@@ -28,7 +30,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +43,11 @@ MAX_DIM = 2**MAX_SPINS
 # Largest relative asymmetry (Hermitian checks) and normalized defect
 # ``|u^dag u - I|_F / sqrt(d)`` (unitary checks) an input may have.
 DEFECT_TOL = 1e-10
-# Eigenphases closer than this to the branch cut at pi warn for roots m > 1.
-BRANCH_TOL = 1e-9
 
 __all__ = [
     "Operator",
     "MAX_SPINS",
     "MAX_DIM",
-    "BranchCutWarning",
     "NumericalDiagnosticError",
     "as_operator",
     "commutator",
@@ -63,10 +61,6 @@ __all__ = [
     "unitary_root",
     "frobenius_magnitude",
 ]
-
-
-class BranchCutWarning(UserWarning):
-    """A unitary eigenphase lies within tolerance of the +/-pi branch cut."""
 
 
 class NumericalDiagnosticError(RuntimeError):
@@ -246,23 +240,6 @@ class HermitianPropagator:
         return u
 
 
-def _principal(theta: npt.NDArray[np.float64], m: int, stacklevel: int) -> npt.NDArray[np.float64]:
-    """Put ``theta = -pi`` on ``pi`` in place and warn of phases near the cut for ``m > 1``."""
-    if m < 1 or int(m) != m:
-        raise ValueError(f"root order must be a positive integer, got {m}")
-    theta[theta <= -np.pi] = np.pi
-    if m > 1:
-        near_cut = np.abs(np.pi - np.abs(theta)) < BRANCH_TOL
-        if np.any(near_cut):
-            warnings.warn(
-                f"{int(near_cut.sum())} eigenphase(s) within {BRANCH_TOL:g} of the "
-                "branch cut at pi; principal root may be discontinuous here",
-                BranchCutWarning,
-                stacklevel=stacklevel + 1,
-            )
-    return theta
-
-
 # Largest |tan(c/2)| of a centred phase c kept without recentring: the
 # eigvalsh error of every phase grows with the norm of the Cayley matrix.
 _RECENTRE_TAN = 100.0
@@ -293,22 +270,24 @@ def _cayley(u: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, skew
 
 
-def _unitary_eigenphases(u: np.ndarray, m: int, basis: bool = False, stacklevel: int = 2):
-    """Principal eigenphases of a unitary or (B, d, d) stack, and on request an orthonormal eigenbasis.
+def _unitary_eigenphases(u: np.ndarray, basis: bool = False):
+    """Centred eigenphases of a unitary or (B, d, d) stack, their centres, and on request an orthonormal eigenbasis.
 
     Each member is turned by the phase ``mu`` of its trace and mapped by
     :func:`_cayley` to a Hermitian matrix, whose ``eigvalsh`` (``eigh``
-    with ``basis``) gives ``t = tan(c / 2)`` and ``theta = mu + 2 atan(t)``,
-    wrapped to ``(-pi, pi]``.  A member with ``max |t|`` above
-    ``_RECENTRE_TAN`` (a phase near the centred cut) is centred once more,
-    with the cut in the middle of the largest gap of its phases; a member
-    whose ``I + v`` is exactly singular is first centred 1 rad further on.
-    The root order, the ``-pi -> pi`` map and the warning are those of
-    :func:`_principal`.  A Cayley skew ``|K - K^dag|_F / (1 + max t^2)``
-    above 1e-7 raises :class:`NumericalDiagnosticError`: eigenvalues are off
-    the unit circle.
-    Returns ``theta`` with the shape of ``u`` minus its last axis, and with
-    ``basis`` also ``V`` (shape of ``u``) with ``u = V diag(e^{i theta}) V^dag``.
+    with ``basis``) gives ``t = tan(c / 2)`` of the centred phases
+    ``c = 2 atan(t)`` in ``(-pi, pi)``: the branch cut of the solve sits
+    opposite ``mu``, and the member's phases are ``mu + c``, unwrapped.  A
+    member with ``max |t|`` above ``_RECENTRE_TAN`` (a phase near that
+    cut) is centred once more, with the cut in the middle of the largest
+    gap of its phases; a member whose ``I + v`` is exactly singular is
+    first centred 1 rad further on.  So every phase lies at least
+    ``min(2 atan(1 / _RECENTRE_TAN), pi / d)``, 0.02 rad or pi/d, from its
+    cut.  A Cayley skew ``|K - K^dag|_F / (1 + max t^2)`` above 1e-7 raises
+    :class:`NumericalDiagnosticError`: eigenvalues are off the unit circle.
+    Returns ``(c, mu)``, ``c`` with the shape of ``u`` minus its last axis
+    and ``mu`` minus its last two, and with ``basis`` also ``V`` (shape of
+    ``u``) with ``u = V diag(e^{i (mu + c)}) V^dag``.
     """
     # _cayley shifts the diagonal through a flat view, which needs C order
     stack = np.ascontiguousarray(u).reshape(-1, *u.shape[-2:])
@@ -341,28 +320,34 @@ def _unitary_eigenphases(u: np.ndarray, m: int, basis: bool = False, stacklevel:
             "eigenvalues of a claimed-unitary propagator are off the unit circle "
             f"(Cayley skew {off_circle:.3e})"
         )
-    theta = mu[:, None] + 2.0 * np.arctan(t)
-    theta[theta > np.pi] -= 2.0 * np.pi
-    theta[theta <= -np.pi] += 2.0 * np.pi
-    theta = _principal(theta, m, stacklevel + 1).reshape(u.shape[:-1])
-    return (theta, v.reshape(u.shape)) if basis else theta
+    c, mu = (2.0 * np.arctan(t)).reshape(u.shape[:-1]), mu.reshape(u.shape[:-2])
+    return (c, mu, v.reshape(u.shape)) if basis else (c, mu)
+
+
+def _require_root_order(m: int) -> None:
+    """Raise unless ``m`` is a positive integer."""
+    if m < 1 or int(m) != m:
+        raise ValueError(f"root order must be a positive integer, got {m}")
 
 
 def unitary_root(u: npt.ArrayLike, m: int) -> Operator:
-    """Principal ``m``-th root of a unitary matrix.
+    """``m``-th root ``e^{i mu / m} V diag(e^{i c / m}) V^dag`` of a unitary matrix.
 
-    Each eigenvalue ``exp(i theta)`` with ``theta`` in ``(-pi, pi]`` maps to
-    ``exp(i theta / m)`` (:func:`_principal`).  Phases and the
-    orthonormal eigenbasis ``V`` come from ``eigh`` of the centred Cayley
-    transform (:func:`_unitary_eigenphases`), and the root is
-    ``V diag(exp(i theta / m)) V^dag``; ``V`` is unitary to roundoff, which
-    keeps reconstruction errors at machine level even for high powers.
+    ``c``, ``mu`` and the orthonormal eigenbasis ``V`` come from ``eigh``
+    of the centred Cayley transform (:func:`_unitary_eigenphases`): each
+    eigenphase ``mu + c`` maps to ``(mu + c) / m``, with the branch cut
+    opposite the trace phase ``mu`` (or in the widest gap of a recentred
+    member), so ``root^m = u`` and a global phase of ``u`` only turns the
+    root.  ``V`` is unitary to roundoff, which keeps reconstruction errors
+    at machine level even for high powers.  ``m`` must be a positive
+    integer (``ValueError``).
     """
+    _require_root_order(m)
     u = require_unitary(u)
     if m == 1:
         return u.copy()
-    theta, v = _unitary_eigenphases(u, m, basis=True)
-    return (v * np.exp(1j * theta / m)) @ dagger(v)
+    c, mu, v = _unitary_eigenphases(u, basis=True)
+    return (v * np.exp(1j * (mu + c) / m)) @ dagger(v)
 
 
 def frobenius_magnitude(h: npt.ArrayLike) -> float:

@@ -22,11 +22,24 @@ def random_unitary(seed: int, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def oracle_phases(u: np.ndarray) -> np.ndarray:
-    """Eigenphases in (-pi, pi] from the general eigen-solver, independent of the Cayley path."""
-    theta = np.angle(np.linalg.eigvals(u))
-    theta[theta <= -np.pi] = np.pi
-    return theta
+def oracle_phases(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Centred eigenphases ``c`` and centre ``mu`` from the general eigen-solver, independent of the Cayley path.
+
+    The branch rule is that of ``operators._unitary_eigenphases``: ``mu`` is
+    the trace phase and ``c = angle(lambda e^{-i mu})``; when some ``|c|``
+    exceeds ``2 atan(100)`` the centre moves opposite the middle of the
+    widest gap of the phases.  The eigenphases are ``mu + c``, unwrapped.
+    """
+    lam = np.linalg.eigvals(u)
+    mu = float(np.angle(np.trace(u)))
+    c = np.angle(lam * np.exp(-1j * mu))
+    if np.abs(c).max() > 2.0 * np.arctan(100.0):
+        ordered = np.sort(c)
+        gaps = np.diff(ordered, append=ordered[0] + 2.0 * np.pi)
+        cut = ordered[gaps.argmax()] + gaps.max() / 2.0
+        mu = float(np.angle(np.exp(1j * (mu + cut + np.pi))))
+        c = np.angle(lam * np.exp(-1j * mu))
+    return c, mu
 
 
 def frame_offset_average(f: FrameMatrix, system: SpinSystem) -> np.ndarray:

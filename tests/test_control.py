@@ -1,9 +1,12 @@
+import functools
 import os
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from spinweave import control
 from spinweave.control import (
@@ -25,10 +28,10 @@ from spinweave.control import (
 from spinweave.aht import magnus_series
 from spinweave.control import _CycleKernel, _eigenphase_fidelity, _ensemble_infidelities
 from spinweave.operators import (
-    BranchCutWarning,
     HermitianPropagator,
     expm_hermitian,
     require_unitary,
+    unitary_root,
 )
 from spinweave.sequences import BUILTIN_NAMES, builtin, parse_sequence, schedule, validate_cyclic
 from spinweave.spins import (
@@ -398,15 +401,22 @@ class TestFidelity:
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(np.eye(4, dtype=complex), np.eye(8, dtype=complex))
 
-    def test_root_scaling_matches_manual_root(self):
-        from spinweave.operators import unitary_root
+    @pytest.mark.parametrize("m", [0, -2, 2.5])
+    def test_rejects_bad_root_order(self, m):
+        u = random_unitary(4, 4)
+        with pytest.raises(ValueError, match="root order"):
+            fidelity(u, m=m)
+        with pytest.raises(ValueError, match="root order"):
+            fidelity(u, u, m=m)
 
+    def test_root_scaling_matches_manual_root(self):
         u = random_unitary(4, 16)
         manual = abs(np.trace(unitary_root(u, 6))) / 16
         assert fidelity(u, m=6) == pytest.approx(manual, abs=1e-14)
         # the root and the fidelity share one eigen path; check both against
-        # the general eigen-solver
-        oracle = abs(np.exp(1j * oracle_phases(u) / 6).sum()) / 16
+        # the general eigen-solver on the same branch
+        c, mu = oracle_phases(u)
+        oracle = abs(np.exp(1j * (mu + c) / 6).sum()) / 16
         assert manual == pytest.approx(oracle, abs=1e-14)
         assert fidelity(u, m=6) == pytest.approx(oracle, abs=1e-14)
 
@@ -651,31 +661,26 @@ class TestStackedEnsemble:
 
 
 class TestEigenphaseFidelity:
-    def test_branch_cut_warns_through_fidelity(self):
-        u = np.diag(np.exp(1j * np.array([np.pi, 0.1, -0.2, 0.3])))
-        with pytest.warns(BranchCutWarning):
-            fidelity(u, m=2)
-
     def test_member_off_unit_circle_raises(self):
         stack = np.stack([random_unitary(5, 8), 1.001 * random_unitary(6, 8)])
         assert _eigenphase_fidelity(stack[:1], 3)[0] <= 1.0
         with pytest.raises(NumericalDiagnosticError, match="unit circle"):
             _eigenphase_fidelity(stack, 3)
 
-    @pytest.mark.parametrize("tau", [1e-6, 4e-6])
-    def test_minus_identity_dsl_cycle_matches_eigvals(self, tau):
+    @pytest.mark.parametrize("tau,infidelity", [(1e-6, 3.723e-5), (4e-6, 5.953e-4)])
+    def test_minus_identity_dsl_cycle_matches_eigvals(self, tau, infidelity):
         # four x pulses make the ideal composite -I at odd N; its eigenphases
-        # sit on both sides of the cut at pi, and the principal root keeps
-        # the meaning the general eigen-solver gives it
-        seq = parse_sequence("tau - x - tau - x - tau - x - tau - x", "minus_identity")
-        assert validate_cyclic(seq) == -1
-        system = SpinSystem.create(sample_couplings(1, 5, 5000.0 / 3.0))
-        u = cycle_unitary(system, seq, IDEAL, tau)
-        m = seq.cycle_windows
-        theta = oracle_phases(u)
-        assert (theta > 0).any() and (theta < 0).any()
-        oracle = min(abs(np.exp(1j * theta / m).sum()) / 32, 1.0)
+        # sit on both sides of pi, and the branch of the solve keeps them
+        # together around the trace phase
+        u = cycle_unitary(SpinSystem.create(sample_couplings(1, 5)), MINUS_IDENTITY, IDEAL, tau)
+        m = MINUS_IDENTITY.cycle_windows
+        principal = np.angle(np.linalg.eigvals(u))
+        assert (principal > 3.0).any() and (principal < -3.0).any()
+        c, mu = oracle_phases(u)
+        assert np.abs(c).max() < 0.5
+        oracle = min(abs(np.exp(1j * (mu + c) / m).sum()) / 32, 1.0)
         assert fidelity(u, m=m) == pytest.approx(oracle, abs=1e-12)
+        assert 1.0 - fidelity(u, m=m) == pytest.approx(infidelity, rel=1e-3)
 
     def test_stack_equals_one_member_calls(self):
         stack = np.stack([random_unitary(seed, 16) for seed in range(7)])
@@ -687,17 +692,31 @@ class TestEigenphaseFidelity:
 def parity_block_unitary(seed: int, n_spins: int, phases=None) -> np.ndarray:
     """A unitary with random blocks on the two parity sectors and exact zeros between them.
 
-    ``phases`` sets the eigenphases of the even block instead.
+    ``phases``, one list per sector (even, odd), sets the blocks' eigenphases instead.
     """
     layout = parity_sectors(n_spins)
     u = np.zeros((1 << n_spins, 1 << n_spins), dtype=complex)
     for k, span in enumerate(layout.spans):
         block = random_unitary(seed + k, span.stop - span.start)
-        if k == 0 and phases is not None:
-            block = (block * np.exp(1j * np.asarray(phases))) @ block.conj().T
+        if phases is not None:
+            block = (block * np.exp(1j * np.asarray(phases[k]))) @ block.conj().T
         rows = layout.order[span]
         u[np.ix_(rows, rows)] = block
     return u
+
+
+def parity_block_oracle(u: np.ndarray, m: int) -> float:
+    """``|Tr u^{1/m}| / d`` from the eigvals oracle of each parity block, the odd block's centre within pi of the even one's."""
+    layout = parity_sectors(u.shape[0].bit_length() - 1)
+    trace, first = 0.0, None
+    for span in layout.spans:
+        rows = layout.order[span]
+        c, mu = oracle_phases(u[np.ix_(rows, rows)])
+        if first is None:
+            first = mu
+        mu = first + np.angle(np.exp(1j * (mu - first)))
+        trace += np.exp(1j * (mu + c) / m).sum()
+    return min(abs(trace) / u.shape[0], 1.0)
 
 
 def eigenphase_shapes(monkeypatch) -> list[tuple[int, ...]]:
@@ -717,8 +736,7 @@ class TestParitySplitFidelity:
         dim = u.shape[0]
         shapes = eigenphase_shapes(monkeypatch)
         for m in (1, 3, 16):
-            oracle = min(abs(np.exp(1j * oracle_phases(u) / m).sum()) / dim, 1.0)
-            assert fidelity(u, m=m) == pytest.approx(oracle, rel=0, abs=1e-13)
+            assert fidelity(u, m=m) == pytest.approx(parity_block_oracle(u, m), rel=0, abs=1e-13)
         assert set(shapes) == {(1, 2, dim // 2, dim // 2)}
 
     def test_mixed_stack_equals_one_member_calls(self, monkeypatch):
@@ -748,11 +766,91 @@ class TestParitySplitFidelity:
             fidelity(u, m=4)
         assert shapes == []
 
-    def test_block_phase_at_pi_warns(self):
-        u = parity_block_unitary(20, 3, phases=[np.pi, 0.1, -0.2, 0.3])
+    def test_block_centres_across_pi_are_taken_within_pi(self):
+        # np.angle puts the even block's trace phase near +pi and the odd
+        # block's near -pi; their roots are combined as if both sat near +pi
+        offsets = np.array([0.1, 0.05, 0.0, 0.02])
+        u = parity_block_unitary(20, 3, phases=[np.pi - offsets, np.pi + offsets])
         assert not u[np.subtract.outer(magnetization(3), magnetization(3)) % 2 == 1].any()
-        with pytest.warns(BranchCutWarning):
-            fidelity(u, m=2)
+        near_pi = np.exp(1j * (np.pi + np.concatenate([-offsets, offsets])) / 2).sum() / 8
+        assert fidelity(u, m=2) == pytest.approx(abs(near_pi), rel=0, abs=1e-14)
+        assert fidelity(u, m=2) == pytest.approx(parity_block_oracle(u, 2), rel=0, abs=1e-14)
+
+
+@functools.cache
+def global_phase_cases() -> dict[str, np.ndarray]:
+    """Unitaries whose fidelity must not move, and whose roots must only turn, under a global phase."""
+    fig6a_member = SpinSystem.create(  # member 0 of the ci fig6a row at 5 kHz disorder
+        sample_couplings(2026, 4), disorder_hz=sample_disorder(2026 + DISORDER_SEED_OFFSET, 4, 5000.0)
+    )
+    spread = np.linspace(0.0, 0.3, 8)
+    return {
+        "dense": random_unitary(40, 16),
+        "parity-centres-across-pi": parity_block_unitary(41, 4, phases=[np.pi - spread, np.pi + spread]),
+        "minus-identity-dsl": cycle_unitary(SpinSystem.create(sample_couplings(1, 5)), MINUS_IDENTITY, IDEAL, 1e-6),
+        "fig6a-br24-5khz": cycle_unitary(fig6a_member, builtin("BR24"), IDEAL, 4e-6),
+    }
+
+
+class TestGlobalPhaseInvariance:
+    """The cut of the solve turns with the unitary, so F = |Tr U^{1/m}| / d ignores a global phase."""
+
+    @pytest.mark.parametrize("case", ["dense", "parity-centres-across-pi", "minus-identity-dsl", "fig6a-br24-5khz"])
+    @given(phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True), m=st.sampled_from([1, 4, 48]))
+    def test_fidelity_and_root(self, case, phi, m):
+        u = global_phase_cases()[case]
+        turned = np.exp(1j * phi) * u
+        assert fidelity(turned, m=m) == pytest.approx(fidelity(u, m=m), rel=0, abs=1e-13)
+        root = unitary_root(turned, m)
+        assert np.abs(np.linalg.matrix_power(root, m) - turned).max() < 1e-10
+
+
+def mp_infidelity(system: SpinSystem, seq, tau: float) -> float:
+    """``1 - |Tr U^{1/M}| / d`` of an ideal delta-pulse cycle, built and rooted at the working precision.
+
+    Free steps are ``expm(-i H_int t)`` of the float H_int's exact values,
+    pulses the exact one-spin rotations ``exp(-i (pi/2) S_phi)`` to the
+    power N, and the root takes each eigenphase on the trace-centred branch.
+    """
+    n, d = system.n_spins, 1 << system.n_spins
+    h = mpmath.matrix(internal_hamiltonian(system).tolist())
+    free, u = {}, mpmath.eye(d)
+    for kind, value in schedule(seq, tau):
+        if kind == "free":
+            if value not in free:
+                free[value] = mpmath.expm(-1j * value * h)
+            step = free[value]
+        else:
+            # one spin: (I - i sigma_phi) / sqrt(2); N spins: the product over bits
+            phi = mpmath.radians(value)
+            r = (mpmath.eye(2) - 1j * mpmath.matrix([[0, mpmath.expj(-phi)], [mpmath.expj(phi), 0]])) / mpmath.sqrt(2)
+            step = mpmath.matrix(
+                [[mpmath.fprod(r[(i >> k) & 1, (j >> k) & 1] for k in range(n)) for j in range(d)] for i in range(d)]
+            )
+        u = step * u
+    lam, _ = mpmath.eig(u)
+    mu = mpmath.arg(sum(lam))
+    c = [mpmath.arg(x * mpmath.expj(-mu)) for x in lam]
+    assert max(abs(x) for x in c) < 3.0  # no phase near the cut, so the branch is unambiguous
+    m = seq.cycle_windows
+    return float(1 - abs(sum(mpmath.expj((mu + x) / m) for x in c)) / d)
+
+
+class TestExtendedPrecisionFidelity:
+    """1-F of 3-spin cycles against a 40-digit build of the same cycle."""
+
+    @pytest.mark.parametrize("seq", [MINUS_IDENTITY, builtin("WHH")], ids=["minus-identity-dsl", "WHH"])
+    def test_matches_40_digit_oracle(self, seq):
+        system = SpinSystem.create(sample_couplings(3, 3))
+        checked = 0
+        for tau in (2.5e-7, 1e-6, 4e-6, 1.6e-5, 6.4e-5):
+            infidelity = 1.0 - fidelity(cycle_unitary(system, seq, IDEAL, tau), m=seq.cycle_windows)
+            with mpmath.workdps(40):
+                oracle = mp_infidelity(system, seq, tau)
+            if oracle >= 1e-10:
+                assert infidelity == pytest.approx(oracle, rel=1e-6)
+                checked += 1
+        assert checked >= 2
 
 
 class TestLoglogSlope:

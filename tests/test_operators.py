@@ -1,12 +1,9 @@
-import inspect
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spinweave import operators
 from spinweave.operators import (
-    BranchCutWarning,
     HermitianPropagator,
     _unitarity_defects,
     _unitary_eigenphases,
@@ -222,20 +219,6 @@ class TestUnitaryRoot:
         root = unitary_root(u, m)
         assert np.linalg.norm(np.linalg.matrix_power(root, m) - u) < 1e-9
 
-    def test_branch_cut_flagged(self):
-        theta = np.pi - 1e-12
-        u = np.diag(np.exp(1j * np.array([theta, -theta, 0.1, 0.2])))
-        with pytest.warns(BranchCutWarning):
-            unitary_root(u, 2)
-
-    def test_branch_cut_warning_points_at_the_caller(self):
-        theta = np.pi - 1e-12
-        u = np.diag(np.exp(1j * np.array([theta, -theta, 0.1, 0.2])))
-        with pytest.warns(BranchCutWarning) as record:
-            here = inspect.currentframe().f_lineno
-            unitary_root(u, 2)
-        assert [(w.filename, w.lineno) for w in record] == [(__file__, here + 1)]
-
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             unitary_root(2.0 * np.eye(4), 2)
@@ -245,13 +228,16 @@ class TestUnitaryRoot:
         with pytest.raises(ValueError, match="root order"):
             unitary_root(random_unitary(4, 4), m)
 
-    def test_principal_phases_put_minus_pi_on_pi(self):
-        lam = np.array([complex(-1.0, -0.0), 1j, -1j, 1.0])  # np.angle gives -pi first
+    def test_singular_cayley_member_takes_the_shifted_centre(self):
+        # trace 0 puts the eigenvalue -1 (np.angle reads it -pi) on the
+        # centred cut, so the solve is centred 1 rad further on and the root
+        # halves the phases of that branch
+        lam = np.array([complex(-1.0, -0.0), 1j, -1j, 1.0])
         phases = np.array([np.pi, np.pi / 2, -np.pi / 2, 0.0])
-        theta = np.sort(_unitary_eigenphases(np.diag(lam), 1))
-        assert np.allclose(theta, np.sort(phases), rtol=0, atol=1e-15)
-        with pytest.warns(BranchCutWarning):
-            root = unitary_root(np.diag(lam), 2)
+        c, mu = _unitary_eigenphases(np.diag(lam))
+        assert mu == 1.0
+        assert np.allclose(np.sort(mu + c), np.sort(phases), rtol=0, atol=1e-15)
+        root = unitary_root(np.diag(lam), 2)
         assert np.allclose(np.diag(root), np.exp(0.5j * phases), rtol=0, atol=1e-15)
 
 
@@ -263,6 +249,24 @@ def assert_same_circle_points(theta, ref, tol=1e-12):
     a = np.sort((np.asarray(theta) - cut) % (2 * np.pi))
     b = np.sort((np.asarray(ref) - cut) % (2 * np.pi))
     assert np.abs(a - b).max() <= tol
+
+
+def solved_phases(u: np.ndarray) -> np.ndarray:
+    """Eigenphases ``mu + c`` of a unitary or stack from the Cayley path, unwrapped."""
+    c, mu = _unitary_eigenphases(u)
+    return mu[..., None] + c
+
+
+def oracle_points(u: np.ndarray) -> np.ndarray:
+    c, mu = oracle_phases(u)
+    return mu + c
+
+
+def assert_clear_of_cut(u: np.ndarray) -> None:
+    """Every centred phase lies at least min(2 atan(1 / _RECENTRE_TAN), pi / d) from the cut at +/-pi."""
+    c, _ = _unitary_eigenphases(u)
+    clearance = min(2.0 * np.arctan(1.0 / operators._RECENTRE_TAN), np.pi / u.shape[-1])
+    assert np.pi - np.abs(c).max() >= clearance - 1e-12
 
 
 def with_spectrum(seed: int, phases) -> np.ndarray:
@@ -288,12 +292,16 @@ SPECTRA = ("minus-one", "spread", "cluster-on-cut")
 class TestUnitaryEigenphases:
     @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 3))
     def test_matches_eigvals_oracle(self, seed, log_dim, members):
+        # the same branch as the oracle, not only the same points on the circle
         stack = np.stack([random_unitary(seed + b, 2**log_dim) for b in range(members)])
-        theta = _unitary_eigenphases(stack, 1)
-        assert theta.shape == stack.shape[:-1]
+        c, mu = _unitary_eigenphases(stack)
+        assert c.shape == stack.shape[:-1] and mu.shape == stack.shape[:-2]
         for b, u in enumerate(stack):
-            assert_same_circle_points(theta[b], oracle_phases(u))
-            assert np.array_equal(_unitary_eigenphases(u, 1), theta[b])
+            # a recentred centre carries the error of the phase near the
+            # first cut, so mu and c are compared through their sum
+            assert np.abs(np.sort(mu[b] + c[b]) - np.sort(oracle_points(u))).max() <= 1e-12
+            c_one, mu_one = _unitary_eigenphases(u)
+            assert np.array_equal(c_one, c[b]) and mu_one == mu[b]
 
     def test_transposed_stack_matches_contiguous_copy(self):
         # the Cayley shift of the diagonal goes through a flat view; on a
@@ -302,25 +310,28 @@ class TestUnitaryEigenphases:
         stack = np.stack([random_unitary(seed, 4) for seed in range(3)]).transpose(0, 2, 1)
         assert not stack.flags.c_contiguous
         contiguous = np.ascontiguousarray(stack)
-        assert np.array_equal(_unitary_eigenphases(stack, 1), _unitary_eigenphases(contiguous, 1))
-        theta, v = _unitary_eigenphases(stack, 1, basis=True)
-        theta_ref, v_ref = _unitary_eigenphases(contiguous, 1, basis=True)
-        assert np.array_equal(theta, theta_ref) and np.array_equal(v, v_ref)
+        assert np.array_equal(solved_phases(stack), solved_phases(contiguous))
+        solved = _unitary_eigenphases(stack, basis=True)
+        reference = _unitary_eigenphases(contiguous, basis=True)
+        assert all(np.array_equal(a, b) for a, b in zip(solved, reference))
 
     @pytest.mark.parametrize("dim", [4, 16, 256])
     @pytest.mark.parametrize("kind", SPECTRA)
     def test_special_spectra_match_oracle(self, kind, dim):
+        # "spread" has a noise-level trace and equal gaps, so no branch is
+        # preferred: compare points on the circle
         u = with_spectrum(dim + 1, spectrum(kind, dim))
-        assert_same_circle_points(_unitary_eigenphases(u, 1), oracle_phases(u))
+        assert_same_circle_points(solved_phases(u), oracle_points(u))
+        assert_clear_of_cut(u)
 
     def test_cluster_on_cut_is_recentred(self, monkeypatch):
         calls = []
         cayley = operators._cayley
         monkeypatch.setattr(operators, "_cayley", lambda u, mu: calls.append(len(u)) or cayley(u, mu))
         stack = np.stack([random_unitary(1, 16), with_spectrum(2, spectrum("cluster-on-cut", 16))])
-        theta = _unitary_eigenphases(stack, 1)
+        theta = solved_phases(stack)
         assert calls == [2, 1]  # the second member alone is centred again
-        assert_same_circle_points(theta[1], oracle_phases(stack[1]))
+        assert np.abs(np.sort(theta[1]) - np.sort(oracle_points(stack[1]))).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "diagonal", [[-1, 1, 1, 1], [-1, 1, 1j, -1j], [-1, -1, -1, -1], [1j, -1, -1, -1]]
@@ -329,18 +340,17 @@ class TestUnitaryEigenphases:
         # diagonal inputs put an eigenvalue exactly on the trace-centred cut,
         # where I + v is exactly singular
         u = np.diag(np.array(diagonal, dtype=complex))
-        assert_same_circle_points(_unitary_eigenphases(u, 1), oracle_phases(u), tol=1e-15)
-        with pytest.warns(BranchCutWarning):
-            _unitary_eigenphases(u, 2)
+        assert_same_circle_points(solved_phases(u), oracle_points(u), tol=1e-15)
+        assert_clear_of_cut(u)
 
     @pytest.mark.parametrize("dim", [4, 16, 256])
     @pytest.mark.parametrize("kind", SPECTRA)
     def test_basis_is_orthonormal_and_reconstructs(self, kind, dim):
         u = with_spectrum(dim + 3, spectrum(kind, dim))
-        theta, v = _unitary_eigenphases(u, 1, basis=True)
-        assert_same_circle_points(theta, _unitary_eigenphases(u, 1))
+        c, mu, v = _unitary_eigenphases(u, basis=True)
+        assert_same_circle_points(mu + c, solved_phases(u))
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-12
-        assert np.abs((v * np.exp(1j * theta)) @ v.conj().T - u).max() < 1e-12
+        assert np.abs((v * np.exp(1j * (mu + c))) @ v.conj().T - u).max() < 1e-12
 
     @pytest.mark.parametrize("m", [2, 3, 48])
     @pytest.mark.parametrize("kind", ["spread", "cluster-on-cut"])
