@@ -39,6 +39,7 @@ from .operators import (
     _require_unitary_blocks,
     _unitarity_defects,
     _unitary_eigenphases,
+    _whole_member_branch,
     as_operator,
     expm_hermitian,
     require_hermitian,
@@ -403,18 +404,15 @@ def cycle_unitary(
 def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarray:
     """``|Tr(u^{1/m})| / d`` of each member of a (B, d, d) unitary stack, shape (B,).
 
-    Each eigenphase ``mu + c``, with the centred phases ``c`` and centre
-    ``mu`` from ``eigvalsh`` of the centred Cayley transform
-    (:func:`spinweave.operators._unitary_eigenphases`, which
-    :func:`unitary_root` shares), maps to ``(mu + c) / m``; no eigenbasis
-    is needed for the trace.  A member whose two off-diagonal blocks
-    between the :func:`parity_sectors` halves are exactly zero is solved
-    on its two diagonal blocks of d/2, each centred on its own trace
-    phase; the second centre is moved by 2 pi, if need be, to within pi
-    of the first, so the sum of the two block traces does not depend on
-    where ``np.angle`` wraps.  With ``check``, each member is first
-    checked unitary to ``DEFECT_TOL`` on the blocks it is solved on
-    (``ValueError``).
+    Each eigenphase ``mu + c`` from ``eigvalsh`` of the centred Cayley
+    transform (:func:`spinweave.operators._unitary_eigenphases`, which
+    :func:`unitary_root` shares) maps to ``(mu + c) / m``.  A member whose
+    elements between the :func:`parity_sectors` halves are all exactly
+    zero, as every parity-path :func:`cycle_unitary` is, is solved on its
+    two diagonal blocks of d/2, its phases moved onto the branch of the
+    whole member (:func:`spinweave.operators._whole_member_branch`).  With
+    ``check``, each member is first checked unitary to ``DEFECT_TOL`` on
+    the blocks it is solved on (``ValueError``).
     """
     dim = u.shape[-1]
     parts = [(slice(None), u)]  # (members, the stack they are solved on)
@@ -431,12 +429,11 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarr
             if check:
                 _require_unitary_blocks(stack)
             c, mu = _unitary_eigenphases(stack)
+            theta = mu[..., None] + c
             if stack.ndim == 4:
-                # mu_1 - mu_0 wrapped into (-pi, pi]; an unwrapped centre keeps its bits
-                mu[:, 1] -= 2.0 * np.pi * np.ceil((mu[:, 1] - mu[:, 0]) / (2.0 * np.pi) - 0.5)
-            roots = np.exp(1j * (mu[..., None] + c) / m)
+                theta = _whole_member_branch(theta, np.trace(stack, axis1=-2, axis2=-1))
             # block traces first, then their sum
-            tr[members] = roots.sum(axis=-1).reshape(len(stack), -1).sum(axis=-1)
+            tr[members] = np.exp(1j * theta / m).sum(axis=-1).reshape(len(stack), -1).sum(axis=-1)
     return np.minimum(np.abs(tr) / dim, 1.0)
 
 
@@ -448,20 +445,14 @@ def fidelity(u_exp: Operator, u_th: Operator | None = None, m: int = 1) -> float
     fairly; ``u_th`` defaults to the identity (decoupling target).  ``m``
     must be a positive integer (``ValueError``).
 
-    Without a target the trace is the sum of the root's eigenvalues
-    ``e^{i (mu + c) / m}``: ``c`` are the phases of ``u_exp`` centred on
-    its trace phase ``mu`` (or, if one sits near that cut, on the widest
-    gap), from ``eigvalsh`` of a Cayley transform, by the helper that
-    scores whole member stacks in :func:`ensemble_fidelity`.  A global
-    phase of ``u_exp`` only moves ``mu``, so F does not change.  The input
-    must be unitary to 1e-10 (else ``ValueError``); eigenvalues off the
-    unit circle (a Cayley transform more than 1e-7 from Hermitian) raise
-    :class:`NumericalDiagnosticError`.  A ``u_exp`` whose elements between
-    even and odd down-spin parity are all exactly zero, as every
-    parity-path :func:`cycle_unitary` is, is checked unitary and solved on
-    its two :func:`parity_sectors` blocks of d/2, and the block traces are
-    summed.  With a target the explicit root of :func:`unitary_root`,
-    built from ``eigh`` of the same transform, is used.
+    Without a target F is :func:`_eigenphase_fidelity` of ``u_exp``, the
+    helper that scores whole member stacks in :func:`ensemble_fidelity`,
+    so a global phase of ``u_exp`` does not change it.  The input must be
+    unitary to 1e-10 (else ``ValueError``), checked on the blocks it is
+    solved on; eigenvalues off the unit circle (a Cayley transform more
+    than 1e-7 from Hermitian) raise :class:`NumericalDiagnosticError`.
+    With a target the explicit root of :func:`unitary_root`, built from
+    ``eigh`` of the same transform, is used.
     """
     _require_root_order(m)
     if u_th is None:

@@ -270,29 +270,35 @@ def _cayley(u: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, skew
 
 
+def _widest_gap_centres(c: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Centres opposite the middle of the widest gap of each row of ascending phases ``c`` about ``mu``."""
+    gaps = np.diff(c, axis=-1, append=c[:, :1] + 2.0 * np.pi)
+    widest = gaps.argmax(axis=-1)[:, None]
+    cut = np.take_along_axis(c + gaps / 2.0, widest, axis=-1)[:, 0]
+    return np.angle(np.exp(1j * (mu + cut + np.pi)))
+
+
 def _unitary_eigenphases(u: np.ndarray, basis: bool = False):
     """Centred eigenphases of a unitary or (B, d, d) stack, their centres, and on request an orthonormal eigenbasis.
 
     Each member is turned by the phase ``mu`` of its trace and mapped by
     :func:`_cayley` to a Hermitian matrix, whose ``eigvalsh`` (``eigh``
-    with ``basis``) gives ``t = tan(c / 2)`` of the centred phases
-    ``c = 2 atan(t)`` in ``(-pi, pi)``: the branch cut of the solve sits
-    opposite ``mu``, and the member's phases are ``mu + c``, unwrapped.  A
-    member with ``max |t|`` above ``_RECENTRE_TAN`` (a phase near that
-    cut) is centred once more, with the cut in the middle of the largest
-    gap of its phases; a member whose ``I + v`` is exactly singular is
-    first centred 1 rad further on.  So every phase lies at least
-    ``min(2 atan(1 / _RECENTRE_TAN), pi / d)``, 0.02 rad or pi/d, from its
-    cut.  A Cayley skew ``|K - K^dag|_F / (1 + max t^2)`` above 1e-7 raises
-    :class:`NumericalDiagnosticError`: eigenvalues are off the unit circle.
-    Returns ``(c, mu)``, ``c`` with the shape of ``u`` minus its last axis
-    and ``mu`` minus its last two, and with ``basis`` also ``V`` (shape of
-    ``u``) with ``u = V diag(e^{i (mu + c)}) V^dag``.
+    with ``basis``) gives ``t = tan(c / 2)`` of the centred phases ``c`` in
+    ``(-pi, pi)``: the branch cut sits opposite ``mu``, and the phases are
+    ``mu + c``, unwrapped.  A member with ``max |t|`` above
+    ``_RECENTRE_TAN``, or a phase exactly on the cut (``I + v`` singular;
+    solved first 1 rad further on), is centred once more, with the cut in
+    the middle of the largest gap of its phases.  So every phase lies at
+    least min(0.02 rad, pi/d) from its cut.  A Cayley skew above 1e-7
+    raises :class:`NumericalDiagnosticError`.  Returns ``(c, mu)``, shaped
+    as ``u`` minus one and two axes, and with ``basis`` also ``V`` with
+    ``u = V diag(e^{i (mu + c)}) V^dag``.
     """
     # _cayley shifts the diagonal through a flat view, which needs C order
     stack = np.ascontiguousarray(u).reshape(-1, *u.shape[-2:])
     solve = np.linalg.eigh if basis else (lambda k: (np.linalg.eigvalsh(k), None))
     mu = np.angle(np.trace(stack, axis1=-2, axis2=-1))
+    singular = np.zeros(len(stack), dtype=bool)
     try:
         k, skew = _cayley(stack, mu)
     except np.linalg.LinAlgError:
@@ -301,15 +307,12 @@ def _unitary_eigenphases(u: np.ndarray, basis: bool = False):
                 _cayley(stack[b : b + 1], mu[b : b + 1])
             except np.linalg.LinAlgError:
                 mu[b] += 1.0
+                singular[b] = True
         k, skew = _cayley(stack, mu)
     t, v = solve(k)
-    far = np.flatnonzero(np.abs(t).max(axis=-1) > _RECENTRE_TAN)
+    far = np.flatnonzero(singular | (np.abs(t).max(axis=-1) > _RECENTRE_TAN))
     if far.size:
-        c = 2.0 * np.arctan(t[far])
-        gaps = np.diff(c, axis=-1, append=c[:, :1] + 2.0 * np.pi)
-        widest = gaps.argmax(axis=-1)[:, None]
-        cut = np.take_along_axis(c + gaps / 2.0, widest, axis=-1)[:, 0]
-        mu[far] = np.angle(np.exp(1j * (mu[far] + cut + np.pi)))
+        mu[far] = _widest_gap_centres(2.0 * np.arctan(t[far]), mu[far])
         k, skew[far] = _cayley(stack[far], mu[far])
         t[far], v_far = solve(k)
         if basis:
@@ -324,6 +327,24 @@ def _unitary_eigenphases(u: np.ndarray, basis: bool = False):
     return (c, mu, v.reshape(u.shape)) if basis else (c, mu)
 
 
+def _whole_member_branch(theta: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """Eigenphases ``mu_b + c`` of (B, blocks, k) block solves, moved by 2 pi n onto the branch of the whole member.
+
+    That is the branch a dense solve of the block-diagonal member takes:
+    within pi of the phase of its summed block ``traces`` (B, blocks) or,
+    if a phase is then within 0.02 rad of the cut, of the centre opposite
+    the widest gap of all its phases.  A phase on that branch keeps its bits.
+    """
+    onto = lambda th, c: th - 2.0 * np.pi * np.ceil((th - c[:, None, None]) / (2.0 * np.pi) - 0.5)
+    centre = np.angle(traces.sum(axis=-1))
+    theta = onto(theta, centre)
+    centred = (theta - centre[:, None, None]).reshape(len(theta), -1)
+    far = np.flatnonzero(np.abs(np.tan(centred / 2.0)).max(axis=-1) > _RECENTRE_TAN)
+    if far.size:
+        theta[far] = onto(theta[far], _widest_gap_centres(np.sort(centred[far], axis=-1), centre[far]))
+    return theta
+
+
 def _require_root_order(m: int) -> None:
     """Raise unless ``m`` is a positive integer."""
     if m < 1 or int(m) != m:
@@ -334,13 +355,11 @@ def unitary_root(u: npt.ArrayLike, m: int) -> Operator:
     """``m``-th root ``e^{i mu / m} V diag(e^{i c / m}) V^dag`` of a unitary matrix.
 
     ``c``, ``mu`` and the orthonormal eigenbasis ``V`` come from ``eigh``
-    of the centred Cayley transform (:func:`_unitary_eigenphases`): each
-    eigenphase ``mu + c`` maps to ``(mu + c) / m``, with the branch cut
-    opposite the trace phase ``mu`` (or in the widest gap of a recentred
-    member), so ``root^m = u`` and a global phase of ``u`` only turns the
-    root.  ``V`` is unitary to roundoff, which keeps reconstruction errors
-    at machine level even for high powers.  ``m`` must be a positive
-    integer (``ValueError``).
+    of the centred Cayley transform (:func:`_unitary_eigenphases`), so
+    ``root^m = u`` and a global phase of ``u`` only turns the root.  ``V``
+    is unitary to roundoff, which keeps reconstruction errors at machine
+    level even for high powers.  ``m`` must be a positive integer
+    (``ValueError``).
     """
     _require_root_order(m)
     u = require_unitary(u)

@@ -705,18 +705,10 @@ def parity_block_unitary(seed: int, n_spins: int, phases=None) -> np.ndarray:
     return u
 
 
-def parity_block_oracle(u: np.ndarray, m: int) -> float:
-    """``|Tr u^{1/m}| / d`` from the eigvals oracle of each parity block, the odd block's centre within pi of the even one's."""
-    layout = parity_sectors(u.shape[0].bit_length() - 1)
-    trace, first = 0.0, None
-    for span in layout.spans:
-        rows = layout.order[span]
-        c, mu = oracle_phases(u[np.ix_(rows, rows)])
-        if first is None:
-            first = mu
-        mu = first + np.angle(np.exp(1j * (mu - first)))
-        trace += np.exp(1j * (mu + c) / m).sum()
-    return min(abs(trace) / u.shape[0], 1.0)
+def oracle_fidelity(u: np.ndarray, m: int) -> float:
+    """``|Tr u^{1/m}| / d`` from the eigvals oracle of the whole matrix."""
+    c, mu = oracle_phases(u)
+    return min(abs(np.exp(1j * (mu + c) / m).sum()) / u.shape[0], 1.0)
 
 
 def eigenphase_shapes(monkeypatch) -> list[tuple[int, ...]]:
@@ -736,7 +728,7 @@ class TestParitySplitFidelity:
         dim = u.shape[0]
         shapes = eigenphase_shapes(monkeypatch)
         for m in (1, 3, 16):
-            assert fidelity(u, m=m) == pytest.approx(parity_block_oracle(u, m), rel=0, abs=1e-13)
+            assert fidelity(u, m=m) == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
         assert set(shapes) == {(1, 2, dim // 2, dim // 2)}
 
     def test_mixed_stack_equals_one_member_calls(self, monkeypatch):
@@ -774,7 +766,32 @@ class TestParitySplitFidelity:
         assert not u[np.subtract.outer(magnetization(3), magnetization(3)) % 2 == 1].any()
         near_pi = np.exp(1j * (np.pi + np.concatenate([-offsets, offsets])) / 2).sum() / 8
         assert fidelity(u, m=2) == pytest.approx(abs(near_pi), rel=0, abs=1e-14)
-        assert fidelity(u, m=2) == pytest.approx(parity_block_oracle(u, 2), rel=0, abs=1e-14)
+        assert fidelity(u, m=2) == pytest.approx(oracle_fidelity(u, 2), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "n_spins,phases",
+        [
+            (1, [[0.0], [np.pi]]),  # -1 exactly on the cut of the whole trace phase
+            (2, [[1.5, -1.5], [np.pi + 0.3, np.pi - 0.3]]),
+            (2, [[0.94, 0.61], [0.05, -2.6]]),  # a phase 0.009 rad from the whole cut
+            (2, [[0.03, -2.43], [2.32, -2.98]]),  # the same, whole trace phase near -pi
+            (3, [np.pi - np.linspace(0.0, 2.5, 4), np.pi + np.linspace(0.0, 2.5, 4)]),
+        ],
+    )
+    def test_split_takes_the_dense_branch(self, n_spins, phases, monkeypatch):
+        # block phases spread wide enough that each block's own cut is not
+        # the whole member's; F must not depend on the off-block zeros
+        u = parity_block_unitary(50, n_spins, phases=phases)
+        coupled = u.copy()
+        even, odd = parity_sectors(n_spins).order.reshape(2, -1)
+        coupled[even[0], odd[0]] = 1e-300
+        shapes = eigenphase_shapes(monkeypatch)
+        for m in (1, 2, 48):
+            split = fidelity(u, m=m)
+            assert split == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
+            assert split == pytest.approx(fidelity(u, np.eye(len(u)), m=m), rel=0, abs=1e-13)
+            assert split == pytest.approx(fidelity(coupled, m=m), rel=0, abs=1e-13)
+        assert (1, 2, len(u) // 2, len(u) // 2) in shapes and (1, len(u), len(u)) in shapes
 
 
 @functools.cache

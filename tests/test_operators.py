@@ -7,6 +7,7 @@ from spinweave.operators import (
     HermitianPropagator,
     _unitarity_defects,
     _unitary_eigenphases,
+    _whole_member_branch,
     expm_hermitian,
     frobenius_magnitude,
     hermiticity_defect,
@@ -228,17 +229,19 @@ class TestUnitaryRoot:
         with pytest.raises(ValueError, match="root order"):
             unitary_root(random_unitary(4, 4), m)
 
-    def test_singular_cayley_member_takes_the_shifted_centre(self):
-        # trace 0 puts the eigenvalue -1 (np.angle reads it -pi) on the
-        # centred cut, so the solve is centred 1 rad further on and the root
-        # halves the phases of that branch
-        lam = np.array([complex(-1.0, -0.0), 1j, -1j, 1.0])
-        phases = np.array([np.pi, np.pi / 2, -np.pi / 2, 0.0])
+    def test_singular_cayley_member_is_recentred(self):
+        # the trace is real and positive, so the eigenvalue -1 sits exactly on
+        # the trace-centred cut, where I + v is singular; like a phase near
+        # that cut it moves the cut into the widest gap, around 0
+        angles = np.array([1.0, 1.1, 1.2])
+        lam = np.concatenate([[-1.0, -1.0], np.stack([np.exp(1j * angles), np.exp(-1j * angles)], axis=1).ravel()])
         c, mu = _unitary_eigenphases(np.diag(lam))
-        assert mu == 1.0
-        assert np.allclose(np.sort(mu + c), np.sort(phases), rtol=0, atol=1e-15)
+        assert np.cos(mu) == pytest.approx(-1.0, abs=1e-15)
+        expected = np.sort(np.concatenate([[0.0, 0.0], np.pi - angles, angles - np.pi]))
+        assert np.allclose(np.sort(c), expected, rtol=0, atol=1e-15)
         root = unitary_root(np.diag(lam), 2)
-        assert np.allclose(np.diag(root), np.exp(0.5j * phases), rtol=0, atol=1e-15)
+        assert abs(np.trace(root)) / 8 == pytest.approx((2.0 + 2.0 * np.sin(angles / 2).sum()) / 8, abs=1e-15)
+        assert np.abs(root @ root - np.diag(lam)).max() < 1e-15
 
 
 def assert_same_circle_points(theta, ref, tol=1e-12):
@@ -358,6 +361,38 @@ class TestUnitaryEigenphases:
         u = with_spectrum(5, spectrum(kind, 64))
         root = unitary_root(u, m)
         assert np.abs(np.linalg.matrix_power(root, m) - u).max() < 1e-11
+
+
+class TestWholeMemberBranch:
+    """Block solves put on the branch a dense solve of the block-diagonal matrix takes."""
+
+    @pytest.mark.parametrize(
+        "phases,recentred",
+        [
+            (([1.5, -1.5], [np.pi + 0.3, np.pi - 0.3]), False),
+            (([0.94, 0.61], [0.05, -2.6]), True),  # a phase 0.009 rad from the whole cut
+            (([0.03, -2.43], [2.32, -2.98]), True),  # the same, whole trace phase near -pi
+            ((np.pi - np.linspace(0.0, 2.5, 4), np.pi + np.linspace(0.0, 2.5, 4)), False),
+        ],
+    )
+    def test_matches_dense_solve_and_oracle(self, phases, recentred):
+        blocks = np.stack([with_spectrum(7 + k, p) for k, p in enumerate(phases)])
+        k = blocks.shape[-1]
+        whole = np.zeros((2 * k, 2 * k), dtype=complex)
+        whole[:k, :k], whole[k:, k:] = blocks
+        c, mu = _unitary_eigenphases(blocks[None])
+        theta = np.sort(_whole_member_branch(mu[..., None] + c, np.trace(blocks, axis1=-2, axis2=-1)[None]).ravel())
+        c_dense, mu_dense = _unitary_eigenphases(whole)
+        assert (abs(mu_dense - np.angle(np.trace(whole))) > 0.1) == recentred
+        assert np.abs(theta - np.sort(mu_dense + c_dense)).max() <= 1e-13
+        assert np.abs(theta - np.sort(oracle_points(whole))).max() <= 1e-13
+
+    def test_phases_on_the_branch_keep_their_bits(self):
+        blocks = np.stack([with_spectrum(3, [0.1, -0.2]), with_spectrum(4, [0.3, 0.0])])
+        c, mu = _unitary_eigenphases(blocks[None])
+        theta = mu[..., None] + c
+        moved = _whole_member_branch(theta.copy(), np.trace(blocks, axis1=-2, axis2=-1)[None])
+        assert np.array_equal(moved, theta)
 
 
 class TestFrobeniusMagnitude:
