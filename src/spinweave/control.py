@@ -234,7 +234,7 @@ class _CycleKernel:
     the global parities, so the walk runs on the parity blocks of
     :func:`spinweave.spins._parity_blocks` (4 of d/4 for even N, 1 of d/2
     for odd N), one (B, blocks, k, k) matmul per free step, with every
-    ``H_D^(a)`` factored by one batched :class:`HermitianPropagator`.
+    ``H_D^(a)`` factored by one batched real :class:`HermitianPropagator`.
 
     Every other cycle takes the lab-frame path, which factors the H_int
     stack by magnetization sector (built on first use) and, for finite
@@ -253,6 +253,7 @@ class _CycleKernel:
         self.members, self.n_spins = len(systems), systems[0].n_spins
         self.error = error
         self.offset_free = error == IDEAL and not any(np.any(s.total_offsets_hz) for s in systems)
+        self.tau = None
         if not error.is_delta:
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
             order = self.free.layout.order
@@ -266,14 +267,24 @@ class _CycleKernel:
 
     @functools.cached_property
     def parity(self) -> HermitianPropagator:
-        """``H_D^(x,y,z)`` of every member on the parity blocks, as one (B * 3 * blocks, k, k) stack."""
+        """``H_D^(x,y,z)`` of every member on the parity blocks, as one real (B * 3 * blocks, k, k) stack."""
         couplings, blocks = np.stack([s.couplings_hz for s in self.systems]), _parity_blocks(self.n_spins)
-        # H_D^(a) is real: gathering its blocks from the real part halves their temporaries
-        h = np.stack([blocks.from_standard(_pair_stack(couplings, _PAIR_FACTORS[a]).real) for a in "xyz"], axis=1)
+        h = np.stack([blocks.from_standard(_pair_stack(couplings, _PAIR_FACTORS[a], dtype=np.float64)) for a in "xyz"], axis=1)
         return HermitianPropagator(h.reshape(-1, *h.shape[-2:]))
 
     def cycles(self, seq: PulseSequence, tau: float) -> np.ndarray:
-        """(B, d, d) cycle propagators in the standard basis, each checked unitary to 1e-10."""
+        """(B, d, d) cycle propagators in the standard basis, each checked unitary to 1e-10.
+
+        Free steps and ``P_0 F_a`` windows are kept for one ``tau`` at a
+        time: a call with another ``tau`` drops those of the last one.
+        """
+        if tau != self.tau:
+            self.tau = tau
+            for name in ("free", "parity"):
+                if name in vars(self):
+                    vars(self)[name].forget()
+            if not self.error.is_delta:
+                self.folded = {0.0: self.folded[0.0]}
         sign = None
         if self.offset_free and all(e.phase_deg in _FRAME_ROTATIONS for e in seq.events if e.kind == "pulse"):
             try:
@@ -408,21 +419,31 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarr
     transform (:func:`spinweave.operators._unitary_eigenphases`, which
     :func:`unitary_root` shares) maps to ``(mu + c) / m``.  A member whose
     elements between the :func:`parity_sectors` halves are all exactly
-    zero, as every parity-path :func:`cycle_unitary` is, is solved on its
-    two diagonal blocks of d/2, its phases moved onto the branch of the
-    whole member (:func:`spinweave.operators._whole_member_branch`).  With
-    ``check``, each member is first checked unitary to ``DEFECT_TOL`` on
-    the blocks it is solved on (``ValueError``).
+    zero is solved on blocks, its phases moved onto the branch of the
+    whole member (:func:`spinweave.operators._whole_member_branch`).  If
+    it is also exactly ``X^{(x)N}``-symmetric (``u[s, t] == u[~s, ~t]``),
+    as every parity-path :func:`cycle_unitary` is, the blocks are those of
+    :func:`spinweave.spins._parity_blocks`: 4 of d/4 at even N, and at odd
+    N one of d/2 whose phases count twice.  Otherwise they are the two
+    halves of d/2.  With ``check``, each member is first checked unitary
+    to ``DEFECT_TOL`` on the blocks it is solved on (``ValueError``).
     """
     dim = u.shape[-1]
     parts = [(slice(None), u)]  # (members, the stack they are solved on)
     if dim > 1:
-        halves = parity_sectors(dim.bit_length() - 1).order.reshape(2, -1)
+        n_spins = dim.bit_length() - 1
+        halves = parity_sectors(n_spins).order.reshape(2, -1)
         rows, cols = halves[:, :, None], halves[:, None, :]
         split = ~(u[:, rows[0], cols[1]].any(axis=(1, 2)) | u[:, rows[1], cols[0]].any(axis=(1, 2)))
         if split.any():
             members = np.flatnonzero(split)
-            parts = [(~split, u[~split]), (split, u[members[:, None, None, None], rows, cols])]
+            flips = np.array([np.array_equal(u[b], u[b, ::-1, ::-1]) for b in members])
+            z_only, xz = members[~flips], members[flips]
+            parts = [
+                (~split, u[~split]),
+                (z_only, u[z_only[:, None, None, None], rows, cols]),
+                (xz, _parity_blocks(n_spins).from_standard(u, xz)),
+            ]
     tr = np.empty(len(u), dtype=np.complex128)
     for members, stack in parts:
         if len(stack):
@@ -432,8 +453,9 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarr
             theta = mu[..., None] + c
             if stack.ndim == 4:
                 theta = _whole_member_branch(theta, np.trace(stack, axis1=-2, axis2=-1))
-            # block traces first, then their sum
-            tr[members] = np.exp(1j * theta / m).sum(axis=-1).reshape(len(stack), -1).sum(axis=-1)
+            # block traces first, then their sum; the odd-N parity block stands for two
+            copies = dim // theta[0].size
+            tr[members] = copies * np.exp(1j * theta / m).sum(axis=-1).reshape(len(stack), -1).sum(axis=-1)
     return np.minimum(np.abs(tr) / dim, 1.0)
 
 
@@ -684,11 +706,13 @@ def resolve_threads(threads: int | None = None) -> int:
 def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.ndarray:
     """``1 - F`` of every (grid value, sequence, member), shape (G, S, members).
 
-    A task is one grid value and one chunk of ``max(1, 2**16 // d**2)``
-    consecutive members, a constant of the spin count.  It builds the
-    chunk's systems and one :class:`_CycleKernel`, which every sequence of
-    the task shares.  Members are ordered coupling set major, disorder
-    sample minor.
+    A task is one chunk of ``max(1, 2**16 // d**2)`` consecutive members,
+    a constant of the spin count, and the grid values that share its
+    systems and error model: every value of a ``tau`` sweep, one value of
+    any other.  It builds the chunk's systems and one
+    :class:`_CycleKernel`, which every sequence and value of the task
+    shares; the kernel keeps the free steps of one tau at a time.
+    Members are ordered coupling set major, disorder sample minor.
     """
     sequences = [builtin(name) for name in spec.sequences]
     members = [
@@ -696,12 +720,16 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
     ]
     results = np.zeros((len(spec.grid), len(sequences), len(members)))
     chunk = max(1, 2**16 // (1 << spec.n_spins) ** 2)
-    tasks = [(i, start) for i in range(len(spec.grid)) for start in range(0, len(members), chunk)]
+    grids = [range(len(spec.grid))] if spec.parameter == "tau" else [[i] for i in range(len(spec.grid))]
+    tasks = [(grid, start) for grid in grids for start in range(0, len(members), chunk)]
 
     def run(task):
-        i, start = task
-        # the swept fields at grid point i, read without re-checking the spec
-        point = {**{name: getattr(spec, name) for name in SWEEPABLE_PARAMETERS}, spec.parameter: spec.grid[i]}
+        grid, start = task
+        # the swept fields at each grid point of the task, read without re-checking the
+        # spec; they differ in tau alone, so the first sets the systems and error model
+        fields = {name: getattr(spec, name) for name in SWEEPABLE_PARAMETERS}
+        points = [{**fields, spec.parameter: spec.grid[i]} for i in grid]
+        point = points[0]
         couplings = {
             s: sample_couplings(spec.base_seed + s, spec.n_spins, spec.coupling_sigma_hz)
             for s in {s for s, _ in members[start : start + chunk]}
@@ -725,10 +753,11 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
             point["transient"], point["pulse_width"], point["rotation_error"]
         )
         kernel = _CycleKernel(systems, error)
-        for j, seq in enumerate(sequences):
-            results[i, j, start : start + len(systems)] = 1.0 - _eigenphase_fidelity(
-                kernel.cycles(seq, point["tau"]), seq.cycle_windows
-            )
+        for i, point in zip(grid, points):
+            for j, seq in enumerate(sequences):
+                results[i, j, start : start + len(systems)] = 1.0 - _eigenphase_fidelity(
+                    kernel.cycles(seq, point["tau"]), seq.cycle_windows
+                )
 
     # the calling thread drains the queue alongside threads - 1 helpers
     pending = queue.SimpleQueue()
@@ -758,12 +787,15 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
 def ensemble_fidelity(spec: SweepSpec, threads: int | None = None) -> list[SweepRow]:
     """Mean infidelity per (grid value, sequence) over the seeded ensemble.
 
-    Members are propagated in stacks: a task is one grid value and one
-    chunk of ``max(1, 2**16 // d**2)`` consecutive members (256 at 4 spins,
-    16 at 6, 1 at 8 and above), whose H_int factorization and finite-pulse
-    windows ``P_0 F_a`` every sequence shares; for ideal, offset-free
-    members it is the factorization of ``H_D^(x,y,z)`` on the parity
-    blocks instead (:func:`cycle_unitary`).  Each member's ``1 - F`` equals
+    Members are propagated in stacks: a task is one chunk of
+    ``max(1, 2**16 // d**2)`` consecutive members (256 at 4 spins, 16 at
+    6, 1 at 8 and above) times the grid values that share it, every value
+    of a ``tau`` sweep and one value of any other.  Every sequence and
+    value of a task shares its H_int factorization, and the finite-pulse
+    windows ``P_0 F_a`` of one tau at a time; for ideal, offset-free
+    members it is the real factorization of ``H_D^(x,y,z)`` on the parity
+    blocks instead (:func:`cycle_unitary`), whose fidelities are solved on
+    the same blocks.  Each member's ``1 - F`` equals
     ``1 - fidelity(cycle_unitary(system, ...), m)`` bit for bit, on either
     path.
 

@@ -7,12 +7,15 @@ Conventions used throughout the package:
   2*pi at module boundaries.
 * Propagators are unitary and dimensionless; evolution under a Hamiltonian
   ``h`` for time ``t`` is ``exp(-i h t)``.
-* Everything is dense ``complex128``.  Dimensions are powers of two up to
-  ``2**MAX_SPINS``; exponentials of general Hamiltonians and unitary roots
-  go through exact eigendecompositions, which at these sizes is both
-  precise and cheap, and lets a single factorization serve repeated
-  evolution times.  Ideal collective RF rotations factor over the spins
-  and are built in closed form by :func:`spinweave.spins.collective_rotation`.
+* Everything is dense ``complex128``, except that a real (real
+  symmetric) generator stays real, so :class:`HermitianPropagator`
+  factors it by a real ``eigh``; its propagators are complex.  Dimensions
+  are powers of two up to ``2**MAX_SPINS``; exponentials of general
+  Hamiltonians and unitary roots go through exact eigendecompositions,
+  which at these sizes is both precise and cheap, and lets a single
+  factorization serve repeated evolution times.  Ideal collective RF
+  rotations factor over the spins and are built in closed form by
+  :func:`spinweave.spins.collective_rotation`.
 * Eigenphases of unitaries (fidelities and unitary roots) come from one
   Hermitian path: the unitary is turned by the phase of its trace and
   Cayley-transformed to a Hermitian matrix whose eigenvalues are
@@ -107,17 +110,28 @@ def _hermiticity_defects(blocks: list[np.ndarray]) -> npt.NDArray[np.float64]:
     """:func:`hermiticity_defect` of each member of the matrix with these diagonal blocks, and zeros elsewhere.
 
     The norms are summed in squares over the blocks; off-block elements add
-    nothing to either.  Each member is first scaled by ``2**-e``, where
+    nothing to either.  Where a member's plain norm is below ``2**-400``
+    (its skew's squares could then reach the subnormals), infinite or nan,
+    or its skew overflows, every member is scaled by ``2**-e`` first, where
     ``2**e`` is the power of two just above its largest |element|, so the
-    norms neither overflow nor underflow.
+    norms neither overflow nor underflow.  A power-of-two scale leaves the
+    ratio's bits alone, so both ways give one value.
     """
-    peak = np.max([np.abs(b).max(axis=(-2, -1), initial=0.0) for b in blocks], axis=0)
-    # 2**-e with peak = f 2**e, 0.5 <= f < 1; capped where a subnormal peak would overflow it
-    scale = np.ldexp(1.0, np.minimum(-np.frexp(peak)[1], 1021))[..., None, None]
-    blocks = [b * scale for b in blocks]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        norm, skew = _frobenius_norms(blocks)
+    if not np.all((norm >= 2.0**-400) & (norm < np.inf) & (skew < np.inf)):
+        peak = np.max([np.abs(b).max(axis=(-2, -1), initial=0.0) for b in blocks], axis=0)
+        # 2**-e with peak = f 2**e, 0.5 <= f < 1; capped where a subnormal peak would overflow it
+        scale = np.ldexp(1.0, np.minimum(-np.frexp(peak)[1], 1021))[..., None, None]
+        norm, skew = _frobenius_norms([b * scale for b in blocks])
+    return np.divide(skew, norm, out=np.zeros_like(norm), where=norm != 0.0)
+
+
+def _frobenius_norms(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``|h|_F`` and ``|h - h^dag|_F`` of each member of the matrix with these diagonal blocks."""
     norm = np.sqrt(sum(np.linalg.norm(b, axis=(-2, -1)) ** 2 for b in blocks))
     skew = np.sqrt(sum(np.linalg.norm(b - dagger(b), axis=(-2, -1)) ** 2 for b in blocks))
-    return np.divide(skew, norm, out=np.zeros_like(norm), where=norm != 0.0)
+    return norm, skew
 
 
 def _require_hermitian_blocks(blocks: list[np.ndarray]) -> None:
@@ -197,11 +211,13 @@ class HermitianPropagator:
     Hermitian to ``DEFECT_TOL`` on its blocks, which, with the off-block
     elements known to be zero, gives the whole matrix's defect.  Each
     block ``b`` is factored by one batched ``eigh`` of ``(b + b^dag) / 2``,
-    and its propagators are kept per duration.
+    a real one when ``h`` is real (real symmetric), and its propagators,
+    complex either way, are kept per duration until :meth:`forget`.
     """
 
     def __init__(self, h: npt.ArrayLike, layout: SectorLayout | None = None):
-        h = _checked_shape(np.ascontiguousarray(h, dtype=np.complex128), stack=True)
+        h = np.asarray(h)
+        h = _checked_shape(np.ascontiguousarray(h, dtype=np.float64 if np.isrealobj(h) else np.complex128), stack=True)
         self.layout = layout
         self._shape = h.shape
         if layout is None:
@@ -231,6 +247,10 @@ class HermitianPropagator:
                 raise NumericalDiagnosticError(f"phases of exp(-i h t) overflow at t = {t!r}")
             self._blocks[t] = [(v * p[..., None, :]) @ dagger(v) for p, (_, v) in zip(phases, self._factors)]
         return self._blocks[t]
+
+    def forget(self) -> None:
+        """Drop the propagators kept per duration; the factorization stays."""
+        self._blocks.clear()
 
     def at(self, t: float) -> Operator:
         """Dense ``exp(-i h t)`` in the standard basis, with the shape of ``h``."""

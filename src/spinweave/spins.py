@@ -342,13 +342,14 @@ _PAIR_FACTORS = {
 
 
 def _pair_stack(
-    couplings_hz: np.ndarray, factors: tuple[float, float, float], offsets_hz: np.ndarray | None = None
+    couplings_hz: np.ndarray, factors: tuple[float, float, float], offsets_hz: np.ndarray | None = None, dtype=np.complex128
 ) -> np.ndarray:
     """The (B, d, d) pair operator of (B, n, n) couplings, plus ``sum_i a_i S_z^i`` of (B, n) offsets, in rad/s.
 
     ``factors`` is an entry of :data:`_PAIR_FACTORS`.  Every element is
     added to zeros, so a zero coupling leaves +0.0; the diagonal sums its
-    pair terms, then its offset terms, in table order.
+    pair terms, then its offset terms, in table order.  Every element is
+    real, so a ``float64`` stack holds the real parts of the complex one.
     """
     batch, n = couplings_hz.shape[:2]
     tables = _pair_tables(n)
@@ -358,7 +359,7 @@ def _pair_stack(
     coefficients = factors[0] * d
     if offsets_hz is not None:
         coefficients = np.concatenate([coefficients, TWO_PI * offsets_hz], axis=1)
-    h = np.zeros((batch, dim, dim), dtype=np.complex128)
+    h = np.zeros((batch, dim, dim), dtype=dtype)
     diagonal = tables.diagonal[: coefficients.shape[1]]
     h.reshape(batch, -1)[:, :: dim + 1] += (coefficients[:, :, None] * diagonal).sum(axis=1)
     for factor, (rows, cols, pair) in zip(factors[1:], tables.elements):
@@ -390,18 +391,21 @@ class _ParityBlocks:
     def blocks(self) -> int:
         return 4 if len(self.states) == 2 else 1
 
-    def from_standard(self, h: np.ndarray) -> np.ndarray:
+    def from_standard(self, h: np.ndarray, members: npt.NDArray[np.intp] | None = None) -> np.ndarray:
         """The (B, blocks, k, k) blocks of a (B, d, d) standard-basis stack that commutes with both parities.
 
         The index inverse of :meth:`to_standard`: block ``(sigma, p)`` is
-        ``h[s, t] + sigma h[s, ~t]`` over ``s, t`` in ``states[p]``.
+        ``h[s, t] + sigma h[s, ~t]`` over ``s, t`` in ``states[p]``.  With
+        ``members``, only those members of ``h``, gathered without a copy
+        of the whole matrices.
         """
         states = self.states
+        index = slice(None) if members is None else members[:, None, None, None]
         rows = states[:, :, None]
-        same = h[:, rows, states[:, None, :]]
+        same = h[index, rows, states[:, None, :]]
         if len(states) == 1:
             return same
-        swapped = h[:, rows, h.shape[-1] - 1 - states[:, None, :]]
+        swapped = h[index, rows, h.shape[-1] - 1 - states[:, None, :]]
         return np.concatenate([same + swapped, same - swapped], axis=1)
 
     def to_standard(self, blocks: np.ndarray) -> np.ndarray:

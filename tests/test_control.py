@@ -608,6 +608,19 @@ STACK_SPECS = {
         n_coupling_sets=16,
         base_seed=34,
     ),
+    # one kernel for every tau: its free steps and P_0 F_a windows are kept
+    # for one tau at a time
+    "4-spin-finite-tau": SweepSpec(
+        parameter="tau",
+        grid=(1e-6, 2e-6, 4e-6),
+        sequences=("WHH", "MREV8", "CORY48"),
+        n_spins=4,
+        n_coupling_sets=2,
+        n_disorder_samples=2,
+        disorder_sigma_hz=80.0,
+        pulse_width=5e-7,
+        base_seed=36,
+    ),
     # odd N on the parity branch, in chunks of 4 and 1
     "7-spin-parity-chunk-boundary": SweepSpec(
         parameter="tau",
@@ -645,6 +658,44 @@ class TestStackedEnsemble:
                     system = member_system(spec, set_idx, dis_idx, disorder_sigma)
                     single = 1.0 - fidelity(cycle_unitary(system, seq, error, tau), m=seq.cycle_windows)
                     assert stacked[i, j, k] == single, (value, name, k)
+
+    @pytest.mark.parametrize(
+        "parameter,grid,kernels",
+        [("tau", (1e-6, 2e-6, 4e-6), 2), ("rotation_error", (0.0, 0.01, 0.02), 6)],
+    )
+    def test_a_tau_sweep_builds_one_kernel_per_chunk(self, parameter, grid, kernels, monkeypatch):
+        # 7 spins stack 4 members at a time: chunks of 4 and 1; a tau sweep
+        # shares each chunk's kernel across its grid, any other sweep does not
+        spec = SweepSpec(parameter=parameter, grid=grid, sequences=("WHH", "BR24"), n_spins=7, n_coupling_sets=5)
+        built = []
+        init = _CycleKernel.__init__
+        monkeypatch.setattr(_CycleKernel, "__init__", lambda self, *a: built.append(len(a[0])) or init(self, *a))
+        stacked = _ensemble_infidelities(spec, threads=1)
+        assert sorted(built) == sorted([4, 1] * (kernels // 2))
+        assert np.array_equal(_ensemble_infidelities(spec, threads=2), stacked)
+
+    def test_kernel_keeps_the_free_steps_of_one_tau(self):
+        systems = [SpinSystem.create(sample_couplings(40 + k, 4)) for k in range(2)]
+        durations = lambda seq, tau: {value for kind, value in schedule(seq, tau) if kind == "free"}
+        cory, whh = builtin("CORY48"), builtin("WHH")
+        kernel = _CycleKernel(systems, IDEAL)
+        first = kernel.cycles(cory, 2e-6)
+        kernel.cycles(whh, 4e-6)
+        assert set(kernel.parity._blocks) == durations(whh, 4e-6)
+        kernel.cycles(cory, 4e-6)
+        assert set(kernel.parity._blocks) == durations(whh, 4e-6) | durations(cory, 4e-6)
+        assert np.array_equal(kernel.cycles(cory, 2e-6), first)
+        assert set(kernel.parity._blocks) == durations(cory, 2e-6)
+        # finite pulses: the free steps and the P_0 F_a windows, P_0 itself kept
+        system = SpinSystem.create(sample_couplings(42, 4), disorder_hz=[30.0, 0.0, 0.0, 0.0])
+        finite = _CycleKernel([system], ErrorModel(pulse_width=1e-6))
+        durations = lambda tau: {value for kind, value in schedule(cory, tau, 1e-6) if kind == "free"}
+        assert durations(2e-6) - durations(4e-6)
+        first = finite.cycles(cory, 2e-6)
+        finite.cycles(cory, 4e-6)
+        assert set(finite.free._blocks) <= durations(4e-6)
+        assert 0.0 in finite.folded and set(finite.folded) - {0.0} <= durations(4e-6)
+        assert np.array_equal(finite.cycles(cory, 2e-6), first)
 
     def test_weak_finite_pulse_warns_in_sweep(self):
         spec = SweepSpec(
@@ -792,6 +843,51 @@ class TestParitySplitFidelity:
             assert split == pytest.approx(fidelity(u, np.eye(len(u)), m=m), rel=0, abs=1e-13)
             assert split == pytest.approx(fidelity(coupled, m=m), rel=0, abs=1e-13)
         assert (1, 2, len(u) // 2, len(u) // 2) in shapes and (1, len(u), len(u)) in shapes
+
+
+class TestParityBlockFidelity:
+    """Z-split, X^{(x)N}-symmetric members are solved on the parity blocks of the cycle kernel."""
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6, 7])
+    def test_parity_path_cycle_matches_eigvals_oracle(self, n_spins, monkeypatch):
+        system = SpinSystem.create(sample_couplings(70 + n_spins, n_spins))
+        dim = 1 << n_spins
+        shapes = eigenphase_shapes(monkeypatch)
+        for name in ("WHH", "CORY48"):
+            seq = builtin(name)
+            u = cycle_unitary(system, seq, IDEAL, 4e-6)
+            assert np.array_equal(u, u[::-1, ::-1])
+            for m in (1, seq.cycle_windows):
+                assert fidelity(u, m=m) == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
+        blocks = (1, 4, dim // 4, dim // 4) if n_spins % 2 == 0 else (1, 1, dim // 2, dim // 2)
+        assert set(shapes) == {blocks}
+
+    @pytest.mark.parametrize("n_spins", [3, 4])
+    def test_z_split_member_without_x_symmetry_solves_its_halves(self, n_spins, monkeypatch):
+        # a diagonal phase keeps the zeros between the parities but breaks s -> ~s
+        u = cycle_unitary(SpinSystem.create(sample_couplings(90 + n_spins, n_spins)), builtin("BR24"), IDEAL, 4e-6)
+        dim = len(u)
+        u = np.exp(1j * np.linspace(0.0, 0.4, dim))[:, None] * u
+        shapes = eigenphase_shapes(monkeypatch)
+        for m in (1, 24):
+            assert fidelity(u, m=m) == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
+        assert set(shapes) == {(1, 2, dim // 2, dim // 2)}
+
+    def test_mixed_stack_equals_one_member_calls(self, monkeypatch):
+        system = SpinSystem.create(sample_couplings(95, 4))
+        parity = cycle_unitary(system, builtin("YXX24"), IDEAL, 4e-6)
+        stack = np.stack([parity, random_unitary(96, 16), parity_block_unitary(97, 4), parity.T.copy()])
+        shapes = eigenphase_shapes(monkeypatch)
+        for m in (1, 24):
+            values = _eigenphase_fidelity(stack, m)
+            assert [fidelity(u, m=m) for u in stack] == list(values)
+        assert {(1, 16, 16), (1, 2, 8, 8), (2, 4, 4, 4)} <= set(shapes)
+
+    @pytest.mark.parametrize("n_spins", [4, 5])
+    def test_non_unitary_block_input_is_rejected(self, n_spins):
+        u = cycle_unitary(SpinSystem.create(sample_couplings(98, n_spins)), builtin("WHH"), IDEAL, 4e-6)
+        with pytest.raises(ValueError, match="not unitary"):
+            fidelity((1.0 + 1e-6) * u, m=4)
 
 
 @functools.cache

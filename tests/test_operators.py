@@ -125,6 +125,36 @@ class TestHermitianPropagator:
         assert reported == pytest.approx(hermiticity_defect(stack).max(), rel=1e-3)
         assert reported > operators.DEFECT_TOL
 
+    def test_real_symmetric_input_matches_its_complex_twin(self):
+        # a real generator is factored by a real eigh; its propagators are complex
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(3, 16, 16))
+        stack += stack.swapaxes(-1, -2)
+        real, twin = HermitianPropagator(stack), HermitianPropagator(stack.astype(complex))
+        assert all(v.dtype == np.float64 for _, v in real._factors)
+        assert np.abs(real.spectral_norm - twin.spectral_norm).max() <= 1e-14 * twin.spectral_norm.max()
+        for t in (0.05, 0.7):
+            assert real.at(t).dtype == np.complex128
+            assert np.abs(real.at(t) - twin.at(t)).max() < 1e-14
+        h = internal_hamiltonian(SpinSystem.create(sample_couplings(6, 4, 1000.0)))
+        sectors = magnetization_sectors(4)
+        real = HermitianPropagator(h.real, sectors)
+        assert np.abs(real.at(2e-5) - HermitianPropagator(h, sectors).at(2e-5)).max() < 1e-14
+
+    def test_rejects_a_real_asymmetric_input(self):
+        h = np.random.default_rng(10).normal(size=(8, 8))
+        h += h.T
+        h[0, 1] += 1e-6 * np.abs(h).max()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianPropagator(h)
+
+    def test_forget_drops_the_propagators_and_keeps_the_factorization(self):
+        prop = HermitianPropagator(random_hermitian(11, 8))
+        first = prop.blocks(0.3)
+        prop.forget()
+        again = prop.blocks(0.3)
+        assert again is not first and np.array_equal(again[0], first[0])
+
     def test_rejects_a_layout_of_another_dimension(self):
         with pytest.raises(ValueError, match="layout"):
             HermitianPropagator(sector_stack(3, 1), magnetization_sectors(4))
@@ -164,6 +194,25 @@ class TestHermiticityChecks:
             require_hermitian(far * scale)
         reported = float(str(raised.value).split("asymmetry ")[1].rstrip(")"))
         assert reported == pytest.approx(hermiticity_defect(far), rel=1e-3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-130, 1e-155, 1e-300])
+    def test_tiny_members_take_the_scaled_norms(self, scale):
+        # at 1e-155 the plain norm is nonzero but the squares of a 1e-9 skew
+        # underflow to 0: the member would pass unless its norms were scaled
+        h = random_hermitian(5, 4)
+        skew = np.random.default_rng(6).normal(size=(4, 4))
+        near, far = h + 2e-13 * skew, h + 1e-9 * skew
+        assert hermiticity_defect(near * scale) == pytest.approx(hermiticity_defect(near), rel=1e-3)
+        assert hermiticity_defect(np.stack([near, far]) * scale)[1] == pytest.approx(hermiticity_defect(far), rel=1e-3)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(far * scale)
+
+    def test_plain_and_scaled_norms_agree_to_the_bit(self):
+        # a stack with one tiny member takes the scaled norms for every member
+        stack = np.stack([random_hermitian(k, 8) + 1e-11 * random_unitary(k, 8) for k in range(3)])
+        plain = hermiticity_defect(stack)
+        assert np.array_equal(hermiticity_defect(np.concatenate([stack, 1e-200 * stack[:1]]))[:3], plain)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_elements_are_rejected(self, bad):
