@@ -7,18 +7,25 @@ exponential-matching recursion (Dyson terms in, Magnus terms out).
 
 For delta pulses the toggling Hamiltonian is exactly piecewise constant, so
 every integral is evaluated in closed form; there is no quadrature error
-even at high order.  Finite-width pulses are sliced into
-:data:`PULSE_SLICES` short constant sub-segments, which is a documented
-approximation.  Sums accumulate in plain floating point; their roundoff
-shows in each term's recorded hermiticity residual.
+even at high order.  With cardinal phases each segment is read off the
+frame matrix (Choi et al., PRX 10, 031002 (2020)): ``H_D`` turned to the
+window's axis, plus the offsets turned to its signed axis.  Finite-width
+pulses are sliced into :data:`PULSE_SLICES` short constant sub-segments
+of dense rotations, which is a documented approximation.  Sums accumulate
+in plain floating point; their roundoff shows in each term's recorded
+hermiticity residual.
 
-Both recursions run at GEMM granularity: the operators of all orders are
-kept in a few contiguous buffers, a row of blocks side by side and packed
-columns of blocks stacked, so each order-n sum over products of lower
-orders is one matrix product of two slices instead of one small product
-per term (:func:`dyson_terms`, :func:`burum_terms`).  The Burum recursion
-sets parts of its working values below ``2**-500`` to zero, which keeps
-its products out of the slow subnormal range.
+Both recursions run in the dtype of the segments, with the powers of -i
+taken out: real, in ``float64``, wherever the segments are real, as they
+are for every offset-free cardinal cycle, and in ``complex128`` otherwise.
+Only the Magnus terms themselves are formed complex.  Both run at GEMM
+granularity: the operators of all orders are kept in a few contiguous
+buffers, a row of blocks side by side and packed columns of blocks
+stacked, so each order-n sum over products of lower orders is one matrix
+product of two slices instead of one small product per term
+(:func:`dyson_terms`, :func:`burum_terms`).  The Burum recursion sets
+parts of its working values below ``2**-500`` to zero, which keeps its
+products out of the slow subnormal range.
 """
 
 from __future__ import annotations
@@ -35,8 +42,15 @@ from .operators import (
     frobenius_magnitude,
     hermiticity_defect,
 )
-from .sequences import PulseSequence, schedule, validate_cyclic
-from .spins import SpinSystem, collective_rotation, internal_hamiltonian
+from .sequences import _FRAME_ROTATIONS, PulseSequence, schedule, validate_cyclic
+from .spins import (
+    _PAIR_FACTORS,
+    SpinSystem,
+    _flip_sum,
+    _pair_stack,
+    collective_rotation,
+    internal_hamiltonian,
+)
 
 __all__ = [
     "TogglingSegment",
@@ -121,15 +135,64 @@ def toggling_segments(
 
     ``H`` is the internal Hamiltonian of ``system``.  For delta pulses each
     delay window becomes one segment with ``H_k = R_k^dag H R_k``, ``R_k``
-    the accumulated pulse rotation.  Finite-width pulses contribute
-    :data:`PULSE_SLICES` sub-segments each, sampled at slice midpoints.
+    the accumulated pulse rotation.  With cardinal phases that frame turns
+    S_z to a signed axis ``s a`` (:data:`spinweave.sequences._FRAME_ROTATIONS`),
+    so the segment is read off the frame matrix as
+    ``H_D^(a) + s sum_i 2 pi a_i S_a^i``, built from the pair tables with
+    the per-spin offsets ``a_i``.  It is ``float64`` unless it holds an
+    offset turned to y, and windows on one signed axis share one read-only
+    matrix.  Finite-width pulses, and pulses of any other phase, are walked
+    with dense rotations: each pulse then contributes :data:`PULSE_SLICES`
+    sub-segments, sampled at slice midpoints.
     """
-    h_int = internal_hamiltonian(system)
     validate_cyclic(seq)
+    steps = schedule(seq, tau, pulse_width)
+    if pulse_width == 0.0 and all(value in _FRAME_ROTATIONS for kind, value in steps if kind == "pulse"):
+        segments = _frame_segments(system, steps)
+    else:
+        segments = _rotated_segments(system, steps, pulse_width)
+    if not segments:
+        raise ValueError("sequence produced no toggling segments")
+    return segments
+
+
+def _frame_segments(system: SpinSystem, steps: list[tuple[str, float]]) -> list[TogglingSegment]:
+    """Delta-pulse segments of a cardinal-phase schedule, from its frame matrix."""
+    couplings, offsets_hz = system.couplings_hz[None], system.total_offsets_hz
+    toggled: dict[tuple[int, int], np.ndarray] = {}
+    segments = []
+    frame = np.eye(3, dtype=np.int64)
+    for kind, value in steps:
+        if kind == "pulse":
+            frame = frame @ _FRAME_ROTATIONS[value]
+            continue
+        axis = int(np.flatnonzero(frame[:, 2])[0])
+        sign = int(frame[axis, 2])
+        if (axis, sign) not in toggled:
+            name = "xyz"[axis]
+            if name == "z":
+                h = _pair_stack(couplings, _PAIR_FACTORS["z"], sign * offsets_hz[None], np.float64)[0]
+            else:
+                h = _pair_stack(couplings, _PAIR_FACTORS[name], dtype=np.float64)[0]
+                # 2 pi a_i S_a^i flips spin i with pi a_i (x), or with
+                # +i pi a_i from up to down and -i pi a_i back (y)
+                half = (np.pi * sign) * offsets_hz
+                if half.any():
+                    up, down = (half, half) if name == "x" else (1j * half, -1j * half)
+                    h = h + _flip_sum(system.n_spins, up, down)
+            h.flags.writeable = False
+            toggled[axis, sign] = h
+        segments.append(TogglingSegment(toggled[axis, sign], value))
+    return segments
+
+
+def _rotated_segments(system: SpinSystem, steps: list[tuple[str, float]], pulse_width: float) -> list[TogglingSegment]:
+    """Segments of any schedule, from dense pulse rotations ``u_rf^dag H u_rf``."""
+    h_int = internal_hamiltonian(system)
     n_spins = system.n_spins
     segments: list[TogglingSegment] = []
     u_rf = np.eye(system.dim, dtype=np.complex128)
-    for kind, value in schedule(seq, tau, pulse_width):
+    for kind, value in steps:
         if kind == "free":
             h_toggled = u_rf.conj().T @ h_int @ u_rf
             segments.append(TogglingSegment(h_toggled, value))
@@ -143,8 +206,6 @@ def toggling_segments(
                     TogglingSegment(u_mid.conj().T @ h_int @ u_mid, dt)
                 )
         u_rf = collective_rotation(n_spins, value, np.pi / 2) @ u_rf
-    if not segments:
-        raise ValueError("sequence produced no toggling segments")
     return segments
 
 
@@ -179,12 +240,15 @@ def dyson_terms(segments: list[TogglingSegment], n_max: int) -> list[Operator]:
     triangular ODE system whose solution is the Cauchy product with the
     segment's exponential series, continued across segment boundaries.
 
-    With ``d_n`` the order-n part of the propagator (``d_0 = I``) and
-    ``p_j = (-i H dt)^j / j!`` the segment's series, a segment maps
-    ``d_n -> d_n + p_n + sum_{j=1}^{n-1} p_j d_{n-j}``.  The powers are kept
-    side by side in reverse order, ``[p_N ... p_1]`` (shape ``(dim, N dim)``),
-    and ``d_1..d_N`` stacked in one ``(N dim, dim)`` column, so the sum is
-    one GEMM of the slices ``[p_{n-1} ... p_1]`` and ``[d_1; ...; d_{n-1}]``.
+    With ``p_j = (H dt)^j / j!`` the segment's series, a segment maps
+    ``P_n -> P_n + p_n + sum_{j=1}^{n-1} p_j P_{n-j}``; the order-n part of
+    the propagator is ``(-i)^n P_n``, and leaving that factor out keeps a
+    real Hamiltonian's arithmetic real.  The terms have the dtype of the
+    segments (at least ``float64``): real for real segments, such as those
+    of an offset-free cardinal cycle.  The powers are kept side by side in
+    reverse order, ``[p_N ... p_1]`` (shape ``(dim, N dim)``), and
+    ``P_1..P_N`` stacked in one ``(N dim, dim)`` column, so the sum is one
+    GEMM of the slices ``[p_{n-1} ... p_1]`` and ``[P_1; ...; P_{n-1}]``.
     Orders are updated from N down, so each reads the lower orders of the
     previous segment; no product with the identity is formed.
     """
@@ -193,11 +257,12 @@ def dyson_terms(segments: list[TogglingSegment], n_max: int) -> list[Operator]:
     if n_max > _HARD_ORDER_CAP + 1:
         raise ValueError(f"n_max capped at {_HARD_ORDER_CAP + 1}")
     dim = segments[0].hamiltonian.shape[0]
+    dtype = np.result_type(np.float64, *(seg.hamiltonian for seg in segments))
     width = n_max * dim
-    powers = np.empty((dim, width), dtype=np.complex128)  # p_j at block n_max - j
-    d = np.zeros((width, dim), dtype=np.complex128)  # d_n at block n - 1
+    powers = np.empty((dim, width), dtype=dtype)  # p_j at block n_max - j
+    d = np.zeros((width, dim), dtype=dtype)  # P_n at block n - 1
     for seg in segments:
-        gen = -1j * seg.hamiltonian * seg.duration
+        gen = seg.hamiltonian * seg.duration
         a = gen
         powers[:, width - dim :] = a
         for j in range(2, n_max + 1):
@@ -208,11 +273,11 @@ def dyson_terms(segments: list[TogglingSegment], n_max: int) -> list[Operator]:
             block += powers[:, (n_max - n) * dim : (n_max - n + 1) * dim]
             if n > 1:
                 block += powers[:, (n_max - n + 1) * dim :] @ d[: (n - 1) * dim]
-    return [(1j) ** n * d[(n - 1) * dim : n * dim] for n in range(1, n_max + 1)]
+    return [d[(n - 1) * dim : n * dim] for n in range(1, n_max + 1)]
 
 
 def _flush_tiny(block: np.ndarray) -> np.ndarray:
-    """Zero, in place, every real or imaginary part below :data:`_FLUSH_FLOOR`."""
+    """Zero, in place, every element of a real block, or real or imaginary part of a complex one, below :data:`_FLUSH_FLOOR`."""
     parts = block.view(np.float64)
     parts[np.abs(parts) < _FLUSH_FLOOR] = 0.0
     return block
@@ -221,21 +286,27 @@ def _flush_tiny(block: np.ndarray) -> np.ndarray:
 def burum_terms(dyson: list[Operator], cycle_time: float) -> MagnusSeries:
     """Magnus terms of the effective Hamiltonian from Dyson integrals.
 
-    Matches ``exp(sum_n W_n)`` against the propagator's expansion order by
-    order, where ``W_n`` collects n powers of the Hamiltonian; the order-n
-    effective term is ``(i / t_c) W_{n+1}``.  The order-0/1 results coincide
-    with the :func:`average_h` closed forms, which the test suite enforces.
+    Matches ``exp(sum_n W_n)`` against the propagator's expansion, whose
+    order-n part is ``(-i)^n P_n``, order by order, where ``W_n`` collects n
+    powers of the Hamiltonian; the order-n effective term is
+    ``(i / t_c) W_{n+1}``.  The order-0/1 results coincide with the
+    :func:`average_h` closed forms, which the test suite enforces.
 
-    Writing ``w_n = W_n`` and ``P(k, n)`` for the order-n part of ``W^k``,
-    order n is ``w_n = d_n - sum_{k=2}^{n} P(k, n) / k!`` with
-    ``P(k, n) = sum_m w_m P(k-1, n-m)``.  Each ``P(k, n)`` is one GEMM:
+    The recursion runs on ``w_n = i^n W_n``, which takes the powers of -i
+    out as :func:`dyson_terms` does, so it is real, and runs in
+    ``float64``, when the Dyson terms are real; its working buffers have
+    the dtype of the Dyson terms.  Writing ``P(k, n)`` for the order-n
+    part of ``w^k``, order n is ``w_n = P_n - sum_{k=2}^{n} P(k, n) / k!``
+    with ``P(k, n) = sum_m w_m P(k-1, n-m)``.  Each ``P(k, n)`` is one GEMM:
     ``w_1..w_N`` are kept side by side in reverse order (shape
     ``(dim, N dim)``), so ``[w_{n-k+1} ... w_1]`` is one slice, and each
     power k has a packed column ``((N+1-k) dim, dim)`` holding only its
     orders ``k..N``, so ``[P(k-1, k-1); ...; P(k-1, n-1)]`` is one slice.
-    No full ``(N+1) dim`` square table is built.
+    No full ``(N+1) dim`` square table is built.  Only at the end is each
+    term formed, ``H^(n) = (i / t_c) (-i)^{n+1} w_{n+1} = (-i)^n w_{n+1} / t_c``,
+    complex and Hermitized.
 
-    Every real or imaginary part below ``2**-500`` is set to zero in each
+    Every part below ``2**-500`` (real or imaginary) is set to zero in each
     new ``P(k, n)`` block and in each ``w_n`` before it is stored.  These
     are dimensionless orders of ``H t``, so a flushed entry lies more than
     1e135 below :data:`NEGLIGIBLE_MAGNITUDE`.  Without the flush, powers of
@@ -250,15 +321,16 @@ def burum_terms(dyson: list[Operator], cycle_time: float) -> MagnusSeries:
     if n_terms < 1:
         raise ValueError("need at least one Dyson term")
     dim = dyson[0].shape[0]
+    dtype = np.result_type(np.float64, *dyson)
     width = n_terms * dim
-    omega = np.empty((dim, width), dtype=np.complex128)  # w_m at block n_terms - m
+    omega = np.empty((dim, width), dtype=dtype)  # w_m at block n_terms - m
     # columns[k - 1] holds P(k, j) for j = k..n_terms at block j - k
     columns = [
-        np.empty(((n_terms + 1 - k) * dim, dim), dtype=np.complex128)
+        np.empty(((n_terms + 1 - k) * dim, dim), dtype=dtype)
         for k in range(1, n_terms + 1)
     ]
     for n in range(1, n_terms + 1):
-        correction = np.zeros((dim, dim), dtype=np.complex128)
+        correction = np.zeros((dim, dim), dtype=dtype)
         for k in range(2, n + 1):
             block = columns[k - 1][(n - k) * dim : (n - k + 1) * dim]
             np.matmul(
@@ -267,13 +339,13 @@ def burum_terms(dyson: list[Operator], cycle_time: float) -> MagnusSeries:
                 out=block,
             )
             correction += _flush_tiny(block) / float(math.factorial(k))
-        w_n = _flush_tiny((-1j) ** n * dyson[n - 1] - correction)
+        w_n = _flush_tiny(dyson[n - 1] - correction)
         omega[:, (n_terms - n) * dim : (n_terms - n + 1) * dim] = w_n
         columns[0][(n - 1) * dim : n * dim] = w_n
     terms = []
     residuals = []
-    for n in range(1, n_terms + 1):
-        t = (1j / cycle_time) * columns[0][(n - 1) * dim : n * dim]
+    for n in range(n_terms):
+        t = ((-1j) ** n / cycle_time) * columns[0][n * dim : (n + 1) * dim]
         residuals.append(hermiticity_defect(t))
         herm = (t + t.conj().T) / 2.0
         herm.flags.writeable = False

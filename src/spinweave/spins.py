@@ -104,16 +104,18 @@ def embedded_spin(n_spins: int, site: int, axis: str) -> Operator:
     return op
 
 
-def _flip_sum(n_spins: int, up: complex, down: complex) -> Operator:
-    """``sum_i o_i``, in one scatter, for the one-spin flip operator ``o``.
+def _flip_sum(n_spins: int, up: npt.ArrayLike, down: npt.ArrayLike) -> Operator:
+    """``sum_i o_i``, in one scatter, for the one-spin flip operators ``o_i``.
 
-    ``<down|o|up> = up`` and ``<up|o|down> = down``.
+    ``<down|o_i|up> = up[i]`` and ``<up|o_i|down> = down[i]``; a scalar
+    serves every spin.  The result has the dtype of ``up`` and ``down``.
     """
     dim = 1 << n_spins
     states = np.arange(dim)[:, None]
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    values = np.where(_bit_table(n_spins) == 0, up, down)
+    out = np.zeros((dim, dim), dtype=values.dtype)
     flipped = states ^ (1 << (n_spins - 1 - np.arange(n_spins)))
-    out[flipped, states] = np.where(_bit_table(n_spins) == 0, up, down)
+    out[flipped, states] = values
     return out
 
 
@@ -126,7 +128,7 @@ def collective_operator(n_spins: int, axis: str) -> Operator:
     if axis == "z":
         return np.diag(magnetization(n_spins)).astype(np.complex128)
     # <down|S_y|up> = +i/2, <up|S_y|down> = -i/2 (a +0.0 real part, unlike -0.5j)
-    up, down = (0.5, 0.5) if axis == "x" else (0.5j, complex(0.0, -0.5))
+    up, down = (0.5 + 0j, 0.5 + 0j) if axis == "x" else (0.5j, complex(0.0, -0.5))
     return _flip_sum(n_spins, up, down)
 
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from spinweave import aht
 from spinweave.aht import (
     NEGLIGIBLE_MAGNITUDE,
     PULSE_SLICES,
@@ -19,9 +20,17 @@ from spinweave.aht import (
 )
 from spinweave.control import IDEAL, cycle_unitary
 from spinweave.operators import frobenius_magnitude
-from spinweave.sequences import NonCyclicSequenceError, builtin, parse_sequence
+from spinweave.sequences import (
+    BUILTIN_NAMES,
+    NonCyclicSequenceError,
+    builtin,
+    parse_sequence,
+    schedule,
+    validate_cyclic,
+)
 from spinweave.spins import (
     SpinSystem,
+    collective_rotation,
     dipolar_hamiltonian,
     embedded_spin,
     internal_hamiltonian,
@@ -77,6 +86,80 @@ class TestTogglingSegments:
     def test_duration_positive(self):
         with pytest.raises(ValueError):
             TogglingSegment(np.eye(2, dtype=complex), 0.0)
+
+
+def reference_toggling_segments(system, seq, tau, pulse_width=0.0):
+    """The dense walk: every segment is ``u^dag H_int u`` with ``u`` the d x d pulse rotations so far."""
+    h_int = internal_hamiltonian(system)
+    validate_cyclic(seq)
+    n_spins = system.n_spins
+    segments = []
+    u_rf = np.eye(system.dim, dtype=np.complex128)
+    for kind, value in schedule(seq, tau, pulse_width):
+        if kind == "free":
+            segments.append(TogglingSegment(u_rf.conj().T @ h_int @ u_rf, value))
+            continue
+        if pulse_width > 0.0:
+            dt = pulse_width / PULSE_SLICES
+            for k in range(PULSE_SLICES):
+                angle = (np.pi / 2) * (k + 0.5) / PULSE_SLICES
+                u_mid = collective_rotation(n_spins, value, angle) @ u_rf
+                segments.append(TogglingSegment(u_mid.conj().T @ h_int @ u_mid, dt))
+        u_rf = collective_rotation(n_spins, value, np.pi / 2) @ u_rf
+    return segments
+
+
+def offset_case(n, offsets):
+    couplings = sample_couplings(2026, n)
+    if offsets == "none":
+        return SpinSystem.create(couplings)
+    if offsets == "global":
+        return SpinSystem.create(couplings, global_offset_hz=300.0)
+    return SpinSystem.create(
+        couplings,
+        chemical_shifts_hz=np.linspace(-50.0, 80.0, n),
+        disorder_hz=sample_disorder(7, n, 300.0),
+    )
+
+
+class TestFrameSegments:
+    """Delta-pulse cardinal segments read off the frame matrix, against the dense walk."""
+
+    @pytest.mark.parametrize("offsets", ["none", "global", "disorder"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_match_dense_walk(self, n, offsets):
+        system = offset_case(n, offsets)
+        scale = frobenius_magnitude(internal_hamiltonian(system))
+        for name in BUILTIN_NAMES:
+            segs = toggling_segments(system, builtin(name), 3e-6)
+            reference = reference_toggling_segments(system, builtin(name), 3e-6)
+            assert [s.duration for s in segs] == [s.duration for s in reference], name
+            for seg, ref in zip(segs, reference):
+                assert np.abs(seg.hamiltonian - ref.hamiltonian).max() <= 1e-14 * scale, name
+                # S_y has imaginary elements, H_D^(a) and S_x, S_z real ones
+                on_y = np.abs(ref.hamiltonian.imag).max() > 1e-9 * scale
+                assert seg.hamiltonian.dtype == (np.complex128 if on_y else np.float64), name
+                if offsets == "none":
+                    assert not on_y
+
+    @pytest.mark.parametrize(
+        "text, pulse_width",
+        [
+            ("tau - -x - tau - y - 2tau - -y - tau - x - tau", 5e-7),
+            ("tau - p45 - 2tau - -p45 - tau", 0.0),
+            ("tau - x - tau - p45 - 2tau - -p45 - tau - -x - tau", 0.0),
+        ],
+    )
+    def test_dense_walk_kept_bit_for_bit(self, text, pulse_width):
+        system = offset_case(4, "disorder")
+        seq = parse_sequence(text)
+        segs = toggling_segments(system, seq, 3e-6, pulse_width)
+        reference = reference_toggling_segments(system, seq, 3e-6, pulse_width)
+        assert len(segs) == len(reference)
+        for seg, ref in zip(segs, reference):
+            assert seg.duration == ref.duration
+            assert seg.hamiltonian.dtype == ref.hamiltonian.dtype == np.complex128
+            assert np.array_equal(seg.hamiltonian, ref.hamiltonian)
 
 
 class TestAverageH:
@@ -340,6 +423,68 @@ class TestRecursionOracle:
         assert np.abs(series.terms[0] - expected[0]).max() <= 1e-14 * np.abs(expected[0]).max()
         assert expected[1].any()
         assert not any(term.any() for term in series.terms[1:])
+
+
+class TestRealRecursions:
+    def test_real_segments_give_real_dyson_terms_and_complex_terms(self):
+        system = SpinSystem.create(sample_couplings(2026, 4))
+        segs = toggling_segments(system, builtin("MREV8"), 3e-6)
+        assert all(s.hamiltonian.dtype == np.float64 for s in segs)
+        dyson = dyson_terms(segs, 4)
+        assert all(p.dtype == np.float64 for p in dyson)
+        series = burum_terms(dyson, builtin("MREV8").cycle_time(3e-6))
+        assert all(t.dtype == np.complex128 for t in series.terms)
+        # H^(n) = (-i)^n w_{n+1} / t_c: even orders real, odd orders imaginary
+        for n, term in enumerate(series.terms):
+            assert not (term.imag if n % 2 == 0 else term.real).any(), n
+
+    def test_flush_on_real_blocks(self):
+        segments = [
+            TogglingSegment(random_hermitian(51, 4, scale=1e-140).real, 1.0),
+            TogglingSegment(random_hermitian(52, 4, scale=1e-140).real, 2.0),
+        ]
+        dyson = dyson_terms(segments, 4)
+        assert dyson[0].dtype == np.float64
+        series = burum_terms(dyson, 3.0)
+        expected = reference_burum_terms(dyson, 3.0)
+        assert np.abs(series.terms[0] - expected[0]).max() <= 1e-14 * np.abs(expected[0]).max()
+        assert expected[1].any()
+        assert not any(term.any() for term in series.terms[1:])
+
+
+class TestSymmetryZeros:
+    """Terms that vanish by symmetry stay below NEGLIGIBLE_MAGNITUDE."""
+
+    def test_whh_odd_orders_figA4_panel_c(self):
+        # figA4 panel (c): uniform 5 kHz couplings at |H| tau = 0.466, orders 0..70
+        tau = _tau_at(_UNIFORM_4, 0.466)
+        series = magnus_series(_UNIFORM_4, builtin("WHH"), tau, 70)
+        magnitudes = term_magnitudes(series, dipolar_hamiltonian(_UNIFORM_4))
+        assert magnitudes[1::2].max() < NEGLIGIBLE_MAGNITUDE
+
+    def test_cory48_order_zero_at_8_spins(self):
+        # the couplings of `spinweave aht terms --spins 8`
+        system = SpinSystem.create(sample_couplings(2026, 8, 420.0 / 3.0))
+        series = magnus_series(system, builtin("CORY48"), 4e-6, 0)
+        assert term_magnitudes(series, dipolar_hamiltonian(system))[0] < NEGLIGIBLE_MAGNITUDE
+
+
+class TestSliceConvergence:
+    """Finite-width pulses are sliced; the order-2 term converges as 1/k^2 in the slice count k."""
+
+    @pytest.mark.parametrize("name", ["BR24", "YXX24"])
+    def test_order_two_converges_as_inverse_square(self, name, monkeypatch):
+        system = SpinSystem.create(sample_couplings(2026, 4))
+        terms = {}
+        for k in (8, 32, 128):
+            monkeypatch.setattr(aht, "PULSE_SLICES", k)
+            terms[k] = magnus_series(system, builtin(name), 4e-6, 2, pulse_width=2e-6).terms[2]
+        size = frobenius_magnitude(terms[128])
+        error = {k: frobenius_magnitude(terms[k] - terms[128]) / size for k in (8, 32)}
+        # an error C / k^2, measured against k = 128, gives the ratio
+        # (1/8^2 - 1/128^2) / (1/32^2 - 1/128^2) = 17; it reads 17.12-17.13
+        assert error[8] / error[32] == pytest.approx(17.0, rel=0.02)
+        assert error[32] < 1e-3
 
 
 class TestTermMagnitudes:
