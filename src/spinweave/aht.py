@@ -42,7 +42,7 @@ from .operators import (
     frobenius_magnitude,
     hermiticity_defect,
 )
-from .sequences import _FRAME_ROTATIONS, PulseSequence, schedule, validate_cyclic
+from .sequences import PulseSequence, _toggling_axes, schedule, validate_cyclic
 from .spins import (
     _PAIR_FACTORS,
     SpinSystem,
@@ -136,7 +136,7 @@ def toggling_segments(
     ``H`` is the internal Hamiltonian of ``system``.  For delta pulses each
     delay window becomes one segment with ``H_k = R_k^dag H R_k``, ``R_k``
     the accumulated pulse rotation.  With cardinal phases that frame turns
-    S_z to a signed axis ``s a`` (:data:`spinweave.sequences._FRAME_ROTATIONS`),
+    S_z to a signed axis ``s a`` (:func:`spinweave.sequences._toggling_axes`),
     so the segment is read off the frame matrix as
     ``H_D^(a) + s sum_i 2 pi a_i S_a^i``, built from the pair tables with
     the per-spin offsets ``a_i``.  It is ``float64`` unless it holds an
@@ -147,27 +147,19 @@ def toggling_segments(
     """
     validate_cyclic(seq)
     steps = schedule(seq, tau, pulse_width)
-    if pulse_width == 0.0 and all(value in _FRAME_ROTATIONS for kind, value in steps if kind == "pulse"):
-        segments = _frame_segments(system, steps)
-    else:
-        segments = _rotated_segments(system, steps, pulse_width)
+    axes = _toggling_axes(steps) if pulse_width == 0.0 else None
+    segments = _rotated_segments(system, steps, pulse_width) if axes is None else _frame_segments(system, axes)
     if not segments:
         raise ValueError("sequence produced no toggling segments")
     return segments
 
 
-def _frame_segments(system: SpinSystem, steps: list[tuple[str, float]]) -> list[TogglingSegment]:
-    """Delta-pulse segments of a cardinal-phase schedule, from its frame matrix."""
+def _frame_segments(system: SpinSystem, axes: list[tuple[int, int, float]]) -> list[TogglingSegment]:
+    """Delta-pulse segments of a cardinal-phase schedule, from its toggling axes."""
     couplings, offsets_hz = system.couplings_hz[None], system.total_offsets_hz
     toggled: dict[tuple[int, int], np.ndarray] = {}
     segments = []
-    frame = np.eye(3, dtype=np.int64)
-    for kind, value in steps:
-        if kind == "pulse":
-            frame = frame @ _FRAME_ROTATIONS[value]
-            continue
-        axis = int(np.flatnonzero(frame[:, 2])[0])
-        sign = int(frame[axis, 2])
+    for axis, sign, duration in axes:
         if (axis, sign) not in toggled:
             name = "xyz"[axis]
             if name == "z":
@@ -182,7 +174,7 @@ def _frame_segments(system: SpinSystem, steps: list[tuple[str, float]]) -> list[
                     h = h + _flip_sum(system.n_spins, up, down)
             h.flags.writeable = False
             toggled[axis, sign] = h
-        segments.append(TogglingSegment(toggled[axis, sign], value))
+        segments.append(TogglingSegment(toggled[axis, sign], duration))
     return segments
 
 

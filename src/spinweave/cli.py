@@ -163,7 +163,7 @@ def seq_lint(source):
 
     Prints the cyclicity sign, window count M, pulse count, the F-matrix as
     an ASCII grid (rows X/Y/Z; '+', '-', '.'), per-row sums, and the
-    decoupling class they imply.
+    decoupling class they imply; a non-cardinal phase leaves no F-matrix.
     """
     sequence = _load_sequence(source)
     click.echo(f"sequence: {sequence.name}")
@@ -175,7 +175,11 @@ def seq_lint(source):
         click.echo(f"cyclic: NO ({exc})")
         sys.exit(EXIT_NUMERICAL_ERROR)
     click.echo(f"cyclic: yes, sign {sign:+d}")
-    fm = frame_matrix(sequence)
+    try:
+        fm = frame_matrix(sequence)
+    except ValueError as exc:
+        click.echo(f"F-matrix: none ({exc})")
+        return
     click.echo(ascii_frame(fm))
     sums, label = row_sum_check(fm)
     click.echo(f"row sums (X, Y, Z): {sums.tolist()}")

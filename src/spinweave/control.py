@@ -47,10 +47,10 @@ from .operators import (
     unitary_root,
 )
 from .sequences import (
-    _FRAME_ROTATIONS,
     BUILTIN_NAMES,
     NonCyclicSequenceError,
     PulseSequence,
+    _toggling_axes,
     builtin,
     schedule,
     validate_cyclic,
@@ -229,7 +229,7 @@ class _CycleKernel:
     cardinal pulse phases and a cyclic sequence (``validate_cyclic`` gives
     ``s``), window j's toggling-frame Hamiltonian is ``H_D^(a_j)``, H_D
     with its axis turned to the frame-matrix axis ``a_j`` of x, y, z
-    (:data:`spinweave.sequences._FRAME_ROTATIONS`), and the cycle is
+    (:func:`spinweave.sequences._toggling_axes`), and the cycle is
     ``s^N prod_j exp(-i H_D^(a_j) tau_j)``.  Each ``H_D^(a)`` commutes with
     the global parities, so the walk runs on the parity blocks of
     :func:`spinweave.spins._parity_blocks` (4 of d/4 for even N, 1 of d/2
@@ -285,36 +285,31 @@ class _CycleKernel:
                     vars(self)[name].forget()
             if not self.error.is_delta:
                 self.folded = {0.0: self.folded[0.0]}
-        sign = None
-        if self.offset_free and all(e.phase_deg in _FRAME_ROTATIONS for e in seq.events if e.kind == "pulse"):
+        axes = _toggling_axes(schedule(seq, tau)) if self.offset_free else None
+        if axes is not None:
             try:
                 sign = validate_cyclic(seq)
             except NonCyclicSequenceError:
-                pass
-        u = self._lab_cycles(seq, tau) if sign is None else self._parity_cycles(seq, tau, sign)
+                axes = None
+        u = self._lab_cycles(seq, tau) if axes is None else self._parity_cycles(axes, sign)
         defect = _unitarity_defects(u)
         if not np.all(defect <= DEFECT_TOL):
             raise NumericalDiagnosticError(
                 f"cycle propagator of {seq.name!r} is not unitary (defect {defect.max():.3e})"
             )
-        return u if sign is None else _parity_blocks(self.n_spins).to_standard(u)
+        return u if axes is None else _parity_blocks(self.n_spins).to_standard(u)
 
-    def _parity_cycles(self, seq: PulseSequence, tau: float, sign: int) -> np.ndarray:
-        """(B, blocks, k, k) cycle propagators on the parity blocks."""
+    def _parity_cycles(self, axes: list[tuple[int, int, float]], sign: int) -> np.ndarray:
+        """(B, blocks, k, k) cycle propagators on the parity blocks, one matmul per toggling axis."""
         blocks = _parity_blocks(self.n_spins)
         k = blocks.states.shape[1]
         u = np.empty((self.members, blocks.blocks, k, k), dtype=np.complex128)
         u[:] = np.eye(k)
         buf = np.empty_like(u)
-        frame = np.eye(3, dtype=np.int64)
-        for kind, value in schedule(seq, tau):
-            if kind == "pulse":
-                frame = frame @ _FRAME_ROTATIONS[value]
-            else:
-                axis = int(np.flatnonzero(frame[:, 2])[0])
-                free = self.parity.blocks(value)[0].reshape(self.members, 3, *u.shape[1:])
-                np.matmul(free[:, axis], u, out=buf)
-                u, buf = buf, u
+        for axis, _, duration in axes:
+            free = self.parity.blocks(duration)[0].reshape(self.members, 3, *u.shape[1:])
+            np.matmul(free[:, axis], u, out=buf)
+            u, buf = buf, u
         if sign ** self.n_spins < 0:
             np.negative(u, out=u)
         return u
@@ -392,7 +387,8 @@ def cycle_unitary(
     (``total_offsets_hz`` all zero), cardinal pulse phases and a cyclic
     ``seq``, the cycle is walked in the toggling frame on parity blocks:
     each window's Hamiltonian is H_D with its axis turned to the
-    frame-matrix axis, all three commute with the global parities, and
+    frame-matrix axis (:func:`spinweave.sequences._toggling_axes`), all
+    three commute with the global parities, and
     each free step is one matmul on 4 blocks of d/4 (even N) or one block
     of d/2 (odd N), scattered into the standard basis at the end.
 
@@ -417,16 +413,17 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarr
 
     Each eigenphase ``mu + c`` from ``eigvalsh`` of the centred Cayley
     transform (:func:`spinweave.operators._unitary_eigenphases`, which
-    :func:`unitary_root` shares) maps to ``(mu + c) / m``.  A member whose
-    elements between the :func:`parity_sectors` halves are all exactly
-    zero is solved on blocks, its phases moved onto the branch of the
-    whole member (:func:`spinweave.operators._whole_member_branch`).  If
-    it is also exactly ``X^{(x)N}``-symmetric (``u[s, t] == u[~s, ~t]``),
-    as every parity-path :func:`cycle_unitary` is, the blocks are those of
-    :func:`spinweave.spins._parity_blocks`: 4 of d/4 at even N, and at odd
-    N one of d/2 whose phases count twice.  Otherwise they are the two
-    halves of d/2.  With ``check``, each member is first checked unitary
-    to ``DEFECT_TOL`` on the blocks it is solved on (``ValueError``).
+    :func:`unitary_root` shares) maps to ``(mu + c) / m``.  A member is
+    solved whole unless its elements between the :func:`parity_sectors`
+    halves are all exactly zero and it is exactly ``X^{(x)N}``-symmetric
+    (``u[s, t] == u[~s, ~t]``), as every parity-path :func:`cycle_unitary`
+    is.  Such a member is solved on the parity blocks of
+    :func:`spinweave.spins._parity_blocks`, 4 of d/4 at even N and at odd
+    N one of d/2 whose phases count twice, its phases moved onto the
+    branch of the whole member
+    (:func:`spinweave.operators._whole_member_branch`).  With ``check``,
+    each member is first checked unitary to ``DEFECT_TOL`` on the blocks
+    it is solved on (``ValueError``).
     """
     dim = u.shape[-1]
     parts = [(slice(None), u)]  # (members, the stack they are solved on)
@@ -434,16 +431,12 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarr
         n_spins = dim.bit_length() - 1
         halves = parity_sectors(n_spins).order.reshape(2, -1)
         rows, cols = halves[:, :, None], halves[:, None, :]
-        split = ~(u[:, rows[0], cols[1]].any(axis=(1, 2)) | u[:, rows[1], cols[0]].any(axis=(1, 2)))
-        if split.any():
-            members = np.flatnonzero(split)
-            flips = np.array([np.array_equal(u[b], u[b, ::-1, ::-1]) for b in members])
-            z_only, xz = members[~flips], members[flips]
-            parts = [
-                (~split, u[~split]),
-                (z_only, u[z_only[:, None, None, None], rows, cols]),
-                (xz, _parity_blocks(n_spins).from_standard(u, xz)),
-            ]
+        blocked = ~(u[:, rows[0], cols[1]].any(axis=(1, 2)) | u[:, rows[1], cols[0]].any(axis=(1, 2)))
+        if blocked.any():
+            for b in np.flatnonzero(blocked):
+                blocked[b] = np.array_equal(u[b], u[b, ::-1, ::-1])
+            members = np.flatnonzero(blocked)
+            parts = [(~blocked, u[~blocked]), (members, _parity_blocks(n_spins).from_standard(u, members))]
     tr = np.empty(len(u), dtype=np.complex128)
     for members, stack in parts:
         if len(stack):

@@ -261,7 +261,8 @@ class FrameMatrix:
     ``entries`` has shape (3, M): rows are the X, Y, Z axes, columns the M
     windows, each entry in {-1, 0, +1} with exactly one nonzero per column.
     Delays spanning k*tau contribute k equal columns.  For sequences that
-    begin with a pulse there is no pre-pulse window.
+    begin with a pulse there is no pre-pulse window, and a cycle of pulses
+    alone has shape (3, 0).
     """
 
     sequence_name: str
@@ -275,26 +276,34 @@ class FrameMatrix:
         return self.entries.sum(axis=1)
 
 
-def frame_matrix(seq: PulseSequence) -> FrameMatrix:
-    """Frame matrix of a cyclic sequence (cardinal pulse phases only)."""
-    validate_cyclic(seq)
-    accum = np.eye(3, dtype=np.int64)
-    z_hat = np.array([0, 0, 1], dtype=np.int64)
-    columns: list[np.ndarray] = []
-    for e in seq.events:
-        if e.kind == "pulse":
-            rot = _FRAME_ROTATIONS.get(e.phase_deg)
-            if rot is None:
-                raise ValueError(
-                    f"frame matrix requires cardinal pulse phases, got {e.phase_deg} deg"
-                )
-            accum = accum @ rot
+def _toggling_axes(steps: list[tuple[str, float]]) -> list[tuple[int, int, float]] | None:
+    """The toggling frame of a delta-pulse :func:`schedule`: ``(axis, sign, seconds)`` per free step.
+
+    ``sign * axis`` (0, 1, 2 for x, y, z) is the image of S_z under the
+    cardinal pulses before the step, from the exact integer product of
+    :data:`_FRAME_ROTATIONS`.  ``None`` if a pulse phase is not cardinal.
+    """
+    frame = np.eye(3, dtype=np.int64)
+    axes = []
+    for kind, value in steps:
+        if kind == "pulse":
+            if value not in _FRAME_ROTATIONS:
+                return None
+            frame = frame @ _FRAME_ROTATIONS[value]
         else:
-            v = accum @ z_hat
-            if np.abs(v).sum() != 1:
-                raise AssertionError("toggling frame left the signed coordinate axes")
-            columns.extend([v] * e.duration_factor)
-    entries = np.array(columns, dtype=np.int64).T
+            axis = int(np.flatnonzero(frame[:, 2])[0])
+            axes.append((axis, int(frame[axis, 2]), value))
+    return axes
+
+
+def frame_matrix(seq: PulseSequence) -> FrameMatrix:
+    """Frame matrix of a cyclic sequence (cardinal pulse phases only), from :func:`_toggling_axes` at ``tau = 1``."""
+    validate_cyclic(seq)
+    axes = _toggling_axes(schedule(seq, 1.0))
+    if axes is None:
+        raise ValueError("frame matrix requires cardinal pulse phases")
+    columns = [sign * np.eye(3, dtype=np.int64)[axis] for axis, sign, windows in axes for _ in range(round(windows))]
+    entries = np.array(columns, dtype=np.int64).reshape(-1, 3).T
     entries.flags.writeable = False
     return FrameMatrix(sequence_name=seq.name, entries=entries)
 

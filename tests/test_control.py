@@ -37,6 +37,7 @@ from spinweave.sequences import BUILTIN_NAMES, builtin, parse_sequence, schedule
 from spinweave.spins import (
     SIGMA,
     SpinSystem,
+    _parity_blocks,
     collective_operator,
     dipolar_hamiltonian,
     internal_hamiltonian,
@@ -756,6 +757,26 @@ def parity_block_unitary(seed: int, n_spins: int, phases=None) -> np.ndarray:
     return u
 
 
+def parity_symmetric_unitary(seed: int, n_spins: int, phases) -> np.ndarray:
+    """An exactly ``X^{(x)N}``-symmetric unitary with exact zeros between the parity sectors.
+
+    Built by ``_parity_blocks(n_spins).to_standard`` from random blocks with
+    the eigenphases ``phases``, one list per parity block: 4 of d/4 at even
+    N, and at odd N one of d/2, whose phases the whole matrix has twice.
+    """
+    blocks = []
+    for k, block_phases in enumerate(phases):
+        v = random_unitary(seed + k, len(block_phases))
+        blocks.append((v * np.exp(1j * np.asarray(block_phases))) @ v.conj().T)
+    return _parity_blocks(n_spins).to_standard(np.stack(blocks)[None])[0]
+
+
+def parity_block_shape(n_spins: int) -> tuple[int, ...]:
+    """Shape of the one-member stack a parity-block solve works on."""
+    dim = 1 << n_spins
+    return (1, 4, dim // 4, dim // 4) if n_spins % 2 == 0 else (1, 1, dim // 2, dim // 2)
+
+
 def oracle_fidelity(u: np.ndarray, m: int) -> float:
     """``|Tr u^{1/m}| / d`` from the eigvals oracle of the whole matrix."""
     c, mu = oracle_phases(u)
@@ -771,7 +792,7 @@ def eigenphase_shapes(monkeypatch) -> list[tuple[int, ...]]:
 
 
 class TestParitySplitFidelity:
-    """Members with exact zeros between the parity sectors are solved on two blocks of d/2."""
+    """Members with exact zeros between the parity sectors but no ``X^{(x)N}`` symmetry are solved whole."""
 
     @pytest.mark.parametrize("n_spins", [1, 2, 4, 5])
     def test_matches_eigvals_oracle(self, n_spins, monkeypatch):
@@ -780,7 +801,7 @@ class TestParitySplitFidelity:
         shapes = eigenphase_shapes(monkeypatch)
         for m in (1, 3, 16):
             assert fidelity(u, m=m) == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
-        assert set(shapes) == {(1, 2, dim // 2, dim // 2)}
+        assert set(shapes) == {(1, dim, dim)}
 
     def test_mixed_stack_equals_one_member_calls(self, monkeypatch):
         stack = np.stack(
@@ -790,7 +811,7 @@ class TestParitySplitFidelity:
         for m in (1, 4):
             values = _eigenphase_fidelity(stack, m)
             assert [fidelity(u, m=m) for u in stack] == list(values)
-        assert (2, 16, 16) in shapes and (2, 2, 8, 8) in shapes
+        assert set(shapes) == {(4, 16, 16), (1, 16, 16)}
 
     def test_one_by_one_unitary(self):
         # d = 1 has no parity halves
@@ -800,7 +821,7 @@ class TestParitySplitFidelity:
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-6, 0.0])
     def test_non_unitary_split_input_is_rejected(self, scale, monkeypatch):
-        # exact zeros between the parities, so the input is checked on its halves
+        # exact zeros between the parities but no X symmetry, so the input is checked whole
         u = parity_block_unitary(30, 4)
         odd = parity_sectors(4).order[8:]
         u[np.ix_(odd, odd)] *= scale
@@ -809,9 +830,9 @@ class TestParitySplitFidelity:
             fidelity(u, m=4)
         assert shapes == []
 
-    def test_block_centres_across_pi_are_taken_within_pi(self):
-        # np.angle puts the even block's trace phase near +pi and the odd
-        # block's near -pi; their roots are combined as if both sat near +pi
+    def test_sector_centres_across_pi_are_taken_within_pi(self):
+        # the even sector's phases sit just below +pi and the odd sector's
+        # just above; their roots are combined as if all sat near +pi
         offsets = np.array([0.1, 0.05, 0.0, 0.02])
         u = parity_block_unitary(20, 3, phases=[np.pi - offsets, np.pi + offsets])
         assert not u[np.subtract.outer(magnetization(3), magnetization(3)) % 2 == 1].any()
@@ -830,7 +851,7 @@ class TestParitySplitFidelity:
         ],
     )
     def test_split_takes_the_dense_branch(self, n_spins, phases, monkeypatch):
-        # block phases spread wide enough that each block's own cut is not
+        # sector phases spread wide enough that each sector's own cut is not
         # the whole member's; F must not depend on the off-block zeros
         u = parity_block_unitary(50, n_spins, phases=phases)
         coupled = u.copy()
@@ -842,7 +863,7 @@ class TestParitySplitFidelity:
             assert split == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
             assert split == pytest.approx(fidelity(u, np.eye(len(u)), m=m), rel=0, abs=1e-13)
             assert split == pytest.approx(fidelity(coupled, m=m), rel=0, abs=1e-13)
-        assert (1, 2, len(u) // 2, len(u) // 2) in shapes and (1, len(u), len(u)) in shapes
+        assert set(shapes) == {(1, len(u), len(u))}
 
 
 class TestParityBlockFidelity:
@@ -859,11 +880,10 @@ class TestParityBlockFidelity:
             assert np.array_equal(u, u[::-1, ::-1])
             for m in (1, seq.cycle_windows):
                 assert fidelity(u, m=m) == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
-        blocks = (1, 4, dim // 4, dim // 4) if n_spins % 2 == 0 else (1, 1, dim // 2, dim // 2)
-        assert set(shapes) == {blocks}
+        assert set(shapes) == {parity_block_shape(n_spins)}
 
     @pytest.mark.parametrize("n_spins", [3, 4])
-    def test_z_split_member_without_x_symmetry_solves_its_halves(self, n_spins, monkeypatch):
+    def test_z_split_member_without_x_symmetry_is_solved_whole(self, n_spins, monkeypatch):
         # a diagonal phase keeps the zeros between the parities but breaks s -> ~s
         u = cycle_unitary(SpinSystem.create(sample_couplings(90 + n_spins, n_spins)), builtin("BR24"), IDEAL, 4e-6)
         dim = len(u)
@@ -871,9 +891,11 @@ class TestParityBlockFidelity:
         shapes = eigenphase_shapes(monkeypatch)
         for m in (1, 24):
             assert fidelity(u, m=m) == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
-        assert set(shapes) == {(1, 2, dim // 2, dim // 2)}
+        assert set(shapes) == {(1, dim, dim)}
 
     def test_mixed_stack_equals_one_member_calls(self, monkeypatch):
+        # one stack of whole members and one of parity blocks; no member is
+        # ever solved on the two parity halves of d/2
         system = SpinSystem.create(sample_couplings(95, 4))
         parity = cycle_unitary(system, builtin("YXX24"), IDEAL, 4e-6)
         stack = np.stack([parity, random_unitary(96, 16), parity_block_unitary(97, 4), parity.T.copy()])
@@ -881,7 +903,46 @@ class TestParityBlockFidelity:
         for m in (1, 24):
             values = _eigenphase_fidelity(stack, m)
             assert [fidelity(u, m=m) for u in stack] == list(values)
-        assert {(1, 16, 16), (1, 2, 8, 8), (2, 4, 4, 4)} <= set(shapes)
+        assert set(shapes) == {(2, 16, 16), (2, 4, 4, 4), (1, 16, 16), (1, 4, 4, 4)}
+
+    @pytest.mark.parametrize(
+        "n_spins,phases",
+        [
+            (2, [[0.0], [np.pi], [0.0], [np.pi]]),  # a trace of roundoff sets the whole centre
+            (2, [[1.5], [-1.5], [np.pi + 0.3], [np.pi - 0.3]]),
+            (2, [[0.94], [0.61], [0.05], [-2.6]]),  # a phase 0.009 rad from the whole cut
+            (2, [[0.03], [-2.43], [2.32], [-2.98]]),  # the same, whole trace phase near -pi
+            (3, [np.pi + np.array([-2.5, -0.9, 0.4, 2.2])]),
+            (4, [np.pi - np.linspace(0.0, 2.5, 4), np.pi + np.linspace(0.0, 2.5, 4), np.linspace(-1.0, 1.0, 4), [0.0, 0.1, np.pi, -2.0]]),
+        ],
+    )
+    def test_blocks_take_the_dense_branch(self, n_spins, phases, monkeypatch):
+        # block phases spread wide enough that a block's own cut is not the
+        # whole member's; F must not depend on the off-block zeros
+        u = parity_symmetric_unitary(60, n_spins, phases)
+        coupled = u.copy()
+        even, odd = parity_sectors(n_spins).order.reshape(2, -1)
+        coupled[even[0], odd[0]] = 1e-300
+        shapes = eigenphase_shapes(monkeypatch)
+        for m in (1, 2, 48):
+            blocked = fidelity(u, m=m)
+            assert blocked == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
+            assert blocked == pytest.approx(fidelity(u, np.eye(len(u)), m=m), rel=0, abs=1e-13)
+            assert blocked == pytest.approx(fidelity(coupled, m=m), rel=0, abs=1e-13)
+        assert set(shapes) == {parity_block_shape(n_spins), (1, len(u), len(u))}
+
+    def test_block_centres_across_pi_are_taken_within_pi(self, monkeypatch):
+        # np.angle puts the trace phases of the first and third blocks near
+        # +pi and of the others near -pi; their roots are combined as if all
+        # sat near +pi
+        offsets = np.array([0.1, 0.05, 0.0, 0.02])
+        spread = [-offsets, offsets, -offsets / 2, offsets / 2]
+        u = parity_symmetric_unitary(20, 4, [np.pi + x for x in spread])
+        shapes = eigenphase_shapes(monkeypatch)
+        near_pi = np.exp(1j * (np.pi + np.concatenate(spread)) / 2).sum() / 16
+        assert fidelity(u, m=2) == pytest.approx(abs(near_pi), rel=0, abs=1e-14)
+        assert fidelity(u, m=2) == pytest.approx(oracle_fidelity(u, 2), rel=0, abs=1e-14)
+        assert set(shapes) == {parity_block_shape(4)}
 
     @pytest.mark.parametrize("n_spins", [4, 5])
     def test_non_unitary_block_input_is_rejected(self, n_spins):
@@ -900,6 +961,9 @@ def global_phase_cases() -> dict[str, np.ndarray]:
     return {
         "dense": random_unitary(40, 16),
         "parity-centres-across-pi": parity_block_unitary(41, 4, phases=[np.pi - spread, np.pi + spread]),
+        "parity-blocks-centres-across-pi": parity_symmetric_unitary(
+            42, 4, [np.pi - spread[:4], np.pi + spread[:4], np.pi - spread[4:], np.pi + spread[4:]]
+        ),
         "minus-identity-dsl": cycle_unitary(SpinSystem.create(sample_couplings(1, 5)), MINUS_IDENTITY, IDEAL, 1e-6),
         "fig6a-br24-5khz": cycle_unitary(fig6a_member, builtin("BR24"), IDEAL, 4e-6),
     }
@@ -908,7 +972,9 @@ def global_phase_cases() -> dict[str, np.ndarray]:
 class TestGlobalPhaseInvariance:
     """The cut of the solve turns with the unitary, so F = |Tr U^{1/m}| / d ignores a global phase."""
 
-    @pytest.mark.parametrize("case", ["dense", "parity-centres-across-pi", "minus-identity-dsl", "fig6a-br24-5khz"])
+    @pytest.mark.parametrize(
+        "case", ["dense", "parity-centres-across-pi", "parity-blocks-centres-across-pi", "minus-identity-dsl", "fig6a-br24-5khz"]
+    )
     @given(phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True), m=st.sampled_from([1, 4, 48]))
     def test_fidelity_and_root(self, case, phi, m):
         u = global_phase_cases()[case]

@@ -281,6 +281,25 @@ class TestCli:
         result = self.runner.invoke(main, ["seq", "lint", str(bad)])
         assert result.exit_code == 3
 
+    def test_seq_lint_cycle_without_delay(self, tmp_path):
+        # four x pulses make -I with no delay window, so M = 0
+        path = tmp_path / "pulses_only.seq"
+        path.write_text("x - x - x - x\n")
+        result = self.runner.invoke(main, ["seq", "lint", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "windows (M): 0" in result.output
+        assert "cyclic: yes, sign -1" in result.output
+        assert "row sums (X, Y, Z): [0, 0, 0]" in result.output
+
+    def test_seq_lint_non_cardinal_cycle(self, tmp_path):
+        # cyclic, and accepted by cycle_unitary and fidelity, but with no F-matrix
+        path = tmp_path / "p45.seq"
+        path.write_text("tau - p45 - tau - p225 - tau\n")
+        result = self.runner.invoke(main, ["seq", "lint", str(path)])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert lines[-2:] == ["cyclic: yes, sign +1", "F-matrix: none (frame matrix requires cardinal pulse phases)"]
+
     def test_seq_lint_unknown_source(self):
         result = self.runner.invoke(main, ["seq", "lint", "NOSUCH"])
         assert result.exit_code == 2

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spinweave.aht import _frame_segments, toggling_segments
+from spinweave.control import IDEAL, _CycleKernel, cycle_unitary
 from spinweave.sequences import (
     BUILTIN_NAMES,
     NonCyclicSequenceError,
     PulseEvent,
     PulseSequence,
     SequenceParseError,
+    _toggling_axes,
     ascii_frame,
     builtin,
     frame_matrix,
@@ -16,6 +19,7 @@ from spinweave.sequences import (
     schedule,
     validate_cyclic,
 )
+from spinweave.spins import SpinSystem, _parity_blocks, collective_rotation, sample_couplings, spin_operator
 
 WHH_TEXT = "tau - -x - tau - y - 2tau - -y - tau - x - tau"
 
@@ -188,9 +192,78 @@ class TestFrameMatrix:
         with pytest.raises(NonCyclicSequenceError):
             frame_matrix(parse_sequence("tau - x - tau"))
 
+    def test_cycle_without_delay_has_no_columns(self):
+        fm = frame_matrix(parse_sequence("x - x - x - x"))
+        assert fm.entries.shape == (3, 0)
+        sums, _ = row_sum_check(fm)
+        assert sums.tolist() == [0, 0, 0]
+        assert ascii_frame(fm) == "X: \nY: \nZ: "
+
     def test_requires_cardinal_phases(self):
         with pytest.raises(ValueError, match="cardinal"):
             frame_matrix(parse_sequence("tau - p45 - tau - p225 - tau"))
+
+
+# the built-ins (YXX24 and YXX48 open with a pulse) and three DSL edge cases
+WALK_CASES = {name: builtin(name) for name in BUILTIN_NAMES} | {
+    "consecutive delays": parse_sequence("tau - tau - x - 2tau - -x - tau", "consecutive"),
+    "pulses only": parse_sequence("x - x - x - x", "pulses_only"),
+    "minus identity": parse_sequence("tau - x - tau - x - tau - x - tau - x", "minus_identity"),
+}
+
+
+def rotated_axes(seq: PulseSequence, tau: float) -> list[tuple[int, int, float]]:
+    """``(axis, sign, seconds)`` per free step of ``schedule(seq, tau)``, read off ``u^dag S_z u`` of one spin."""
+    spin = [spin_operator(a) for a in "xyz"]
+    u = np.eye(2)
+    axes = []
+    for kind, value in schedule(seq, tau):
+        if kind == "pulse":
+            u = collective_rotation(1, value, np.pi / 2) @ u
+            continue
+        toggled = u.conj().T @ spin[2] @ u
+        v = np.array([2.0 * np.trace(toggled @ s).real for s in spin])
+        axis = int(np.abs(v).argmax())
+        sign = int(np.sign(v[axis]))
+        assert np.abs(v - sign * np.eye(3)[axis]).max() < 1e-12
+        axes.append((axis, sign, value))
+    return axes
+
+
+class TestTogglingWalk:
+    """The one toggling-frame walk that the frame matrix, the Magnus segments and the parity-path cycle read."""
+
+    @pytest.mark.parametrize("name", list(WALK_CASES))
+    def test_walk_matches_rotations_and_frame_matrix(self, name):
+        seq = WALK_CASES[name]
+        for tau in (1.0, 4e-6, 3.3e-6):
+            assert _toggling_axes(schedule(seq, tau)) == rotated_axes(seq, tau)
+        columns = [sign * np.eye(3, dtype=int)[axis] for axis, sign, windows in rotated_axes(seq, 1.0) for _ in range(round(windows))]
+        entries = frame_matrix(seq).entries
+        assert entries.shape == (3, seq.cycle_windows)
+        assert np.array_equal(entries, np.array(columns, dtype=int).reshape(-1, 3).T)
+
+    def test_non_cardinal_phase_has_no_walk(self):
+        assert _toggling_axes(schedule(parse_sequence("tau - p45 - tau - p225 - tau"), 4e-6)) is None
+
+    @pytest.mark.parametrize("name", list(WALK_CASES))
+    def test_segments_and_parity_cycle_read_the_walk(self, name):
+        # both equal, bit for bit, what they build from the axes of the one-spin rotations
+        seq, tau = WALK_CASES[name], 3.3e-6
+        axes = rotated_axes(seq, tau)
+        offset = SpinSystem.create(sample_couplings(5, 4), global_offset_hz=300.0, disorder_hz=[0.0, 20.0, -10.0, 5.0])
+        if axes:
+            segments = toggling_segments(offset, seq, tau)
+            expected = _frame_segments(offset, axes)
+            assert [s.duration for s in segments] == [s.duration for s in expected]
+            assert all(np.array_equal(s.hamiltonian, e.hamiltonian) for s, e in zip(segments, expected))
+        else:
+            with pytest.raises(ValueError, match="no toggling segments"):
+                toggling_segments(offset, seq, tau)
+        for n_spins in (4, 5):
+            system = SpinSystem.create(sample_couplings(6, n_spins))
+            blocks = _CycleKernel([system], IDEAL)._parity_cycles(axes, validate_cyclic(seq))
+            assert np.array_equal(cycle_unitary(system, seq, IDEAL, tau), _parity_blocks(n_spins).to_standard(blocks)[0])
 
 
 class TestRowSums:
