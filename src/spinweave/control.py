@@ -39,7 +39,6 @@ from .operators import (
     _require_unitary_blocks,
     _unitarity_defects,
     _unitary_eigenphases,
-    _whole_member_branch,
     as_operator,
     expm_hermitian,
     require_hermitian,
@@ -255,14 +254,16 @@ class _CycleKernel:
         self.offset_free = error == IDEAL and not any(np.any(s.total_offsets_hz) for s in systems)
         self.tau = None
         if not error.is_delta:
+            h_int = internal_hamiltonian_stack(systems)
+            self.free = HermitianPropagator(h_int, magnetization_sectors(self.n_spins))
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
             order = self.free.layout.order
             # P_0 F_a per free duration a, P_0 itself at a = 0
-            self.folded = {0.0: _pulse(0.0, error, self.n_spins, internal_hamiltonian_stack(systems))[:, order[:, None], order]}
+            self.folded = {0.0: _pulse(0.0, error, self.n_spins, h_int)[:, order[:, None], order]}
 
     @functools.cached_property
     def free(self) -> HermitianPropagator:
-        """The H_int stack factored by magnetization sector."""
+        """The H_int stack factored by magnetization sector; ``__init__`` sets it for finite pulses."""
         return HermitianPropagator(internal_hamiltonian_stack(self.systems), magnetization_sectors(self.n_spins))
 
     @functools.cached_property
@@ -419,11 +420,12 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarr
     (``u[s, t] == u[~s, ~t]``), as every parity-path :func:`cycle_unitary`
     is.  Such a member is solved on the parity blocks of
     :func:`spinweave.spins._parity_blocks`, 4 of d/4 at even N and at odd
-    N one of d/2 whose phases count twice, its phases moved onto the
-    branch of the whole member
-    (:func:`spinweave.operators._whole_member_branch`).  With ``check``,
-    each member is first checked unitary to ``DEFECT_TOL`` on the blocks
-    it is solved on (``ValueError``).
+    N one of d/2 whose phases count twice.  Its blocks are centred on one
+    point, the phase of the member's trace, and recentred together, so
+    ``theta = mu + c`` comes straight from the solve on the branch a dense
+    solve of the whole member takes.  A member solved whole keeps the bits
+    of a one-member call.  With ``check``, each member is first checked
+    unitary to ``DEFECT_TOL`` on the blocks it is solved on (``ValueError``).
     """
     dim = u.shape[-1]
     parts = [(slice(None), u)]  # (members, the stack they are solved on)
@@ -443,12 +445,10 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarr
             if check:
                 _require_unitary_blocks(stack)
             c, mu = _unitary_eigenphases(stack)
-            theta = mu[..., None] + c
-            if stack.ndim == 4:
-                theta = _whole_member_branch(theta, np.trace(stack, axis1=-2, axis2=-1))
+            c = c.reshape(len(stack), -1, c.shape[-1])
             # block traces first, then their sum; the odd-N parity block stands for two
-            copies = dim // theta[0].size
-            tr[members] = copies * np.exp(1j * theta / m).sum(axis=-1).reshape(len(stack), -1).sum(axis=-1)
+            copies = dim // c[0].size
+            tr[members] = copies * np.exp(1j * (mu[:, None, None] + c) / m).sum(axis=-1).sum(axis=-1)
     return np.minimum(np.abs(tr) / dim, 1.0)
 
 

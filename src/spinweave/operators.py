@@ -22,7 +22,9 @@ Conventions used throughout the package:
   ``tan(c / 2)`` of the centred phases ``c``, solved by ``eigvalsh`` or,
   when a root needs the eigenbasis, ``eigh``.  A member with an eigenphase
   near the centred cut is centred once more, with the cut in the largest
-  gap of its phases.  That cut is the only branch rule: roots and
+  gap of its phases.  A member given as diagonal blocks has one centre,
+  the phase of its whole trace, for all its blocks, and is recentred on
+  all its phases at once.  That cut is the only branch rule: roots and
   fidelities take ``(centre + c) / m``, never a principal branch, so a
   global phase of the unitary does not move them.
 * One class, :class:`HermitianPropagator`, factors every Hermitian
@@ -299,70 +301,63 @@ def _widest_gap_centres(c: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _unitary_eigenphases(u: np.ndarray, basis: bool = False):
-    """Centred eigenphases of a unitary or (B, d, d) stack, their centres, and on request an orthonormal eigenbasis.
+    """Centred eigenphases of a unitary or stack, their centres, and on request an orthonormal eigenbasis.
 
-    Each member is turned by the phase ``mu`` of its trace and mapped by
-    :func:`_cayley` to a Hermitian matrix, whose ``eigvalsh`` (``eigh``
+    ``u`` is a (d, d) unitary, a (B, d, d) stack, or a (B, blocks, k, k)
+    stack of B block-diagonal members.  Each member is turned by the phase
+    ``mu`` of its trace (summed over its blocks) and each block is mapped
+    by :func:`_cayley` to a Hermitian matrix, whose ``eigvalsh`` (``eigh``
     with ``basis``) gives ``t = tan(c / 2)`` of the centred phases ``c`` in
-    ``(-pi, pi)``: the branch cut sits opposite ``mu``, and the phases are
+    ``(-pi, pi)``: the cut sits opposite ``mu``, and the phases are
     ``mu + c``, unwrapped.  A member with ``max |t|`` above
-    ``_RECENTRE_TAN``, or a phase exactly on the cut (``I + v`` singular;
-    solved first 1 rad further on), is centred once more, with the cut in
-    the middle of the largest gap of its phases.  So every phase lies at
-    least min(0.02 rad, pi/d) from its cut.  A Cayley skew above 1e-7
-    raises :class:`NumericalDiagnosticError`.  Returns ``(c, mu)``, shaped
-    as ``u`` minus one and two axes, and with ``basis`` also ``V`` with
-    ``u = V diag(e^{i (mu + c)}) V^dag``.
+    ``_RECENTRE_TAN`` on any block, or a phase exactly on the cut (``I + v``
+    singular; solved first 1 rad further on), is centred once more, with
+    the cut in the middle of the largest gap of all its phases.  That is
+    the branch a dense solve of the whole member takes, and every phase
+    lies at least min(0.02 rad, pi/d) from its cut.  A one-block member is
+    centred on its trace phase as is, so a member of a (B, d, d) stack
+    gets the bits of its (d, d) call.  A Cayley skew above 1e-7 raises
+    :class:`NumericalDiagnosticError`.  Returns ``(c, mu)``: ``c`` shaped
+    as ``u`` minus one axis, ``mu`` one per member; with ``basis`` also
+    ``V``, shaped as ``u``, with ``u = V diag(e^{i (mu + c)}) V^dag`` per block.
     """
     # _cayley shifts the diagonal through a flat view, which needs C order
     stack = np.ascontiguousarray(u).reshape(-1, *u.shape[-2:])
     solve = np.linalg.eigh if basis else (lambda k: (np.linalg.eigvalsh(k), None))
-    mu = np.angle(np.trace(stack, axis1=-2, axis2=-1))
-    singular = np.zeros(len(stack), dtype=bool)
+    lead = u.shape[:1] if u.ndim > 2 else ()  # the member axis, if any
+    members = lead[0] if lead else 1
+    per = len(stack) // members  # blocks per member
+    traces = np.trace(stack, axis1=-2, axis2=-1)
+    # one block's trace is taken as is: a sum of one would turn a -0.0 into 0.0
+    mu = np.angle(traces if per == 1 else traces.reshape(members, per).sum(axis=-1))
+    singular = np.zeros(members, dtype=bool)
     try:
-        k, skew = _cayley(stack, mu)
+        k, skew = _cayley(stack, mu.repeat(per))
     except np.linalg.LinAlgError:
-        for b in range(len(stack)):
+        for b in range(members):
             try:
-                _cayley(stack[b : b + 1], mu[b : b + 1])
+                _cayley(stack[b * per : (b + 1) * per], mu[b].repeat(per))
             except np.linalg.LinAlgError:
                 mu[b] += 1.0
                 singular[b] = True
-        k, skew = _cayley(stack, mu)
+        k, skew = _cayley(stack, mu.repeat(per))
     t, v = solve(k)
-    far = np.flatnonzero(singular | (np.abs(t).max(axis=-1) > _RECENTRE_TAN))
-    if far.size:
-        mu[far] = _widest_gap_centres(2.0 * np.arctan(t[far]), mu[far])
-        k, skew[far] = _cayley(stack[far], mu[far])
-        t[far], v_far = solve(k)
+    far = singular | (np.abs(t).reshape(members, -1).max(axis=-1) > _RECENTRE_TAN)
+    if far.any():
+        mu[far] = _widest_gap_centres(np.sort(2.0 * np.arctan(t.reshape(members, -1)[far]), axis=-1), mu[far])
+        rows = far.repeat(per)
+        k, skew[rows] = _cayley(stack[rows], mu[far].repeat(per))
+        t[rows], v_far = solve(k)
         if basis:
-            v[far] = v_far
+            v[rows] = v_far
     off_circle = float((skew / (1.0 + np.abs(t).max(axis=-1) ** 2)).max())
     if not off_circle <= 1e-7:
         raise NumericalDiagnosticError(
             "eigenvalues of a claimed-unitary propagator are off the unit circle "
             f"(Cayley skew {off_circle:.3e})"
         )
-    c, mu = (2.0 * np.arctan(t)).reshape(u.shape[:-1]), mu.reshape(u.shape[:-2])
+    c, mu = (2.0 * np.arctan(t)).reshape(u.shape[:-1]), mu.reshape(lead)
     return (c, mu, v.reshape(u.shape)) if basis else (c, mu)
-
-
-def _whole_member_branch(theta: np.ndarray, traces: np.ndarray) -> np.ndarray:
-    """Eigenphases ``mu_b + c`` of (B, blocks, k) block solves, moved by 2 pi n onto the branch of the whole member.
-
-    That is the branch a dense solve of the block-diagonal member takes:
-    within pi of the phase of its summed block ``traces`` (B, blocks) or,
-    if a phase is then within 0.02 rad of the cut, of the centre opposite
-    the widest gap of all its phases.  A phase on that branch keeps its bits.
-    """
-    onto = lambda th, c: th - 2.0 * np.pi * np.ceil((th - c[:, None, None]) / (2.0 * np.pi) - 0.5)
-    centre = np.angle(traces.sum(axis=-1))
-    theta = onto(theta, centre)
-    centred = (theta - centre[:, None, None]).reshape(len(theta), -1)
-    far = np.flatnonzero(np.abs(np.tan(centred / 2.0)).max(axis=-1) > _RECENTRE_TAN)
-    if far.size:
-        theta[far] = onto(theta[far], _widest_gap_centres(np.sort(centred[far], axis=-1), centre[far]))
-    return theta
 
 
 def _require_root_order(m: int) -> None:

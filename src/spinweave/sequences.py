@@ -313,11 +313,13 @@ def row_sum_check(f: FrameMatrix) -> tuple[np.ndarray, str]:
 
     All-zero row sums mean interactions proportional to S_z average to zero
     at lowest order (time-suspension capable); any nonzero row sum leaves a
-    scaled effective field (spectroscopic).
+    scaled effective field (spectroscopic).  A cycle of pulses alone has
+    no window to average over, and is labelled "no delay window".
     """
     sums = f.row_sums()
-    label = "time-suspension" if np.all(sums == 0) else "spectroscopic"
-    return sums, label
+    if not f.windows:
+        return sums, "no delay window"
+    return sums, "time-suspension" if np.all(sums == 0) else "spectroscopic"
 
 
 def ascii_frame(f: FrameMatrix) -> str:

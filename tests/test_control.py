@@ -29,6 +29,7 @@ from spinweave.aht import magnus_series
 from spinweave.control import _CycleKernel, _eigenphase_fidelity, _ensemble_infidelities
 from spinweave.operators import (
     HermitianPropagator,
+    _unitary_eigenphases,
     expm_hermitian,
     require_unitary,
     unitary_root,
@@ -360,6 +361,22 @@ class TestParityBranch:
         u = cycle_unitary(system, seq, error, 4e-6)
         assert calls == [seq.name]
         assert np.abs(u - expm_cycle_oracle(system, seq, error, 4e-6)).max() < 1e-12
+
+
+class TestPowerIdentities:
+    """Parity-path cycles that are powers of shorter ones: U_MREV8 = U_WHH^2, U_MREV16 = U_WHH^4, U_YXX48 = U_YXX24^2."""
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6, 7, 8])
+    def test_cycles_are_powers(self, n_spins, monkeypatch):
+        system = SpinSystem.create(sample_couplings(2026, n_spins))
+        names = ("WHH", "MREV8", "MREV16", "YXX24", "YXX48")
+        assert [validate_cyclic(builtin(name)) for name in names] == [1] * 5
+        calls = count_lab_cycles(monkeypatch)
+        for tau in (1e-6, 4e-6, 40e-6):
+            u = {name: cycle_unitary(system, builtin(name), IDEAL, tau) for name in names}
+            for power, base, p in (("MREV8", "WHH", 2), ("MREV16", "WHH", 4), ("YXX48", "YXX24", 2)):
+                assert np.abs(u[power] - np.linalg.matrix_power(u[base], p)).max() <= 1e-13, (power, tau)
+        assert calls == []
 
 
 class TestSectorFactorization:
@@ -943,6 +960,21 @@ class TestParityBlockFidelity:
         assert fidelity(u, m=2) == pytest.approx(abs(near_pi), rel=0, abs=1e-14)
         assert fidelity(u, m=2) == pytest.approx(oracle_fidelity(u, 2), rel=0, abs=1e-14)
         assert set(shapes) == {parity_block_shape(4)}
+
+    @pytest.mark.parametrize("seed,name,tau", [(2028, "MREV16", 26.5e-6), (2028, "MREV16", 40e-6), (2026, "YXX24", 40e-6)])
+    def test_near_cut_cycles_match_the_dense_solve(self, seed, name, tau, monkeypatch):
+        # 8-spin cycles with a phase near the cut of the member's trace
+        # phase: their blocks must take the branch of the whole member
+        seq = builtin(name)
+        u = cycle_unitary(SpinSystem.create(sample_couplings(seed, 8)), seq, IDEAL, tau)
+        c, mu = _unitary_eigenphases(u)
+        assert np.pi - np.abs(np.angle(np.exp(1j * (mu + c - np.angle(np.trace(u)))))).max() < 0.1
+        shapes = eigenphase_shapes(monkeypatch)
+        for m in (1, seq.cycle_windows):
+            dense = abs(np.exp(1j * (mu + c) / m).sum()) / len(u)
+            assert fidelity(u, m=m) == pytest.approx(dense, rel=0, abs=1e-13)
+            assert fidelity(u, m=m) == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
+        assert set(shapes) == {parity_block_shape(8)}
 
     @pytest.mark.parametrize("n_spins", [4, 5])
     def test_non_unitary_block_input_is_rejected(self, n_spins):

@@ -7,7 +7,6 @@ from spinweave.operators import (
     HermitianPropagator,
     _unitarity_defects,
     _unitary_eigenphases,
-    _whole_member_branch,
     expm_hermitian,
     frobenius_magnitude,
     hermiticity_defect,
@@ -413,7 +412,7 @@ class TestUnitaryEigenphases:
 
 
 class TestWholeMemberBranch:
-    """Block solves put on the branch a dense solve of the block-diagonal matrix takes."""
+    """A (1, blocks, k, k) solve takes the branch a dense solve of the block-diagonal matrix takes."""
 
     @pytest.mark.parametrize(
         "phases,recentred",
@@ -430,18 +429,23 @@ class TestWholeMemberBranch:
         whole = np.zeros((2 * k, 2 * k), dtype=complex)
         whole[:k, :k], whole[k:, k:] = blocks
         c, mu = _unitary_eigenphases(blocks[None])
-        theta = np.sort(_whole_member_branch(mu[..., None] + c, np.trace(blocks, axis1=-2, axis2=-1)[None]).ravel())
+        assert c.shape == (1, 2, k) and mu.shape == (1,)
+        theta = np.sort((mu[0] + c).ravel())
         c_dense, mu_dense = _unitary_eigenphases(whole)
         assert (abs(mu_dense - np.angle(np.trace(whole))) > 0.1) == recentred
+        assert abs(np.angle(np.exp(1j * (mu[0] - mu_dense)))) <= 1e-13  # one centre, the dense one
         assert np.abs(theta - np.sort(mu_dense + c_dense)).max() <= 1e-13
         assert np.abs(theta - np.sort(oracle_points(whole))).max() <= 1e-13
 
-    def test_phases_on_the_branch_keep_their_bits(self):
-        blocks = np.stack([with_spectrum(3, [0.1, -0.2]), with_spectrum(4, [0.3, 0.0])])
-        c, mu = _unitary_eigenphases(blocks[None])
-        theta = mu[..., None] + c
-        moved = _whole_member_branch(theta.copy(), np.trace(blocks, axis1=-2, axis2=-1)[None])
-        assert np.array_equal(moved, theta)
+    def test_members_are_centred_and_recentred_on_their_own(self):
+        phases = [([1.5, -1.5], [np.pi + 0.3, np.pi - 0.3]), ([0.94, 0.61], [0.05, -2.6]), ([0.1, -0.2], [0.3, 0.0])]
+        stack = np.stack([np.stack([with_spectrum(7 + k, p) for k, p in enumerate(member)]) for member in phases])
+        c, mu, v = _unitary_eigenphases(stack, basis=True)
+        assert c.shape == (3, 2, 2) and mu.shape == (3,) and v.shape == stack.shape
+        for b, blocks in enumerate(stack):
+            alone = _unitary_eigenphases(blocks[None], basis=True)
+            assert all(np.array_equal(x[b], y[0]) for x, y in zip((c, mu, v), alone))
+            assert np.abs((v[b] * np.exp(1j * (mu[b] + c[b]))[:, None, :]) @ v[b].conj().swapaxes(-1, -2) - blocks).max() < 1e-13
 
 
 class TestFrobeniusMagnitude:

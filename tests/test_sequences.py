@@ -283,6 +283,12 @@ class TestRowSums:
         assert sums.tolist() == [0, 0, 5]
         assert label == "spectroscopic"
 
+    def test_pulses_alone_have_no_delay_window(self):
+        # M = 0: the empty (3, 0) frame matrix has zero sums but no window to average over
+        sums, label = row_sum_check(frame_matrix(parse_sequence("x - x - x - x")))
+        assert sums.tolist() == [0, 0, 0]
+        assert label == "no delay window"
+
     def test_ascii_grid(self):
         text = ascii_frame(frame_matrix(builtin("WHH")))
         lines = text.splitlines()
