@@ -13,7 +13,8 @@ window's axis, plus the offsets turned to its signed axis.  Finite-width
 pulses are sliced into :data:`PULSE_SLICES` short constant sub-segments
 of dense rotations, which is a documented approximation.  Sums accumulate
 in plain floating point; their roundoff shows in each term's recorded
-hermiticity residual.
+hermiticity residual, and Dyson or Magnus terms that overflow raise
+:class:`~spinweave.operators.NumericalDiagnosticError`.
 
 Both recursions run in the dtype of the segments, with the powers of -i
 taken out: real, in ``float64``, wherever the segments are real, as they
@@ -37,6 +38,7 @@ import numpy as np
 
 from .operators import (
     HermitianPropagator,
+    NumericalDiagnosticError,
     Operator,
     commutator,
     frobenius_magnitude,
@@ -110,11 +112,11 @@ class MagnusSeries:
         return len(self.terms) - 1
 
     def partial_sum(self, order: int) -> Operator:
-        if order < 0 or order > self.max_order:
+        if not (0 <= order <= self.max_order and int(order) == order):
             raise ValueError(
                 f"order {order} outside computed range 0..{self.max_order}"
             )
-        return sum(self.terms[: order + 1])
+        return sum(self.terms[: int(order) + 1])
 
 
 @dataclass(frozen=True)
@@ -253,18 +255,21 @@ def dyson_terms(segments: list[TogglingSegment], n_max: int) -> list[Operator]:
     width = n_max * dim
     powers = np.empty((dim, width), dtype=dtype)  # p_j at block n_max - j
     d = np.zeros((width, dim), dtype=dtype)  # P_n at block n - 1
-    for seg in segments:
-        gen = seg.hamiltonian * seg.duration
-        a = gen
-        powers[:, width - dim :] = a
-        for j in range(2, n_max + 1):
-            a = (a @ gen) / j
-            powers[:, (n_max - j) * dim : (n_max - j + 1) * dim] = a
-        for n in range(n_max, 0, -1):
-            block = d[(n - 1) * dim : n * dim]
-            block += powers[:, (n_max - n) * dim : (n_max - n + 1) * dim]
-            if n > 1:
-                block += powers[:, (n_max - n + 1) * dim :] @ d[: (n - 1) * dim]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seg in segments:
+            gen = seg.hamiltonian * seg.duration
+            a = gen
+            powers[:, width - dim :] = a
+            for j in range(2, n_max + 1):
+                a = (a @ gen) / j
+                powers[:, (n_max - j) * dim : (n_max - j + 1) * dim] = a
+            for n in range(n_max, 0, -1):
+                block = d[(n - 1) * dim : n * dim]
+                block += powers[:, (n_max - n) * dim : (n_max - n + 1) * dim]
+                if n > 1:
+                    block += powers[:, (n_max - n + 1) * dim :] @ d[: (n - 1) * dim]
+    if not np.isfinite(d).all():
+        raise NumericalDiagnosticError(f"Dyson terms through order {n_max} overflow")
     return [d[(n - 1) * dim : n * dim] for n in range(1, n_max + 1)]
 
 
@@ -321,19 +326,22 @@ def burum_terms(dyson: list[Operator], cycle_time: float) -> MagnusSeries:
         np.empty(((n_terms + 1 - k) * dim, dim), dtype=dtype)
         for k in range(1, n_terms + 1)
     ]
-    for n in range(1, n_terms + 1):
-        correction = np.zeros((dim, dim), dtype=dtype)
-        for k in range(2, n + 1):
-            block = columns[k - 1][(n - k) * dim : (n - k + 1) * dim]
-            np.matmul(
-                omega[:, (n_terms - n + k - 1) * dim :],
-                columns[k - 2][: (n - k + 1) * dim],
-                out=block,
-            )
-            correction += _flush_tiny(block) / float(math.factorial(k))
-        w_n = _flush_tiny(dyson[n - 1] - correction)
-        omega[:, (n_terms - n) * dim : (n_terms - n + 1) * dim] = w_n
-        columns[0][(n - 1) * dim : n * dim] = w_n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_terms + 1):
+            correction = np.zeros((dim, dim), dtype=dtype)
+            for k in range(2, n + 1):
+                block = columns[k - 1][(n - k) * dim : (n - k + 1) * dim]
+                np.matmul(
+                    omega[:, (n_terms - n + k - 1) * dim :],
+                    columns[k - 2][: (n - k + 1) * dim],
+                    out=block,
+                )
+                correction += _flush_tiny(block) / float(math.factorial(k))
+            w_n = _flush_tiny(dyson[n - 1] - correction)
+            omega[:, (n_terms - n) * dim : (n_terms - n + 1) * dim] = w_n
+            columns[0][(n - 1) * dim : n * dim] = w_n
+    if not np.isfinite(columns[0]).all():
+        raise NumericalDiagnosticError(f"Magnus terms through order {n_terms - 1} overflow")
     terms = []
     residuals = []
     for n in range(n_terms):
@@ -358,18 +366,18 @@ def magnus_series(
 ) -> MagnusSeries:
     """Effective-Hamiltonian terms H(0)..H(orders) for one cycle.
 
-    ``orders`` may be at most 72 for every cycle.  Whether high orders are
-    meaningful is for the caller to judge: :func:`convergence_check` gives
-    the sufficient convergence criterion, and the series' hermiticity
-    residuals show the roundoff of each term.
+    ``orders`` is a whole number in 0..72 for every cycle.  Whether high
+    orders are meaningful is for the caller to judge:
+    :func:`convergence_check` gives the sufficient convergence criterion,
+    and the series' hermiticity residuals show the roundoff of each term.
     """
-    if orders < 0:
-        raise ValueError("orders must be >= 0")
     if orders > _HARD_ORDER_CAP:
         raise ValueError(f"order {orders} exceeds the cap {_HARD_ORDER_CAP}")
+    if not (orders >= 0 and int(orders) == orders):
+        raise ValueError(f"orders must be >= 0 and whole, got {orders}")
     segments = toggling_segments(system, seq, tau, pulse_width)
     t_c = seq.cycle_time(tau)
-    return burum_terms(dyson_terms(segments, orders + 1), t_c)
+    return burum_terms(dyson_terms(segments, int(orders) + 1), t_c)
 
 
 def term_magnitudes(series: MagnusSeries, h_dip: Operator) -> np.ndarray:

@@ -75,11 +75,6 @@ NONNEGATIVE = FiniteRange(0.0, np.inf, max_open=True)
 POSITIVE = FiniteRange(0.0, np.inf, min_open=True, max_open=True)
 
 
-def _fail_numerical(exc: Exception):
-    click.echo(f"numerical diagnostic failure: {exc}", err=True)
-    sys.exit(EXIT_NUMERICAL_ERROR)
-
-
 def _threads(threads: int | None) -> int:
     """``--threads``, else ``SPINWEAVE_THREADS``, else the usable cores; a bad variable is a usage error."""
     try:
@@ -100,7 +95,18 @@ def _load_sequence(name_or_file: str):
     )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a :class:`NumericalDiagnosticError` from any command ends it with exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NumericalDiagnosticError as exc:
+            click.echo(f"numerical diagnostic failure: {exc}", err=True)
+            sys.exit(EXIT_NUMERICAL_ERROR)
+
+
+@click.group(cls=_Main)
 def main():
     """Desk-scale dipolar-decoupling sequence simulator."""
 
@@ -139,10 +145,7 @@ def sweep(config_path, overrides, output, fmt, threads):
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
     threads = _threads(threads)
-    try:
-        rows = run_sweep(cfg, threads=threads)
-    except NumericalDiagnosticError as exc:
-        _fail_numerical(exc)
+    rows = run_sweep(cfg, threads=threads)
     fmt = fmt or ("json" if str(output).endswith(".json") else "csv")
     if fmt == "csv":
         path = write_output(output, sweep_rows_to_csv(cfg, rows))
@@ -279,10 +282,7 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
     system = SpinSystem.create(
         sample_couplings(seed, spins, coupling_sigma_hz), global_offset_hz=offset_hz
     )
-    try:
-        curves = autocorrelations(system, sequence, error, tau_s, "xyz", block_list)
-    except NumericalDiagnosticError as exc:
-        _fail_numerical(exc)
+    curves = autocorrelations(system, sequence, error, tau_s, "xyz", block_list)
     avg = c_avg(curves["x"], curves["y"], curves["z"])
     document = {
         "sequence": sequence.name,
@@ -354,10 +354,7 @@ def exp_mqc(spins, tau_dq, phi_count, window, coupling_sigma_hz, seed, output):
         except ValueError as exc:
             raise click.UsageError(f"bad --window value {window!r}: {exc}") from exc
     system = SpinSystem.create(sample_couplings(seed, spins, coupling_sigma_hz))
-    try:
-        result = mqc_experiment(system, tau_dq, phi_count, win)
-    except NumericalDiagnosticError as exc:
-        _fail_numerical(exc)
+    result = mqc_experiment(system, tau_dq, phi_count, win)
     document = {
         "n_spins": spins,
         "tau_dq_s": tau_dq,
@@ -390,8 +387,6 @@ def preset(name, profile, outdir, threads):
         paths = run_preset(name, profile=profile, outdir=outdir, threads=threads)
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
-    except NumericalDiagnosticError as exc:
-        _fail_numerical(exc)
     for p in paths:
         click.echo(f"wrote {p}")
 

@@ -60,13 +60,13 @@ from .spins import (
     _PAIR_FACTORS,
     _pair_stack,
     _parity_blocks,
+    _parity_stack_blocks,
     collective_phase_operator,
     collective_rotation,
     internal_hamiltonian_stack,
     kron_power,
     magnetization,
     magnetization_sectors,
-    parity_sectors,
     sample_couplings,
     sample_disorder,
 )
@@ -414,42 +414,26 @@ def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarr
 
     Each eigenphase ``mu + c`` from ``eigvalsh`` of the centred Cayley
     transform (:func:`spinweave.operators._unitary_eigenphases`, which
-    :func:`unitary_root` shares) maps to ``(mu + c) / m``.  A member is
-    solved whole unless its elements between the :func:`parity_sectors`
-    halves are all exactly zero and it is exactly ``X^{(x)N}``-symmetric
-    (``u[s, t] == u[~s, ~t]``), as every parity-path :func:`cycle_unitary`
-    is.  Such a member is solved on the parity blocks of
-    :func:`spinweave.spins._parity_blocks`, 4 of d/4 at even N and at odd
-    N one of d/2 whose phases count twice.  Its blocks are centred on one
-    point, the phase of the member's trace, and recentred together, so
-    ``theta = mu + c`` comes straight from the solve on the branch a dense
-    solve of the whole member takes.  A member solved whole keeps the bits
-    of a one-member call.  With ``check``, each member is first checked
-    unitary to ``DEFECT_TOL`` on the blocks it is solved on (``ValueError``).
+    :func:`unitary_root` shares) maps to ``(mu + c) / m``.  The stack is
+    solved once, on the parity blocks of
+    :func:`spinweave.spins._parity_stack_blocks` when every member has
+    them (as parity-path :func:`cycle_unitary` members do) and whole
+    otherwise: 4 blocks of d/4 at even N, one of d/2 counted twice at odd
+    N.  A member's blocks are centred on its trace phase and recentred
+    together, so ``mu + c`` lies on the branch of a dense solve.  A member
+    of a mixed stack differs from its one-member call by roundoff.  With
+    ``check``, each member is first checked unitary to ``DEFECT_TOL`` on
+    the blocks it is solved on (``ValueError``).
     """
-    dim = u.shape[-1]
-    parts = [(slice(None), u)]  # (members, the stack they are solved on)
-    if dim > 1:
-        n_spins = dim.bit_length() - 1
-        halves = parity_sectors(n_spins).order.reshape(2, -1)
-        rows, cols = halves[:, :, None], halves[:, None, :]
-        blocked = ~(u[:, rows[0], cols[1]].any(axis=(1, 2)) | u[:, rows[1], cols[0]].any(axis=(1, 2)))
-        if blocked.any():
-            for b in np.flatnonzero(blocked):
-                blocked[b] = np.array_equal(u[b], u[b, ::-1, ::-1])
-            members = np.flatnonzero(blocked)
-            parts = [(~blocked, u[~blocked]), (members, _parity_blocks(n_spins).from_standard(u, members))]
-    tr = np.empty(len(u), dtype=np.complex128)
-    for members, stack in parts:
-        if len(stack):
-            if check:
-                _require_unitary_blocks(stack)
-            c, mu = _unitary_eigenphases(stack)
-            c = c.reshape(len(stack), -1, c.shape[-1])
-            # block traces first, then their sum; the odd-N parity block stands for two
-            copies = dim // c[0].size
-            tr[members] = copies * np.exp(1j * (mu[:, None, None] + c) / m).sum(axis=-1).sum(axis=-1)
-    return np.minimum(np.abs(tr) / dim, 1.0)
+    blocks = _parity_stack_blocks(u)
+    stack = u if blocks is None else blocks
+    if check:
+        _require_unitary_blocks(stack)
+    c, mu = _unitary_eigenphases(stack)
+    c = c.reshape(len(stack), -1, c.shape[-1])
+    # block traces first, then their sum; the odd-N parity block stands for two
+    tr = (u.shape[-1] // c[0].size) * np.exp(1j * (mu[:, None, None] + c) / m).sum(axis=-1).sum(axis=-1)
+    return np.minimum(np.abs(tr) / u.shape[-1], 1.0)
 
 
 def fidelity(u_exp: Operator, u_th: Operator | None = None, m: int = 1) -> float:
@@ -458,7 +442,7 @@ def fidelity(u_exp: Operator, u_th: Operator | None = None, m: int = 1) -> float
     ``m`` rescales the experimental cycle propagator to an effective
     per-window unitary so sequences of different cycle lengths compare
     fairly; ``u_th`` defaults to the identity (decoupling target).  ``m``
-    must be a positive integer (``ValueError``).
+    must be a whole number in 1..2**53 (``ValueError``).
 
     Without a target F is :func:`_eigenphase_fidelity` of ``u_exp``, the
     helper that scores whole member stacks in :func:`ensemble_fidelity`,
@@ -530,13 +514,7 @@ def nth_order_fidelity(
     order: int,
     series: MagnusSeries | None = None,
 ) -> float:
-    """F_n of one order: the one-order call of :func:`nth_order_fidelities`.
-
-    Without ``series``, the Magnus series through ``order`` is computed
-    (see :func:`spinweave.aht.magnus_series`).
-    """
-    if series is None:
-        series = magnus_series(system, seq, tau, order)
+    """F_n of one order: the one-order call of :func:`nth_order_fidelities`, with the same ``series`` default."""
     return nth_order_fidelities(system, seq, tau, [order], series)[0]
 
 

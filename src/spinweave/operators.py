@@ -361,9 +361,9 @@ def _unitary_eigenphases(u: np.ndarray, basis: bool = False):
 
 
 def _require_root_order(m: int) -> None:
-    """Raise unless ``m`` is a positive integer."""
-    if m < 1 or int(m) != m:
-        raise ValueError(f"root order must be a positive integer, got {m}")
+    """Raise unless ``m`` is a whole number in 1..2**53, where every integer is a float."""
+    if not (1 <= m <= 2**53 and int(m) == m):
+        raise ValueError(f"root order must be a whole number in 1..2**53, got {m}")
 
 
 def unitary_root(u: npt.ArrayLike, m: int) -> Operator:
@@ -373,7 +373,7 @@ def unitary_root(u: npt.ArrayLike, m: int) -> Operator:
     of the centred Cayley transform (:func:`_unitary_eigenphases`), so
     ``root^m = u`` and a global phase of ``u`` only turns the root.  ``V``
     is unitary to roundoff, which keeps reconstruction errors at machine
-    level even for high powers.  ``m`` must be a positive integer
+    level even for high powers.  ``m`` must be a whole number in 1..2**53
     (``ValueError``).
     """
     _require_root_order(m)

@@ -382,6 +382,7 @@ class _ParityBlocks:
     with spin 0 up and ``p`` down spins modulo 2.  Odd n: one block, the
     states with an even number of down spins (``states[0]``); the odd block
     is its image under ``s -> ~s``, with the same matrix.
+    :func:`_parity_stack_blocks` decides whether a whole stack has them.
 
     Attributes:
         states: (2, k) for even n, (1, k) for odd n.
@@ -393,21 +394,18 @@ class _ParityBlocks:
     def blocks(self) -> int:
         return 4 if len(self.states) == 2 else 1
 
-    def from_standard(self, h: np.ndarray, members: npt.NDArray[np.intp] | None = None) -> np.ndarray:
+    def from_standard(self, h: np.ndarray) -> np.ndarray:
         """The (B, blocks, k, k) blocks of a (B, d, d) standard-basis stack that commutes with both parities.
 
         The index inverse of :meth:`to_standard`: block ``(sigma, p)`` is
-        ``h[s, t] + sigma h[s, ~t]`` over ``s, t`` in ``states[p]``.  With
-        ``members``, only those members of ``h``, gathered without a copy
-        of the whole matrices.
+        ``h[s, t] + sigma h[s, ~t]`` over ``s, t`` in ``states[p]``.
         """
         states = self.states
-        index = slice(None) if members is None else members[:, None, None, None]
         rows = states[:, :, None]
-        same = h[index, rows, states[:, None, :]]
+        same = h[:, rows, states[:, None, :]]
         if len(states) == 1:
             return same
-        swapped = h[index, rows, h.shape[-1] - 1 - states[:, None, :]]
+        swapped = h[:, rows, h.shape[-1] - 1 - states[:, None, :]]
         return np.concatenate([same + swapped, same - swapped], axis=1)
 
     def to_standard(self, blocks: np.ndarray) -> np.ndarray:
@@ -433,6 +431,21 @@ def _parity_blocks(n_spins: int) -> _ParityBlocks:
     halves = parity_sectors(n_spins).order.reshape(2, -1)
     # each half lists its states in basis order, those with spin 0 up first
     return _ParityBlocks(halves[:1] if n_spins % 2 else halves[:, : halves.shape[1] // 2])
+
+
+def _parity_stack_blocks(u: np.ndarray) -> np.ndarray | None:
+    """The parity blocks (:meth:`_ParityBlocks.from_standard`) of a whole (B, d, d) stack, or None.
+
+    Only a stack whose every member has exact zeros between the
+    :func:`parity_sectors` halves and is exactly ``X^{(x)N}``-symmetric
+    (``u[:, s, t] == u[:, ~s, ~t]``), as parity-path cycles are, has them.
+    """
+    n_spins = u.shape[-1].bit_length() - 1
+    if n_spins:
+        even, odd = parity_sectors(n_spins).order.reshape(2, -1)
+        if not (u[:, even[:, None], odd].any() or u[:, odd[:, None], even].any()) and np.array_equal(u, u[:, ::-1, ::-1]):
+            return _parity_blocks(n_spins).from_standard(u)
+    return None
 
 
 def dipolar_hamiltonian(system: SpinSystem) -> Operator:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spinweave.aht import burum_terms, magnus_series
 from spinweave.control import (
     DISORDER_SEED_OFFSET,
     IDEAL,
@@ -25,6 +26,9 @@ from spinweave.control import (
     SweepSpec,
     cycle_unitary,
     ensemble_fidelity,
+    fidelity,
+    nth_order_fidelities,
+    unitary_root,
 )
 from spinweave.experiments import (
     DecayCurve,
@@ -286,6 +290,46 @@ def test_overflowing_phase_is_a_diagnostic_not_nan():
         mqc_experiment(SYSTEM, LARGEST)
     with pytest.raises(NumericalDiagnosticError, match="overflow"):
         mqc_experiment(SYSTEM, 1e-4, window=FreeWindow(LARGEST))
+
+
+@pytest.mark.parametrize("m", [math.inf, math.nan, 10**400, 2.5, 0, -1])
+def test_root_order(m):
+    # inf and 10**400 once raised OverflowError, nan numpy's own conversion error
+    u = cycle_unitary(SYSTEM, WHH)
+    with pytest.raises(ValueError, match="root order"):
+        fidelity(u, m=m)
+    with pytest.raises(ValueError, match="root order"):
+        unitary_root(u, m)
+
+
+@pytest.mark.parametrize(
+    "order,message",
+    [
+        (2.5, "orders must be >= 0"),
+        (math.nan, "orders must be >= 0"),
+        (-1, "orders must be >= 0"),
+        (math.inf, "cap"),
+        (73, "cap"),
+        (10**400, "cap"),
+    ],
+)
+def test_magnus_order(order, message):
+    # 2.5 and nan once raised TypeError inside the Dyson recursion or the partial sum
+    with pytest.raises(ValueError, match=message):
+        magnus_series(SYSTEM, WHH, 4e-6, order)
+    with pytest.raises(ValueError, match=message):
+        nth_order_fidelities(SYSTEM, WHH, 4e-6, [order])
+    with pytest.raises(ValueError, match="order"):
+        nth_order_fidelities(SYSTEM, WHH, 4e-6, [order], series=magnus_series(SYSTEM, WHH, 4e-6, 3))
+
+
+def test_overflowing_magnus_terms_are_a_diagnostic_not_nan():
+    # H t at tau = 1e60 s once gave nan terms 1-4
+    with pytest.raises(NumericalDiagnosticError, match="Dyson terms through order 5 overflow"):
+        magnus_series(SpinSystem.create(sample_couplings(2026, 4, 140.0)), WHH, 1e60, 4)
+    # finite Dyson terms whose products in the Magnus recursion overflow
+    with pytest.raises(NumericalDiagnosticError, match="Magnus terms through order 2 overflow"):
+        burum_terms([np.full((2, 2), 1e200)] * 3, 1.0)
 
 
 @given(bad=NON_FINITE, index=st.integers(0, 5), in_values=st.booleans())

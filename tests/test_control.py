@@ -366,6 +366,8 @@ class TestParityBranch:
 class TestPowerIdentities:
     """Parity-path cycles that are powers of shorter ones: U_MREV8 = U_WHH^2, U_MREV16 = U_WHH^4, U_YXX48 = U_YXX24^2."""
 
+    POWERS = (("MREV8", "WHH", 2), ("MREV16", "WHH", 4), ("YXX48", "YXX24", 2))
+
     @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6, 7, 8])
     def test_cycles_are_powers(self, n_spins, monkeypatch):
         system = SpinSystem.create(sample_couplings(2026, n_spins))
@@ -374,9 +376,34 @@ class TestPowerIdentities:
         calls = count_lab_cycles(monkeypatch)
         for tau in (1e-6, 4e-6, 40e-6):
             u = {name: cycle_unitary(system, builtin(name), IDEAL, tau) for name in names}
-            for power, base, p in (("MREV8", "WHH", 2), ("MREV16", "WHH", 4), ("YXX48", "YXX24", 2)):
+            for power, base, p in self.POWERS:
                 assert np.abs(u[power] - np.linalg.matrix_power(u[base], p)).max() <= 1e-13, (power, tau)
         assert calls == []
+
+    @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6, 7, 8])
+    def test_infidelities_agree_where_the_power_does_not_wrap(self, n_spins):
+        # the power's root reads the base's 1-F while k times the spread of
+        # the base's centred phases stays clear of 2 pi; past it the power's
+        # phases wrap, which the power's own phases cannot show
+        compared = 0
+        for seed in (2026, 2027, 2028):
+            system = SpinSystem.create(sample_couplings(seed, n_spins))
+            for tau in (1e-6, 4e-6, 17.6e-6, 26.5e-6, 40e-6):
+                infidelity, spread = {}, {}
+                for name in ("WHH", "MREV8", "MREV16", "YXX24", "YXX48"):
+                    seq = builtin(name)
+                    u = cycle_unitary(system, seq, IDEAL, tau)
+                    infidelity[name] = 1.0 - fidelity(u, m=seq.cycle_windows)
+                    if name in ("WHH", "YXX24"):
+                        c = _unitary_eigenphases(u)[0]
+                        spread[name] = c.max() - c.min()
+                for power, base, k in self.POWERS:
+                    if k * spread[base] < 2.0 * np.pi - 0.5:
+                        compared += infidelity[base] >= 1e-10
+                        bound = 1e-10 * infidelity[base] if infidelity[base] >= 1e-10 else 1e-13
+                        assert abs(infidelity[power] - infidelity[base]) <= bound, (seed, tau, power)
+        # two spins read 1-F = 0 throughout
+        assert compared >= (0 if n_spins == 2 else 20)
 
 
 class TestSectorFactorization:
@@ -910,17 +937,28 @@ class TestParityBlockFidelity:
             assert fidelity(u, m=m) == pytest.approx(oracle_fidelity(u, m), rel=0, abs=1e-13)
         assert set(shapes) == {(1, dim, dim)}
 
-    def test_mixed_stack_equals_one_member_calls(self, monkeypatch):
-        # one stack of whole members and one of parity blocks; no member is
-        # ever solved on the two parity halves of d/2
+    @pytest.mark.parametrize("n_spins", [4, 5])
+    def test_parity_path_stack_is_solved_once_on_the_blocks(self, n_spins, monkeypatch):
+        names = ("WHH", "CORY48", "YXX24")
+        systems = [SpinSystem.create(sample_couplings(100 + n_spins + k, n_spins)) for k in range(len(names))]
+        stack = np.stack([cycle_unitary(system, builtin(name), IDEAL, 4e-6) for system, name in zip(systems, names)])
+        shapes = eigenphase_shapes(monkeypatch)
+        values = {m: _eigenphase_fidelity(stack, m) for m in (1, 4, 24)}
+        assert shapes == [(len(names), *parity_block_shape(n_spins)[1:])] * 3
+        for m, stacked in values.items():
+            assert [fidelity(u, m=m) for u in stack] == list(stacked)
+
+    def test_mixed_stack_is_solved_whole(self, monkeypatch):
+        # one member without the blocks puts the whole stack in the standard
+        # basis, parity-path members included
         system = SpinSystem.create(sample_couplings(95, 4))
         parity = cycle_unitary(system, builtin("YXX24"), IDEAL, 4e-6)
         stack = np.stack([parity, random_unitary(96, 16), parity_block_unitary(97, 4), parity.T.copy()])
         shapes = eigenphase_shapes(monkeypatch)
         for m in (1, 24):
             values = _eigenphase_fidelity(stack, m)
-            assert [fidelity(u, m=m) for u in stack] == list(values)
-        assert set(shapes) == {(2, 16, 16), (2, 4, 4, 4), (1, 16, 16), (1, 4, 4, 4)}
+            assert list(values) == pytest.approx([oracle_fidelity(u, m) for u in stack], rel=0, abs=1e-13)
+        assert shapes == [(4, 16, 16)] * 2
 
     @pytest.mark.parametrize(
         "n_spins,phases",

@@ -494,6 +494,14 @@ class TestCli:
         assert "pulse generator h_int t_w overflows" in result.output
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_magnus_terms_exit_3(self, tmp_path):
+        # H t overflows in the Dyson recursion; the terms were once written as NaN
+        args = ["aht", "terms", "--seq", "WHH", "--tau", "1e300", "--output", str(tmp_path / "terms.json")]
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert "Dyson terms through order 5 overflow" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_still_exits_3(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise NumericalDiagnosticError("propagator is not unitary")

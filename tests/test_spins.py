@@ -500,15 +500,11 @@ class TestPairStack:
     def test_real_stack_is_the_real_part_of_the_complex_one(self, n_spins):
         couplings = np.stack([sample_couplings(110 + n_spins + k, n_spins) for k in range(2)])
         offsets = np.random.default_rng(n_spins).normal(0.0, 500.0, size=(2, n_spins))
-        parity = _parity_blocks(n_spins)
-        members = np.array([1])
         for a, extra in (("x", None), ("y", None), ("z", offsets), ("dq", None)):
             built = _pair_stack(couplings, _PAIR_FACTORS[a], extra)
             real = _pair_stack(couplings, _PAIR_FACTORS[a], extra, dtype=np.float64)
             assert real.dtype == np.float64 and not built.imag.any()
             assert np.array_equal(real, built.real)
-            if a != "dq" and extra is None:
-                assert np.array_equal(parity.from_standard(real, members), parity.from_standard(real)[members])
 
 
 def test_kron_power_equals_repeated_kron():
