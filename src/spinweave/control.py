@@ -22,7 +22,6 @@ import os
 import queue
 import sys
 import warnings
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -63,7 +62,6 @@ from .spins import (
     _parity_stack_blocks,
     collective_phase_operator,
     collective_rotation,
-    internal_hamiltonian_stack,
     kron_power,
     magnetization,
     magnetization_sectors,
@@ -223,8 +221,13 @@ def pulse_unitary(
 class _CycleKernel:
     """Cycle propagators of one member stack under one error model.
 
+    The stack is B members of n spins, given by their (B, n, n) couplings
+    and (B, n) total offsets, both in Hz: a member's offset row is what
+    :attr:`SpinSystem.total_offsets_hz` reads.  H_int and ``H_D^(x,y,z)``
+    are built from these arrays by :func:`spinweave.spins._pair_stack`.
+
     A cycle takes one of two paths, chosen from the inputs alone.  With the
-    error model ``IDEAL``, every member's ``total_offsets_hz`` zero, only
+    error model ``IDEAL``, every offset zero, only
     cardinal pulse phases and a cyclic sequence (``validate_cyclic`` gives
     ``s``), window j's toggling-frame Hamiltonian is ``H_D^(a_j)``, H_D
     with its axis turned to the frame-matrix axis ``a_j`` of x, y, z
@@ -247,14 +250,14 @@ class _CycleKernel:
     matmul per sector block.
     """
 
-    def __init__(self, systems: Sequence[SpinSystem], error: ErrorModel):
-        self.systems = systems
-        self.members, self.n_spins = len(systems), systems[0].n_spins
+    def __init__(self, couplings_hz: np.ndarray, offsets_hz: np.ndarray, error: ErrorModel):
+        self.couplings_hz, self.offsets_hz = couplings_hz, offsets_hz
+        self.members, self.n_spins = couplings_hz.shape[:2]
         self.error = error
-        self.offset_free = error == IDEAL and not any(np.any(s.total_offsets_hz) for s in systems)
+        self.offset_free = error == IDEAL and not offsets_hz.any()
         self.tau = None
         if not error.is_delta:
-            h_int = internal_hamiltonian_stack(systems)
+            h_int = _pair_stack(couplings_hz, _PAIR_FACTORS["z"], offsets_hz)
             self.free = HermitianPropagator(h_int, magnetization_sectors(self.n_spins))
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
             order = self.free.layout.order
@@ -264,13 +267,20 @@ class _CycleKernel:
     @functools.cached_property
     def free(self) -> HermitianPropagator:
         """The H_int stack factored by magnetization sector; ``__init__`` sets it for finite pulses."""
-        return HermitianPropagator(internal_hamiltonian_stack(self.systems), magnetization_sectors(self.n_spins))
+        return HermitianPropagator(_pair_stack(self.couplings_hz, _PAIR_FACTORS["z"], self.offsets_hz), magnetization_sectors(self.n_spins))
 
     @functools.cached_property
     def parity(self) -> HermitianPropagator:
-        """``H_D^(x,y,z)`` of every member on the parity blocks, as one real (B * 3 * blocks, k, k) stack."""
-        couplings, blocks = np.stack([s.couplings_hz for s in self.systems]), _parity_blocks(self.n_spins)
-        h = np.stack([blocks.from_standard(_pair_stack(couplings, _PAIR_FACTORS[a], dtype=np.float64)) for a in "xyz"], axis=1)
+        """``H_D^(x,y,z)`` of every member on the parity blocks, as one real (B * 3 * blocks, k, k) stack.
+
+        A block element is the sum of two H_D elements; one that overflows
+        raises :class:`NumericalDiagnosticError`.
+        """
+        couplings, blocks = self.couplings_hz, _parity_blocks(self.n_spins)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.stack([blocks.from_standard(_pair_stack(couplings, _PAIR_FACTORS[a], dtype=np.float64)) for a in "xyz"], axis=1)
+        if not np.isfinite(h).all():
+            raise NumericalDiagnosticError("parity blocks of H_D overflow in rad/s")
         return HermitianPropagator(h.reshape(-1, *h.shape[-2:]))
 
     def cycles(self, seq: PulseSequence, tau: float) -> np.ndarray:
@@ -380,33 +390,20 @@ def cycle_unitary(
     Pulses are flushed to the end of their delay window so the cycle time is
     ``M tau`` for every pulse width (see :func:`spinweave.sequences.schedule`).
 
-    This is the one-member call of the stacked cycle kernel that
-    :func:`ensemble_fidelity` runs on whole member stacks, so a member of a
-    sweep equals this call bit for bit.
-
-    With ``error`` equal to ``IDEAL``, no offsets in ``system``
-    (``total_offsets_hz`` all zero), cardinal pulse phases and a cyclic
-    ``seq``, the cycle is walked in the toggling frame on parity blocks:
-    each window's Hamiltonian is H_D with its axis turned to the
-    frame-matrix axis (:func:`spinweave.sequences._toggling_axes`), all
-    three commute with the global parities, and
-    each free step is one matmul on 4 blocks of d/4 (even N) or one block
-    of d/2 (odd N), scattered into the standard basis at the end.
-
-    Every other cycle is composed in the lab frame.  The product is
-    accumulated with its rows in magnetization-sector order, the order in which
-    :class:`spinweave.operators.HermitianPropagator` factors H_int.  A free
-    step is one matmul per sector block, built once per distinct duration.
-    A delta pulse with its rotation error and transient kicks is exactly
-    ``r^{(x)N}`` with ``r`` the one-spin pulse, and is applied as two
-    Kronecker factors on ``ceil(N/2)`` and ``floor(N/2)`` spins.
-    A finite-width pulse does not conserve S_z, so it is folded with the
-    free step before it into one dense window ``P_phi F_a``, applied by one
-    matmul: one factorization builds the phase-0 pulse, ``P_0 F_a`` is
-    built once per free duration, and every phase turns it about z.  On
-    either path the result is checked to be unitary to 1e-10.
+    This is the one-member call of the stacked :class:`_CycleKernel`, on
+    ``system.couplings_hz[None]`` and ``system.total_offsets_hz[None]``;
+    :func:`ensemble_fidelity` runs it on whole member stacks, so a member
+    of a sweep equals this call bit for bit.  With ``error`` equal to
+    ``IDEAL``, no offsets in ``system``, cardinal pulse phases and a cyclic
+    ``seq``, the cycle is walked in the toggling frame on the parity
+    blocks of ``H_D^(x,y,z)``.  Every other cycle is composed in the lab
+    frame, one matmul per magnetization sector of H_int per free step,
+    each delta pulse applied as two Kronecker factors and each finite
+    pulse folded with the free step before it into one dense window
+    (the kernel gives each path's products).  On either path the result
+    is checked to be unitary to 1e-10.
     """
-    return _CycleKernel([system], error).cycles(seq, tau)[0]
+    return _CycleKernel(system.couplings_hz[None], system.total_offsets_hz[None], error).cycles(seq, tau)[0]
 
 
 def _eigenphase_fidelity(u: np.ndarray, m: int, check: bool = False) -> np.ndarray:
@@ -679,16 +676,15 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
 
     A task is one chunk of ``max(1, 2**16 // d**2)`` consecutive members,
     a constant of the spin count, and the grid values that share its
-    systems and error model: every value of a ``tau`` sweep, one value of
-    any other.  It builds the chunk's systems and one
-    :class:`_CycleKernel`, which every sequence and value of the task
-    shares; the kernel keeps the free steps of one tau at a time.
-    Members are ordered coupling set major, disorder sample minor.
+    members and error model: every value of a ``tau`` sweep, one value of
+    any other.  It draws each of the chunk's coupling sets and disorder
+    rows once, stacks them into the (B, n, n) couplings and (B, n) total
+    offsets of one :class:`_CycleKernel`, which every sequence and value
+    of the task shares; the kernel keeps the free steps of one tau at a
+    time.  Members are ordered coupling set major, disorder sample minor.
     """
     sequences = [builtin(name) for name in spec.sequences]
-    members = [
-        (s, d) for s in range(spec.n_coupling_sets) for d in range(spec.n_disorder_samples)
-    ]
+    members = [(s, d) for s in range(spec.n_coupling_sets) for d in range(spec.n_disorder_samples)]
     results = np.zeros((len(spec.grid), len(sequences), len(members)))
     chunk = max(1, 2**16 // (1 << spec.n_spins) ** 2)
     grids = [range(len(spec.grid))] if spec.parameter == "tau" else [[i] for i in range(len(spec.grid))]
@@ -697,61 +693,41 @@ def _ensemble_infidelities(spec: SweepSpec, threads: int | None = None) -> np.nd
     def run(task):
         grid, start = task
         # the swept fields at each grid point of the task, read without re-checking the
-        # spec; they differ in tau alone, so the first sets the systems and error model
+        # spec; they differ in tau alone, so the first sets the members and error model
         fields = {name: getattr(spec, name) for name in SWEEPABLE_PARAMETERS}
         points = [{**fields, spec.parameter: spec.grid[i]} for i in grid]
-        point = points[0]
-        couplings = {
-            s: sample_couplings(spec.base_seed + s, spec.n_spins, spec.coupling_sigma_hz)
-            for s in {s for s, _ in members[start : start + chunk]}
+        point, task_members = points[0], members[start : start + chunk]
+        n, sigma = spec.n_spins, point["disorder_sigma_hz"]
+        couplings = {s: sample_couplings(spec.base_seed + s, n, spec.coupling_sigma_hz) for s in {s for s, _ in task_members}}
+        disorder = {
+            d: sample_disorder(spec.base_seed + DISORDER_SEED_OFFSET + d, n, sigma) if sigma > 0.0 else np.zeros(n)
+            for d in {d for _, d in task_members}
         }
-        systems = []
-        for set_idx, dis_idx in members[start : start + chunk]:
-            if point["disorder_sigma_hz"] > 0.0:
-                disorder = sample_disorder(
-                    spec.base_seed + DISORDER_SEED_OFFSET + dis_idx,
-                    spec.n_spins,
-                    point["disorder_sigma_hz"],
-                )
-            else:
-                disorder = np.zeros(spec.n_spins)
-            systems.append(
-                SpinSystem.create(
-                    couplings[set_idx], disorder_hz=disorder, global_offset_hz=point["global_offset_hz"]
-                )
-            )
-        error = ErrorModel.symmetric_transients(
-            point["transient"], point["pulse_width"], point["rotation_error"]
-        )
-        kernel = _CycleKernel(systems, error)
+        offsets = np.stack([disorder[d] for _, d in task_members]) + point["global_offset_hz"]
+        error = ErrorModel.symmetric_transients(point["transient"], point["pulse_width"], point["rotation_error"])
+        kernel = _CycleKernel(np.stack([couplings[s] for s, _ in task_members]), offsets, error)
         for i, point in zip(grid, points):
             for j, seq in enumerate(sequences):
-                results[i, j, start : start + len(systems)] = 1.0 - _eigenphase_fidelity(
+                results[i, j, start : start + len(task_members)] = 1.0 - _eigenphase_fidelity(
                     kernel.cycles(seq, point["tau"]), seq.cycle_windows
                 )
 
-    # the calling thread drains the queue alongside threads - 1 helpers
+    # the calling thread drains the queue alongside threads - 1 helpers, each up to
+    # a None of its own; a pool starts a thread per submit, so one thread starts none
+    threads = min(resolve_threads(threads), len(tasks))
     pending = queue.SimpleQueue()
-    for task in tasks:
+    for task in tasks + [None] * threads:
         pending.put(task)
 
     def drain():
-        while True:
-            try:
-                task = pending.get_nowait()
-            except queue.Empty:
-                return
+        for task in iter(pending.get, None):
             run(task)
 
-    helpers = min(resolve_threads(threads), len(tasks)) - 1
-    if helpers == 0:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(drain) for _ in range(threads - 1)]
         drain()
-    else:
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-            for future in futures:
-                future.result()
+        for future in futures:
+            future.result()
     return results
 
 
@@ -776,20 +752,9 @@ def ensemble_fidelity(spec: SweepSpec, threads: int | None = None) -> list[Sweep
     changes the output.
     """
     results = _ensemble_infidelities(spec, threads)
-    n_members = results.shape[-1]
-    rows = []
-    for i, value in enumerate(spec.grid):
-        for j, name in enumerate(spec.sequences):
-            member_vals = results[i, j]
-            rows.append(
-                SweepRow(
-                    parameter=spec.parameter,
-                    value=value,
-                    sequence=name,
-                    mean_infidelity=float(np.mean(member_vals)),
-                    stddev=float(np.std(member_vals)),
-                    n_samples=n_members,
-                )
-            )
-    return rows
+    return [
+        SweepRow(spec.parameter, value, name, float(np.mean(results[i, j])), float(np.std(results[i, j])), results.shape[-1])
+        for i, value in enumerate(spec.grid)
+        for j, name in enumerate(spec.sequences)
+    ]
 

@@ -214,7 +214,9 @@ class HermitianPropagator:
     elements known to be zero, gives the whole matrix's defect.  Each
     block ``b`` is factored by one batched ``eigh`` of ``(b + b^dag) / 2``,
     a real one when ``h`` is real (real symmetric), and its propagators,
-    complex either way, are kept per duration until :meth:`forget`.
+    complex either way, are kept per duration until :meth:`forget`.  A
+    non-finite ``h`` raises ``ValueError``; a finite one whose ``eigh``
+    fails or is not finite raises :class:`NumericalDiagnosticError`.
     """
 
     def __init__(self, h: npt.ArrayLike, layout: SectorLayout | None = None):
@@ -232,7 +234,14 @@ class HermitianPropagator:
         if layout is not None and sum(map(np.count_nonzero, blocks)) != np.count_nonzero(h):
             raise ValueError("generator has nonzero elements outside the blocks of its layout")
         _require_hermitian_blocks(blocks)
-        self._factors = [np.linalg.eigh((block + dagger(block)) / 2.0) for block in blocks]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._factors = [np.linalg.eigh((block + dagger(block)) / 2.0) for block in blocks]
+            finite = all(np.isfinite(w).all() and np.isfinite(v).all() for w, v in self._factors)
+        except np.linalg.LinAlgError:
+            finite = False
+        if not finite:
+            raise NumericalDiagnosticError("eigh of a finite Hermitian generator failed or overflowed")
         self._blocks: dict[float, list[np.ndarray]] = {}
 
     @property

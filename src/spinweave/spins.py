@@ -19,12 +19,13 @@ of each sector.  One builder, ``_pair_stack``, writes every two-spin
 operator of the package from cached per-N pair tables (each pair's
 ``2 m_i m_j`` diagonal, flip-flop and double-quantum elements), with the
 factors of ``_PAIR_FACTORS``: ``H_D`` with its axis turned to x, y or z,
-and ``H_DQ``, plus z offsets.  So a stack of members is built in a few
-array operations (:func:`internal_hamiltonian_stack`), and so are
-:func:`dq_hamiltonian`, block-diagonal by :func:`parity_sectors`, and the
-toggled ``H_D^(x,y,z)``, whose global-parity blocks
-(:class:`_ParityBlocks`) the cycle kernel walks for ideal, offset-free
-cycles.
+and ``H_DQ``, plus z offsets.  It takes a member stack as arrays, (B, n, n)
+couplings and (B, n) offsets, so the cycle kernel builds the H_int of a
+whole stack, or the toggled ``H_D^(x,y,z)`` whose global-parity blocks
+(:class:`_ParityBlocks`) it walks for ideal, offset-free cycles, in a few
+array operations; the one-system builders, such as :func:`dq_hamiltonian`
+(block-diagonal by :func:`parity_sectors`), are its B = 1 calls.
+Elements or draws that overflow raise :class:`NumericalDiagnosticError`.
 
 Random ensembles use the counter-based Philox generator keyed directly by
 the user seed, so samples are reproducible bit-for-bit across runs and
@@ -35,13 +36,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
-from .operators import MAX_SPINS, Operator, SectorLayout
+from .operators import MAX_SPINS, NumericalDiagnosticError, Operator, SectorLayout
 
 __all__ = [
     "SIGMA",
@@ -61,7 +61,6 @@ __all__ = [
     "dipolar_hamiltonian",
     "offset_hamiltonian",
     "internal_hamiltonian",
-    "internal_hamiltonian_stack",
     "dq_hamiltonian",
     "sample_couplings",
     "sample_disorder",
@@ -248,7 +247,8 @@ class SpinSystem:
             raise ValueError("coupling matrix must be symmetric")
         if np.any(np.diag(d) != 0.0):
             raise ValueError("coupling matrix must have zero diagonal")
-        d = (d + d.T) / 2.0
+        # halves first: the sum of two couplings above half the largest float overflows
+        d = d / 2.0 + d.T / 2.0
         shifts = np.array(self.chemical_shifts_hz, dtype=np.float64)
         disorder = np.array(self.disorder_hz, dtype=np.float64)
         for name, arr in (("chemical_shifts_hz", shifts), ("disorder_hz", disorder)):
@@ -352,18 +352,24 @@ def _pair_stack(
     added to zeros, so a zero coupling leaves +0.0; the diagonal sums its
     pair terms, then its offset terms, in table order.  Every element is
     real, so a ``float64`` stack holds the real parts of the complex one.
+    Finite inputs whose rad/s elements overflow raise
+    :class:`NumericalDiagnosticError`.
     """
     batch, n = couplings_hz.shape[:2]
     tables = _pair_tables(n)
     dim = 1 << n
-    d = TWO_PI * couplings_hz[:, tables.pairs[0], tables.pairs[1]]
-    # the diagonal factors are powers of two, so scaling each term scales the sum exactly
-    coefficients = factors[0] * d
-    if offsets_hz is not None:
-        coefficients = np.concatenate([coefficients, TWO_PI * offsets_hz], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = TWO_PI * couplings_hz[:, tables.pairs[0], tables.pairs[1]]
+        # the diagonal factors are powers of two, so scaling each term scales the sum exactly
+        coefficients = factors[0] * d
+        if offsets_hz is not None:
+            coefficients = np.concatenate([coefficients, TWO_PI * offsets_hz], axis=1)
+        diagonal = (coefficients[:, :, None] * tables.diagonal[: coefficients.shape[1]]).sum(axis=1)
+    # each off-diagonal element is one coupling times a factor of at most 1
+    if not (np.isfinite(d).all() and np.isfinite(diagonal).all()):
+        raise NumericalDiagnosticError("Hamiltonian elements overflow in rad/s")
     h = np.zeros((batch, dim, dim), dtype=dtype)
-    diagonal = tables.diagonal[: coefficients.shape[1]]
-    h.reshape(batch, -1)[:, :: dim + 1] += (coefficients[:, :, None] * diagonal).sum(axis=1)
+    h.reshape(batch, -1)[:, :: dim + 1] += diagonal
     for factor, (rows, cols, pair) in zip(factors[1:], tables.elements):
         if factor:
             h[:, rows, cols] += factor * d[:, pair]
@@ -466,23 +472,7 @@ def offset_hamiltonian(system: SpinSystem) -> Operator:
 
 def internal_hamiltonian(system: SpinSystem) -> Operator:
     """Full internal Hamiltonian ``H_D + H_offset`` in rad/s."""
-    return internal_hamiltonian_stack([system])[0]
-
-
-def internal_hamiltonian_stack(systems: Sequence[SpinSystem]) -> np.ndarray:
-    """``H_D + H_offset`` of each system, as a (B, d, d) stack in rad/s.
-
-    Member ``k`` equals ``internal_hamiltonian(systems[k])`` bit for bit:
-    both are built from the same cached pair tables.
-    """
-    n = systems[0].n_spins
-    if any(s.n_spins != n for s in systems):
-        raise ValueError("a Hamiltonian stack needs systems of one spin count")
-    return _pair_stack(
-        np.stack([s.couplings_hz for s in systems]),
-        _PAIR_FACTORS["z"],
-        np.stack([s.total_offsets_hz for s in systems]),
-    )
+    return _pair_stack(system.couplings_hz[None], _PAIR_FACTORS["z"], system.total_offsets_hz[None])[0]
 
 
 def dq_hamiltonian(system: SpinSystem) -> Operator:
@@ -505,11 +495,13 @@ def sample_couplings(seed: int, n_spins: int, sigma_hz: float = DEFAULT_COUPLING
     """Symmetric coupling matrix with i.i.d. ``N(0, sigma^2)`` upper triangle.
 
     Entries fill the upper triangle row-major; the draw is a pure function
-    of ``seed``.
+    of ``seed``.  A draw that overflows raises :class:`NumericalDiagnosticError`.
     """
     if not 0 < sigma_hz < np.inf:
         raise ValueError(f"sigma_hz must be positive and finite, got {sigma_hz!r}")
     draws = _philox(seed).normal(0.0, sigma_hz, size=n_spins * (n_spins - 1) // 2)
+    if not np.isfinite(draws).all():
+        raise NumericalDiagnosticError(f"coupling draws overflow at sigma_hz {sigma_hz!r}")
     d = np.zeros((n_spins, n_spins))
     d[np.triu_indices(n_spins, k=1)] = draws
     return d + d.T
@@ -519,8 +511,13 @@ def sample_disorder(seed: int, n_spins: int, sigma_hz: float) -> np.ndarray:
     """Per-spin disorder fields ``h_i ~ N(0, sigma_h^2)``, reproducible from seed.
 
     The unit draw depends only on ``seed``, so sweeping ``sigma_hz`` rescales
-    one fixed sample instead of resampling.
+    one fixed sample instead of resampling.  A field that overflows raises
+    :class:`NumericalDiagnosticError`.
     """
     if not 0 <= sigma_hz < np.inf:
         raise ValueError(f"sigma_hz must be nonnegative and finite, got {sigma_hz!r}")
-    return sigma_hz * _philox(seed).normal(0.0, 1.0, size=n_spins)
+    with np.errstate(over="ignore"):
+        draws = sigma_hz * _philox(seed).normal(0.0, 1.0, size=n_spins)
+    if not np.isfinite(draws).all():
+        raise NumericalDiagnosticError(f"disorder draws overflow at sigma_hz {sigma_hz!r}")
+    return draws

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from spinweave.control import _CycleKernel
 from spinweave.sequences import FrameMatrix
 from spinweave.spins import SpinSystem, embedded_spin
 
@@ -40,6 +41,12 @@ def oracle_phases(u: np.ndarray) -> tuple[np.ndarray, float]:
         mu = float(np.angle(np.exp(1j * (mu + cut + np.pi))))
         c = np.angle(lam * np.exp(-1j * mu))
     return c, mu
+
+
+def cycle_kernel(systems: list[SpinSystem], error) -> _CycleKernel:
+    """The cycle kernel of these systems' stacked couplings and total offsets."""
+    couplings = np.stack([s.couplings_hz for s in systems])
+    return _CycleKernel(couplings, np.stack([s.total_offsets_hz for s in systems]), error)
 
 
 def frame_offset_average(f: FrameMatrix, system: SpinSystem) -> np.ndarray:

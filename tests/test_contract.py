@@ -219,6 +219,49 @@ class TestMotivatingDefects:
         with pytest.raises(NumericalDiagnosticError, match="pulse generator h_int t_w overflows"):
             cycle_unitary(SYSTEM, WHH, ErrorModel(pulse_width=1e306), tau=1e306)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            # once "LinAlgError: Eigenvalues did not converge"
+            ({"coupling_sigma_hz": 1e307}, "eigh of a finite Hermitian generator failed"),
+            # 2 pi d or 2 pi a overflowed: once "not Hermitian (relative asymmetry nan)"
+            ({"coupling_sigma_hz": 6e307}, "Hamiltonian elements overflow"),
+            ({"global_offset_hz": 1e308}, "Hamiltonian elements overflow"),
+            ({"disorder_sigma_hz": 1e308}, "Hamiltonian elements overflow"),
+            # a draw overflowed: once "couplings_hz must be finite"
+            ({"coupling_sigma_hz": 1e308}, "coupling draws overflow"),
+        ],
+    )
+    def test_sweep_whose_hamiltonian_overflows_is_a_diagnostic(self, fields, message):
+        # finite fields whose draws or Hamiltonian overflow once ended in a traceback (exit 1)
+        spec = SweepSpec("tau", (2e-6, 4e-6), ("WHH",), n_spins=4, n_coupling_sets=2, **fields)
+        with pytest.raises(NumericalDiagnosticError, match=message):
+            ensemble_fidelity(spec, threads=1)
+
+    def test_overflowing_offset_and_coupling_draw_are_diagnostics(self):
+        # `exp autocorr --offset-hz 1e308` and `exp mqc --coupling-sigma-hz 1e308` once exited 1
+        with pytest.raises(NumericalDiagnosticError, match="Hamiltonian elements overflow"):
+            autocorrelation(SpinSystem.create(SYSTEM.couplings_hz, global_offset_hz=1e308), WHH, IDEAL, 4e-6, "x", [0, 1])
+        with pytest.raises(NumericalDiagnosticError, match="coupling draws overflow"):
+            sample_couplings(3, 4, 1.7e308)
+        with pytest.raises(NumericalDiagnosticError, match="disorder draws overflow"):
+            sample_disorder(3, 4, 1.79e308)
+
+    def test_large_finite_couplings_stay_finite(self):
+        # (d + d.T) / 2 once stored inf for couplings above half the largest float
+        system = SpinSystem.create([[0.0, 1.5e308], [1.5e308, 0.0]])
+        assert system.couplings_hz[0, 1] == 1.5e308
+        with pytest.raises(NumericalDiagnosticError, match="Hamiltonian elements overflow"):
+            cycle_unitary(system, WHH)
+
+    def test_overflowing_parity_blocks_are_a_diagnostic(self):
+        # H_D^(x) is finite, but a parity-block element of 4 spins sums the
+        # double-quantum elements 0.75 (2 pi d) of pairs (0, 1) and (2, 3)
+        couplings = np.zeros((4, 4))
+        couplings[0, 1] = couplings[1, 0] = couplings[2, 3] = couplings[3, 2] = 2.4e307
+        with pytest.raises(NumericalDiagnosticError, match="parity blocks of H_D overflow"):
+            cycle_unitary(SpinSystem.create(couplings), WHH)
+
     def test_seed_beyond_philox_keys_rejected_before_any_draw(self):
         # the second coupling set's key, base_seed + 1, is 2**128
         with pytest.raises(ValueError, match="base_seed"):

@@ -28,7 +28,6 @@ from spinweave.control import (
 from spinweave.aht import magnus_series
 from spinweave.control import _CycleKernel, _eigenphase_fidelity, _ensemble_infidelities
 from spinweave.operators import (
-    HermitianPropagator,
     _unitary_eigenphases,
     expm_hermitian,
     require_unitary,
@@ -42,15 +41,13 @@ from spinweave.spins import (
     collective_operator,
     dipolar_hamiltonian,
     internal_hamiltonian,
-    internal_hamiltonian_stack,
     magnetization,
-    magnetization_sectors,
     parity_sectors,
     sample_couplings,
     sample_disorder,
 )
 
-from conftest import loglog_slope, oracle_phases, random_unitary
+from conftest import cycle_kernel, loglog_slope, oracle_phases, random_unitary
 
 
 def rotation_2x2(axis: str, angle: float) -> np.ndarray:
@@ -208,7 +205,7 @@ class TestCycleUnitary:
     def test_non_finite_cycle_is_not_unitary(self, bad, monkeypatch):
         # a disorder field puts WHH on the lab-frame path
         system = SpinSystem.create(sample_couplings(9, 3, 1500.0), disorder_hz=[20.0, -10.0, 5.0])
-        kernel = _CycleKernel([system], IDEAL)
+        kernel = cycle_kernel([system], IDEAL)
         blocks = [np.full_like(b, bad) for b in kernel.free.blocks(4e-6)]
         monkeypatch.setattr(kernel.free, "blocks", lambda t: blocks)
         with pytest.raises(NumericalDiagnosticError, match="not unitary"):
@@ -217,7 +214,7 @@ class TestCycleUnitary:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parity_cycle_is_not_unitary(self, bad, monkeypatch):
         system = SpinSystem.create(sample_couplings(9, 3, 1500.0))
-        kernel = _CycleKernel([system], IDEAL)
+        kernel = cycle_kernel([system], IDEAL)
         blocks = [np.full_like(b, bad) for b in kernel.parity.blocks(4e-6)]
         monkeypatch.setattr(kernel.parity, "blocks", lambda t: blocks)
         with pytest.raises(NumericalDiagnosticError, match="not unitary"):
@@ -313,7 +310,7 @@ class TestParityBranch:
     @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6, 7])
     def test_matches_lab_kernel_and_expm_oracle(self, n_spins, monkeypatch):
         systems = [SpinSystem.create(sample_couplings(80 + n_spins + k, n_spins, 5000.0 / 3.0)) for k in range(2)]
-        kernel = _CycleKernel(systems, IDEAL)
+        kernel = cycle_kernel(systems, IDEAL)
         off_block = np.subtract.outer(magnetization(n_spins), magnetization(n_spins)) % 2 == 1
         sequences = [builtin(name) for name in BUILTIN_NAMES] + [MINUS_IDENTITY]
         lab = [kernel._lab_cycles(seq, 4e-6) for seq in sequences]
@@ -419,7 +416,7 @@ class TestSectorFactorization:
             )
             for k in range(2)
         ]
-        free = HermitianPropagator(internal_hamiltonian_stack(systems), magnetization_sectors(n_spins))
+        free = cycle_kernel(systems, IDEAL).free
         for t in (1e-6, 3.7e-5):
             u = free.at(t)
             for k, system in enumerate(systems):
@@ -666,6 +663,18 @@ STACK_SPECS = {
         pulse_width=5e-7,
         base_seed=36,
     ),
+    # disorder and a global offset together, with 1 us pulses; 6 spins stack 16 members
+    "6-spin-finite-disorder-offset": SweepSpec(
+        parameter="disorder_sigma_hz",
+        grid=(10.0, 300.0),
+        sequences=("WHH", "CORY48"),
+        n_spins=6,
+        n_coupling_sets=2,
+        n_disorder_samples=3,
+        global_offset_hz=200.0,
+        pulse_width=1e-6,
+        base_seed=37,
+    ),
     # odd N on the parity branch, in chunks of 4 and 1
     "7-spin-parity-chunk-boundary": SweepSpec(
         parameter="tau",
@@ -723,7 +732,7 @@ class TestStackedEnsemble:
         systems = [SpinSystem.create(sample_couplings(40 + k, 4)) for k in range(2)]
         durations = lambda seq, tau: {value for kind, value in schedule(seq, tau) if kind == "free"}
         cory, whh = builtin("CORY48"), builtin("WHH")
-        kernel = _CycleKernel(systems, IDEAL)
+        kernel = cycle_kernel(systems, IDEAL)
         first = kernel.cycles(cory, 2e-6)
         kernel.cycles(whh, 4e-6)
         assert set(kernel.parity._blocks) == durations(whh, 4e-6)
@@ -733,7 +742,7 @@ class TestStackedEnsemble:
         assert set(kernel.parity._blocks) == durations(cory, 2e-6)
         # finite pulses: the free steps and the P_0 F_a windows, P_0 itself kept
         system = SpinSystem.create(sample_couplings(42, 4), disorder_hz=[30.0, 0.0, 0.0, 0.0])
-        finite = _CycleKernel([system], ErrorModel(pulse_width=1e-6))
+        finite = cycle_kernel([system], ErrorModel(pulse_width=1e-6))
         durations = lambda tau: {value for kind, value in schedule(cory, tau, 1e-6) if kind == "free"}
         assert durations(2e-6) - durations(4e-6)
         first = finite.cycles(cory, 2e-6)

@@ -502,6 +502,27 @@ class TestCli:
         assert "Dyson terms through order 5 overflow" in result.output
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--set", "n_spins=4", "--set", 'sequences=["WHH"]', "--set", "n_coupling_sets=2", "--set", setting]
+            for setting in (
+                "coupling_sigma_hz=1e307",
+                "coupling_sigma_hz=6e307",
+                "coupling_sigma_hz=1e308",
+                "global_offset_hz=1e308",
+                "disorder_sigma_hz=1e308",
+            )
+        ]
+        + [["exp", "autocorr", "--seq", "WHH", "--offset-hz", "1e308"], ["exp", "mqc", "--coupling-sigma-hz", "1e308"]],
+    )
+    def test_overflowing_hamiltonian_exits_3(self, args, tmp_path):
+        # finite inputs whose draws, Hamiltonian or eigh overflow once ended in a traceback (exit 1)
+        result = self.runner.invoke(main, args + ["--output", str(tmp_path / "out.csv")])
+        assert result.exit_code == 3, result.output
+        assert "numerical diagnostic failure" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_still_exits_3(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise NumericalDiagnosticError("propagator is not unitary")

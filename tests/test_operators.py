@@ -18,7 +18,6 @@ from spinweave.spins import (
     SIGMA,
     SpinSystem,
     internal_hamiltonian,
-    internal_hamiltonian_stack,
     magnetization_sectors,
     sample_couplings,
     sample_disorder,
@@ -59,11 +58,13 @@ class TestExpmHermitian:
 
 
 def sector_stack(n_spins: int, members: int) -> np.ndarray:
-    return internal_hamiltonian_stack(
+    return np.stack(
         [
-            SpinSystem.create(
-                sample_couplings(90 + n_spins + k, n_spins, 5000.0 / 3.0),
-                disorder_hz=sample_disorder(95 + n_spins + k, n_spins, 200.0),
+            internal_hamiltonian(
+                SpinSystem.create(
+                    sample_couplings(90 + n_spins + k, n_spins, 5000.0 / 3.0),
+                    disorder_hz=sample_disorder(95 + n_spins + k, n_spins, 200.0),
+                )
             )
             for k in range(members)
         ]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinweave.aht import _frame_segments, toggling_segments
-from spinweave.control import IDEAL, _CycleKernel, cycle_unitary
+from spinweave.control import IDEAL, cycle_unitary
 from spinweave.sequences import (
     BUILTIN_NAMES,
     NonCyclicSequenceError,
@@ -20,6 +20,8 @@ from spinweave.sequences import (
     validate_cyclic,
 )
 from spinweave.spins import SpinSystem, _parity_blocks, collective_rotation, sample_couplings, spin_operator
+
+from conftest import cycle_kernel
 
 WHH_TEXT = "tau - -x - tau - y - 2tau - -y - tau - x - tau"
 
@@ -262,7 +264,7 @@ class TestTogglingWalk:
                 toggling_segments(offset, seq, tau)
         for n_spins in (4, 5):
             system = SpinSystem.create(sample_couplings(6, n_spins))
-            blocks = _CycleKernel([system], IDEAL)._parity_cycles(axes, validate_cyclic(seq))
+            blocks = cycle_kernel([system], IDEAL)._parity_cycles(axes, validate_cyclic(seq))
             assert np.array_equal(cycle_unitary(system, seq, IDEAL, tau), _parity_blocks(n_spins).to_standard(blocks)[0])
 
 

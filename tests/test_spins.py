@@ -17,7 +17,6 @@ from spinweave.spins import (
     dq_hamiltonian,
     embedded_spin,
     internal_hamiltonian,
-    internal_hamiltonian_stack,
     kron_power,
     magnetization,
     magnetization_sectors,
@@ -184,14 +183,11 @@ class TestPairTableBuild:
     @pytest.mark.parametrize("n_spins", [2, 4, 7])
     def test_stack_members_equal_single_builds(self, n_spins):
         systems = [self.random_system(n_spins, 400 + 10 * n_spins + k) for k in range(5)]
-        stack = internal_hamiltonian_stack(systems)
+        couplings = np.stack([s.couplings_hz for s in systems])
+        stack = _pair_stack(couplings, _PAIR_FACTORS["z"], np.stack([s.total_offsets_hz for s in systems]))
         assert stack.shape == (5, 1 << n_spins, 1 << n_spins)
         for member, system in zip(stack, systems):
             assert np.array_equal(member, internal_hamiltonian(system))
-
-    def test_stack_rejects_mixed_spin_counts(self):
-        with pytest.raises(ValueError, match="one spin count"):
-            internal_hamiltonian_stack([self.random_system(2, 1), self.random_system(3, 2)])
 
 
 class TestDqHamiltonian:
