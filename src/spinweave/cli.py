@@ -88,11 +88,12 @@ def _load_sequence(name_or_file: str):
     if key in BUILTIN_NAMES:
         return builtin(key)
     path = Path(name_or_file)
-    if path.exists():
+    if not path.exists():
+        raise click.UsageError(f"{name_or_file!r} is neither a built-in sequence nor a sequence file")
+    try:
         return parse_sequence(path.read_text(), name=path.stem)
-    raise click.UsageError(
-        f"{name_or_file!r} is neither a built-in sequence nor a sequence file"
-    )
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not the DSL
+        raise click.UsageError(f"sequence file {name_or_file!r}: {exc}") from exc
 
 
 class _Main(click.Group):

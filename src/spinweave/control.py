@@ -134,7 +134,7 @@ class ErrorModel:
     transient_trailing: float = 0.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
+        for name, value in dataclasses.asdict(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if _angle_overflows(name, value):
@@ -246,8 +246,15 @@ class _CycleKernel:
     applied as one matmul by ``Z_phi (P_0 F_a) Z_phi^dag`` with
     ``Z_phi = exp(-i phi S_z)``: H_int commutes with S_z, so Z turns
     ``P_0`` into the phase-phi pulse and commutes with the sector-diagonal
-    free step ``F_a``.  ``P_0 F_a`` is built once per free duration, by one
-    matmul per sector block.
+    free step ``F_a``.  ``P_0 F_a`` is built by one matmul per sector block
+    of ``F_a``, and those blocks are not kept.
+
+    The kernel keeps every step operator of one tau in one dict,
+    :attr:`steps`, so that every sequence called with that tau reuses
+    them: the parity-path and the lab-frame sector free steps, keyed by
+    duration, and the windows ``P_0 F_a``, keyed by ``a > 0``.  A call
+    with another tau replaces the dict.  ``P_0`` lasts as long as the
+    kernel, and the windows turned by ``Z_phi`` last one call.
     """
 
     def __init__(self, couplings_hz: np.ndarray, offsets_hz: np.ndarray, error: ErrorModel):
@@ -255,14 +262,13 @@ class _CycleKernel:
         self.members, self.n_spins = couplings_hz.shape[:2]
         self.error = error
         self.offset_free = error == IDEAL and not offsets_hz.any()
-        self.tau = None
+        self.tau, self.steps = None, {}
         if not error.is_delta:
             h_int = _pair_stack(couplings_hz, _PAIR_FACTORS["z"], offsets_hz)
             self.free = HermitianPropagator(h_int, magnetization_sectors(self.n_spins))
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
             order = self.free.layout.order
-            # P_0 F_a per free duration a, P_0 itself at a = 0
-            self.folded = {0.0: _pulse(0.0, error, self.n_spins, h_int)[:, order[:, None], order]}
+            self.p0 = _pulse(0.0, error, self.n_spins, h_int)[:, order[:, None], order]
 
     @functools.cached_property
     def free(self) -> HermitianPropagator:
@@ -284,18 +290,9 @@ class _CycleKernel:
         return HermitianPropagator(h.reshape(-1, *h.shape[-2:]))
 
     def cycles(self, seq: PulseSequence, tau: float) -> np.ndarray:
-        """(B, d, d) cycle propagators in the standard basis, each checked unitary to 1e-10.
-
-        Free steps and ``P_0 F_a`` windows are kept for one ``tau`` at a
-        time: a call with another ``tau`` drops those of the last one.
-        """
+        """(B, d, d) cycle propagators in the standard basis, each checked unitary to 1e-10; a new ``tau`` starts a new :attr:`steps`."""
         if tau != self.tau:
-            self.tau = tau
-            for name in ("free", "parity"):
-                if name in vars(self):
-                    vars(self)[name].forget()
-            if not self.error.is_delta:
-                self.folded = {0.0: self.folded[0.0]}
+            self.tau, self.steps = tau, {}
         axes = _toggling_axes(schedule(seq, tau)) if self.offset_free else None
         if axes is not None:
             try:
@@ -310,6 +307,12 @@ class _CycleKernel:
             )
         return u if axes is None else _parity_blocks(self.n_spins).to_standard(u)
 
+    def _step(self, kind: str, duration: float, build):
+        """The step of ``kind`` and ``duration`` in :attr:`steps`, ``build(duration)`` on first use."""
+        if (kind, duration) not in self.steps:
+            self.steps[kind, duration] = build(duration)
+        return self.steps[kind, duration]
+
     def _parity_cycles(self, axes: list[tuple[int, int, float]], sign: int) -> np.ndarray:
         """(B, blocks, k, k) cycle propagators on the parity blocks, one matmul per toggling axis."""
         blocks = _parity_blocks(self.n_spins)
@@ -318,7 +321,7 @@ class _CycleKernel:
         u[:] = np.eye(k)
         buf = np.empty_like(u)
         for axis, _, duration in axes:
-            free = self.parity.blocks(duration)[0].reshape(self.members, 3, *u.shape[1:])
+            free = self._step("parity", duration, self.parity.blocks)[0].reshape(self.members, 3, *u.shape[1:])
             np.matmul(free[:, axis], u, out=buf)
             u, buf = buf, u
         if sign ** self.n_spins < 0:
@@ -341,6 +344,7 @@ class _CycleKernel:
             steps = windows + ([("free", a)] if a else [])
         phases = {value for kind, value in steps if kind == "pulse"}
         m_z = magnetization(n)[order]
+        fold = lambda a: np.concatenate([self.p0[..., s] @ f for s, f in zip(spans, free.blocks(a))], axis=-1)
         pulses = {}
         for phase in phases:
             if error.is_delta:
@@ -348,18 +352,15 @@ class _CycleKernel:
                 pulses[phase] = (kron_power(r, (n + 1) // 2), kron_power(r, n // 2))
             else:
                 a, phi = phase
-                if a not in self.folded:
-                    p0, blocks = self.folded[0.0], free.blocks(a)
-                    self.folded[a] = np.concatenate([p0[..., s] @ f for s, f in zip(spans, blocks)], axis=-1)
                 z = np.exp(-1j * np.deg2rad(phi) * m_z)
-                pulses[phase] = self.folded[a] * (z[:, None] * z.conj())
+                pulses[phase] = (self._step("window", a, fold) if a else self.p0) * (z[:, None] * z.conj())
         stack, dim = self.members, 1 << n
         u = np.empty((stack, dim, dim), dtype=np.complex128)
         u[:] = np.eye(dim)
         buf = np.empty_like(u)
         for kind, value in steps:
             if kind == "free":
-                for span, block in zip(spans, free.blocks(value)):
+                for span, block in zip(spans, self._step("free", value, free.blocks)):
                     np.matmul(block, u[:, span], out=buf[:, span])
                 u, buf = buf, u
             elif error.is_delta:

@@ -88,8 +88,10 @@ class DecayCurve:
 
 
 def _block_counts(blocks) -> list[int]:
-    """Sorted distinct block counts, each an ``int`` or ``np.integer`` (not bool) in 0..2**53."""
+    """Sorted distinct block counts, at least one, each an ``int`` or ``np.integer`` (not bool) in 0..2**53."""
     blocks = list(blocks)
+    if not blocks:
+        raise ValueError("at least one block count is required")
     for b in blocks:
         if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or not 0 <= b <= 2**53:
             raise ValueError(f"block counts must be integers in 0..2**53, got {b!r}")
@@ -109,8 +111,8 @@ def autocorrelations(
     ``C(N) = Tr(U^N S U^{-N} S) / Tr(S S)``.  The cycle is decomposed once for all axes,
     ``U = e^{i mu} V diag(e^{i c}) V^dag`` (:func:`_unitary_eigenphases`); ``mu`` cancels,
     and with ``w = |V^dag S V|^2`` all blocks take one product: ``C(N) = sum_ab w_ab
-    e^{i N (c_a - c_b)} / sum w``, so C(0) = 1 exactly and |C| <= 1 to roundoff.  Blocks are sorted
-    and deduplicated, each an integer in 0..2**53.  Each curve equals :func:`autocorrelation`.
+    e^{i N (c_a - c_b)} / sum w``, so C(0) = 1 exactly and |C| <= 1 to roundoff.  Blocks, at least
+    one, are sorted and deduplicated, each an integer in 0..2**53.  Each curve equals :func:`autocorrelation`.
     """
     counts = _block_counts(blocks)
     c, _, v = _unitary_eigenphases(cycle_unitary(system, seq, error, tau), basis=True)
@@ -135,6 +137,8 @@ def autocorrelation(
     blocks=(0, 1, 2, 4, 8, 16, 32, 64),
 ) -> DecayCurve:
     """``C_aa(N t_c)`` of one axis: the one-axis call of :func:`autocorrelations`."""
+    if axis not in ("x", "y", "z"):
+        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
     return autocorrelations(system, seq, error, tau, axis, blocks)[axis]
 
 
@@ -202,6 +206,29 @@ def _dominant_frequency(t: np.ndarray, v: np.ndarray) -> float:
     return float(freqs[1:][np.argmax(spectrum[1:])])
 
 
+def _best_fit(residuals, starts, lower: np.ndarray, upper: np.ndarray, margin: float, max_nfev: int):
+    """The lowest-cost bounded trust-region ``least_squares`` result over ``starts``.
+
+    Each start is clipped ``margin`` inside the bounds.  A start whose solve
+    raises ``ValueError`` (a singular step, a non-finite residual) is
+    skipped; if every start does, ``RuntimeError``.
+    """
+    from scipy.optimize import least_squares  # loaded at the first fit, see the module docstring
+
+    best = None
+    for x0 in starts:
+        x0 = np.clip(x0, lower + margin, upper - margin)
+        try:
+            res = least_squares(residuals, x0, bounds=(lower, upper), max_nfev=max_nfev, method="trf")
+        except ValueError:
+            continue
+        if best is None or res.cost < best.cost:
+            best = res
+    if best is None:
+        raise RuntimeError("least-squares fit failed from every starting point")
+    return best
+
+
 def fit_decay(curve: DecayCurve, model: str = "stretched") -> FitResult:
     """Nonlinear least-squares fit of a decay curve.
 
@@ -212,8 +239,6 @@ def fit_decay(curve: DecayCurve, model: str = "stretched") -> FitResult:
     ``FIT_MAX_NFEV`` evaluations per start returns the best-so-far
     parameters with ``converged=False``.
     """
-    from scipy.optimize import least_squares  # loaded at the first fit, see the module docstring
-
     if model not in DEFAULT_STRETCH_BOUNDS:
         raise ValueError(f"model must be 'stretched' or 'oscillating', got {model!r}")
     t = curve.times
@@ -248,22 +273,7 @@ def fit_decay(curve: DecayCurve, model: str = "stretched") -> FitResult:
         for f in f_candidates[2:]:
             starts.append(np.array([scale, np.log(t1e_grid[2]), g_init, f, 0.0]))
 
-    def residuals(params):
-        return _fit_model(model, t, params) - v
-
-    best = None
-    for x0 in starts:
-        x0 = np.clip(x0, lower + 1e-12, upper - 1e-12)
-        try:
-            res = least_squares(
-                residuals, x0, bounds=(lower, upper), max_nfev=FIT_MAX_NFEV, method="trf"
-            )
-        except Exception:
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None:
-        raise RuntimeError("decay fit failed from every starting point")
+    best = _best_fit(lambda p: _fit_model(model, t, p) - v, starts, lower, upper, 1e-12, FIT_MAX_NFEV)
     p = best.x
     # flagged when the decay time pins to the search bounds or exceeds the
     # observation window so far that it is not resolved by the data
@@ -483,8 +493,6 @@ def cluster_size(spectrum: CoherenceSpectrum, components: int = 1) -> tuple[floa
     per component, ascending.  Requires at least 3 distinct |n| with
     appreciable intensity.
     """
-    from scipy.optimize import least_squares  # loaded at the first fit, see the module docstring
-
     if components not in (1, 2):
         raise ValueError("components must be 1 or 2")
     orders = spectrum.orders.astype(float)
@@ -521,13 +529,6 @@ def cluster_size(spectrum: CoherenceSpectrum, components: int = 1) -> tuple[floa
         ]
         lower = np.array([0.0, 1e-6, 0.0, 1e-6])
         upper = np.array([10.0 * a0, 1e6, 10.0 * a0, 1e6])
-    best = None
-    for x0 in starts:
-        x0 = np.clip(x0, lower + 1e-9, upper - 1e-9)
-        res = least_squares(
-            lambda p: model(p) - weights, x0, bounds=(lower, upper), max_nfev=2000
-        )
-        if best is None or res.cost < best.cost:
-            best = res
+    best = _best_fit(lambda p: model(p) - weights, starts, lower, upper, 1e-9, 2000)
     widths = sorted(float(best.x[2 * c + 1]) for c in range(components))
     return tuple(widths)

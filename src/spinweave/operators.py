@@ -31,6 +31,8 @@ Conventions used throughout the package:
   generator, by blocks when given a :class:`SectorLayout`: the internal
   Hamiltonian by magnetization sector, the double-quantum Hamiltonian by
   the parity of the down spins, finite pulses and Magnus sums whole.
+  It keeps only the factorization; :class:`spinweave.control._CycleKernel`
+  keeps the propagators it reuses within one tau.
 """
 
 from __future__ import annotations
@@ -213,9 +215,9 @@ class HermitianPropagator:
     Hermitian to ``DEFECT_TOL`` on its blocks, which, with the off-block
     elements known to be zero, gives the whole matrix's defect.  Each
     block ``b`` is factored by one batched ``eigh`` of ``(b + b^dag) / 2``,
-    a real one when ``h`` is real (real symmetric), and its propagators,
-    complex either way, are kept per duration until :meth:`forget`.  A
-    non-finite ``h`` raises ``ValueError``; a finite one whose ``eigh``
+    a real one when ``h`` is real (real symmetric).  It keeps only that
+    factorization: each call builds its propagators, complex either way.
+    A non-finite ``h`` raises ``ValueError``; a finite one whose ``eigh``
     fails or is not finite raises :class:`NumericalDiagnosticError`.
     """
 
@@ -242,7 +244,6 @@ class HermitianPropagator:
             finite = False
         if not finite:
             raise NumericalDiagnosticError("eigh of a finite Hermitian generator failed or overflowed")
-        self._blocks: dict[float, list[np.ndarray]] = {}
 
     @property
     def spectral_norm(self) -> npt.NDArray[np.float64]:
@@ -250,18 +251,12 @@ class HermitianPropagator:
         return np.max([np.abs(w).max(axis=-1) for w, _ in self._factors], axis=0)
 
     def blocks(self, t: float) -> list[np.ndarray]:
-        """Per-span propagators ``exp(-i h_k t)`` in ``layout.spans`` order; an overflowing phase raises."""
-        if t not in self._blocks:
-            with np.errstate(over="ignore", invalid="ignore"):
-                phases = [np.exp(-1j * w * t) for w, _ in self._factors]
-            if not all(np.isfinite(p).all() for p in phases):
-                raise NumericalDiagnosticError(f"phases of exp(-i h t) overflow at t = {t!r}")
-            self._blocks[t] = [(v * p[..., None, :]) @ dagger(v) for p, (_, v) in zip(phases, self._factors)]
-        return self._blocks[t]
-
-    def forget(self) -> None:
-        """Drop the propagators kept per duration; the factorization stays."""
-        self._blocks.clear()
+        """Per-span propagators ``exp(-i h_k t)`` in ``layout.spans`` order, new on each call; an overflowing phase raises."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = [np.exp(-1j * w * t) for w, _ in self._factors]
+        if not all(np.isfinite(p).all() for p in phases):
+            raise NumericalDiagnosticError(f"phases of exp(-i h t) overflow at t = {t!r}")
+        return [(v * p[..., None, :]) @ dagger(v) for p, (_, v) in zip(phases, self._factors)]
 
     def at(self, t: float) -> Operator:
         """Dense ``exp(-i h t)`` in the standard basis, with the shape of ``h``."""

@@ -730,26 +730,29 @@ class TestStackedEnsemble:
 
     def test_kernel_keeps_the_free_steps_of_one_tau(self):
         systems = [SpinSystem.create(sample_couplings(40 + k, 4)) for k in range(2)]
-        durations = lambda seq, tau: {value for kind, value in schedule(seq, tau) if kind == "free"}
+        kept = lambda seq, tau: {("parity", value) for kind, value in schedule(seq, tau) if kind == "free"}
         cory, whh = builtin("CORY48"), builtin("WHH")
         kernel = cycle_kernel(systems, IDEAL)
         first = kernel.cycles(cory, 2e-6)
         kernel.cycles(whh, 4e-6)
-        assert set(kernel.parity._blocks) == durations(whh, 4e-6)
+        assert set(kernel.steps) == kept(whh, 4e-6)
         kernel.cycles(cory, 4e-6)
-        assert set(kernel.parity._blocks) == durations(whh, 4e-6) | durations(cory, 4e-6)
+        assert set(kernel.steps) == kept(whh, 4e-6) | kept(cory, 4e-6)
         assert np.array_equal(kernel.cycles(cory, 2e-6), first)
-        assert set(kernel.parity._blocks) == durations(cory, 2e-6)
-        # finite pulses: the free steps and the P_0 F_a windows, P_0 itself kept
+        assert set(kernel.steps) == kept(cory, 2e-6)
+        # finite pulses: the P_0 F_a windows for a > 0 and the trailing free
+        # step, whose sector blocks alone are kept; P_0 lasts as long as the kernel
         system = SpinSystem.create(sample_couplings(42, 4), disorder_hz=[30.0, 0.0, 0.0, 0.0])
         finite = cycle_kernel([system], ErrorModel(pulse_width=1e-6))
-        durations = lambda tau: {value for kind, value in schedule(cory, tau, 1e-6) if kind == "free"}
-        assert durations(2e-6) - durations(4e-6)
+        p0 = finite.p0
         first = finite.cycles(cory, 2e-6)
         finite.cycles(cory, 4e-6)
-        assert set(finite.free._blocks) <= durations(4e-6)
-        assert 0.0 in finite.folded and set(finite.folded) - {0.0} <= durations(4e-6)
+        steps = schedule(cory, 4e-6, 1e-6)
+        windows = {a for (kind, a), (after, _) in zip(steps, steps[1:]) if kind == "free" and after == "pulse"}
+        assert steps[-1][0] == "free" and steps[-1][1] not in windows
+        assert set(finite.steps) == {("window", a) for a in windows} | {("free", steps[-1][1])}
         assert np.array_equal(finite.cycles(cory, 2e-6), first)
+        assert finite.p0 is p0
 
     def test_weak_finite_pulse_warns_in_sweep(self):
         spec = SweepSpec(

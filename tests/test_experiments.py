@@ -80,6 +80,19 @@ class TestAutocorrelation:
         with pytest.raises(ValueError):
             autocorrelation(system, builtin("WHH"), IDEAL, 4e-6, "x", [-1, 0])
 
+    def test_rejects_an_empty_block_list(self):
+        # an empty list once gave empty curves
+        system = SpinSystem.create(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="at least one block count"):
+            autocorrelations(system, builtin("WHH"), IDEAL, 4e-6, "xyz", [])
+
+    @pytest.mark.parametrize("axis", ["xy", "", "q"])
+    def test_rejects_an_axis_other_than_x_y_or_z(self, axis):
+        # "xy" and "" once raised KeyError
+        system = SpinSystem.create(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="axis must be one of"):
+            autocorrelation(system, builtin("WHH"), IDEAL, 4e-6, axis)
+
 
 def mp_polar(u: np.ndarray) -> mpmath.matrix:
     """Unitary polar factor of ``u`` by Newton's iteration ``X <- (X + X^-dag) / 2`` at the working precision."""

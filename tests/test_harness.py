@@ -304,6 +304,19 @@ class TestCli:
         result = self.runner.invoke(main, ["seq", "lint", "NOSUCH"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("content", [b"tau - q - tau\n", b"\xff\xfe tau", None], ids=["not-dsl", "not-utf8", "directory"])
+    @pytest.mark.parametrize("command", [["seq", "lint"], ["aht", "terms", "--seq"], ["exp", "autocorr", "--seq"]])
+    def test_unreadable_sequence_file_is_a_usage_error(self, tmp_path, content, command):
+        # each once ended in a traceback with exit 1
+        path = tmp_path / "bad.seq"
+        path.mkdir() if content is None else path.write_bytes(content)
+        out = tmp_path / "out"
+        result = self.runner.invoke(main, command + [str(path)] + ([] if command[0] == "seq" else ["--output", str(out)]))
+        assert result.exit_code == 2, result.output
+        assert f"sequence file {str(path)!r}" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
     def test_sweep_with_overrides(self, tmp_path):
         out = tmp_path / "rows.csv"
         result = self.runner.invoke(
@@ -455,6 +468,7 @@ class TestCli:
             (["exp", "autocorr", "--seq", "WHH", "--pulse-width", "5e-6"], "--pulse-width"),
             (["exp", "autocorr", "--seq", "WHH", "--blocks", "-1,2"], "--blocks"),
             (["exp", "autocorr", "--seq", "WHH", "--blocks", "0,100000000000000000000"], "--blocks"),
+            (["exp", "autocorr", "--seq", "WHH", "--blocks", ","], "--blocks"),
             (["exp", "autocorr", "--seq", "WHH", "--coupling-sigma-hz", "0"], "--coupling-sigma-hz"),
             (["exp", "mqc", "--phi-count", "3"], "--phi-count"),
             (["exp", "mqc", "--spins", "11"], "--spins"),
