@@ -2,9 +2,10 @@
 
 Subcommands: ``sweep``, ``seq lint``, ``aht terms``, ``exp autocorr``,
 ``exp mqc``, ``preset``.  Exit codes: 0 on success, 2 on configuration
-errors, 3 on numerical-diagnostic failures (e.g. a propagator that fails
-its unitarity check).  ``SPINWEAVE_THREADS`` overrides the parallelism
-degree; parallelism never changes numerical results.
+errors and unreadable or unwritable files, 3 on numerical-diagnostic
+failures (e.g. a propagator that fails its unitarity check).
+``SPINWEAVE_THREADS`` overrides the parallelism degree; parallelism never
+changes numerical results.
 """
 
 from __future__ import annotations
@@ -75,14 +76,6 @@ NONNEGATIVE = FiniteRange(0.0, np.inf, max_open=True)
 POSITIVE = FiniteRange(0.0, np.inf, min_open=True, max_open=True)
 
 
-def _threads(threads: int | None) -> int:
-    """``--threads``, else ``SPINWEAVE_THREADS``, else the usable cores; a bad variable is a usage error."""
-    try:
-        return resolve_threads(threads)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
 def _load_sequence(name_or_file: str):
     key = name_or_file.upper()
     if key in BUILTIN_NAMES:
@@ -97,11 +90,17 @@ def _load_sequence(name_or_file: str):
 
 
 class _Main(click.Group):
-    """The command group: a :class:`NumericalDiagnosticError` from any command ends it with exit code 3."""
+    """The command group, the one place that maps library errors to exit codes.
+
+    A :class:`ConfigError` or an ``OSError`` (a file or stream that cannot be read or
+    written) ends any command with exit 2; a :class:`NumericalDiagnosticError` with exit 3.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except (ConfigError, OSError) as exc:
+            raise click.UsageError(str(exc)) from exc
         except NumericalDiagnosticError as exc:
             click.echo(f"numerical diagnostic failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL_ERROR)
@@ -124,7 +123,7 @@ def sweep(config_path, overrides, output, fmt, threads):
     if config_path:
         try:
             doc = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 or not JSON
             raise click.UsageError(f"config file {config_path} is not JSON: {exc}") from exc
     for item in overrides:
         if "=" not in item:
@@ -141,12 +140,8 @@ def sweep(config_path, overrides, output, fmt, threads):
         if not isinstance(target, dict):
             raise click.UsageError(f"--set {key}: {'.'.join(parts[:-1]) or 'the config'} is not an object")
         target[parts[-1]] = value
-    try:
-        cfg = validate_config(doc)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
-    threads = _threads(threads)
-    rows = run_sweep(cfg, threads=threads)
+    cfg = validate_config(doc)
+    rows = run_sweep(cfg, threads=resolve_threads(threads))
     fmt = fmt or ("json" if str(output).endswith(".json") else "csv")
     if fmt == "csv":
         path = write_output(output, sweep_rows_to_csv(cfg, rows))
@@ -273,12 +268,12 @@ def exp_autocorr(seq_name, spins, tau_s, pulse_width, offset_hz, coupling_sigma_
         raise click.UsageError(f"--pulse-width: {exc}") from exc
     try:
         block_list = [int(b) for b in blocks.split(",") if b.strip() != ""]
-        n_points = len(_block_counts(block_list))
+        n_times = len({n * sequence.cycle_time(tau_s) for n in _block_counts(block_list)})
     except ValueError as exc:
         raise click.UsageError(f"bad --blocks value: {exc}") from exc
-    if fit_model and n_points < MIN_FIT_POINTS:
+    if fit_model and n_times < MIN_FIT_POINTS:
         raise click.UsageError(
-            f"--fit needs at least {MIN_FIT_POINTS} distinct --blocks values, got {n_points}"
+            f"--fit needs at least {MIN_FIT_POINTS} distinct sample times N*t_c, got {n_times}"
         )
     system = SpinSystem.create(
         sample_couplings(seed, spins, coupling_sigma_hz), global_offset_hz=offset_hz
@@ -383,11 +378,7 @@ def exp_mqc(spins, tau_dq, phi_count, window, coupling_sigma_hz, seed, output):
 @click.option("--threads", type=click.IntRange(min=1), default=None, help="Worker threads (default: SPINWEAVE_THREADS or the CPUs in the affinity mask).")
 def preset(name, profile, outdir, threads):
     """Run a figure preset; see PRESETS in the docs for the list."""
-    threads = _threads(threads)
-    try:
-        paths = run_preset(name, profile=profile, outdir=outdir, threads=threads)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
+    paths = run_preset(name, profile=profile, outdir=outdir, threads=resolve_threads(threads))
     for p in paths:
         click.echo(f"wrote {p}")
 

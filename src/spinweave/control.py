@@ -651,12 +651,13 @@ def resolve_threads(threads: int | None = None) -> int:
 
     Usable cores are those in the process's CPU affinity mask where the
     platform reports one, else ``os.cpu_count()``.  A set ``SPINWEAVE_THREADS``
-    that is not an integer of at least 1 raises ``ValueError`` naming it, and
-    so does an explicit ``threads`` that is not an int of at least 1.
+    that is not an integer of at least 1 raises :class:`ConfigError` (a
+    ``ValueError``) naming it, and so does an explicit ``threads`` that is
+    not an int of at least 1.
     """
     if threads is not None:
         if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
-            raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+            raise ConfigError([f"threads must be an integer >= 1, got {threads!r}"])
         return int(threads)
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
@@ -665,7 +666,7 @@ def resolve_threads(threads: int | None = None) -> int:
         except ValueError:
             value = 0
         if value < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
+            raise ConfigError([f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}"])
         return value
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))

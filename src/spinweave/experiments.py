@@ -61,7 +61,7 @@ __all__ = [
 
 DEFAULT_STRETCH_BOUNDS = {"stretched": (0.5, 2.5), "oscillating": (0.0, 3.0)}
 
-# Fewest curve samples fit_decay accepts.
+# Fewest distinct sample times fit_decay accepts.
 MIN_FIT_POINTS = 6
 # Most residual evaluations of each fit_decay start.
 FIT_MAX_NFEV = 500
@@ -237,14 +237,16 @@ def fit_decay(curve: DecayCurve, model: str = "stretched") -> FitResult:
     (decay-time grid crossed with frequency candidates for the oscillating
     model) and keeps the best.  Failure to converge within
     ``FIT_MAX_NFEV`` evaluations per start returns the best-so-far
-    parameters with ``converged=False``.
+    parameters with ``converged=False``.  A curve needs ``MIN_FIT_POINTS``
+    distinct times, else ``ValueError``: repeated times add no time span.
     """
     if model not in DEFAULT_STRETCH_BOUNDS:
         raise ValueError(f"model must be 'stretched' or 'oscillating', got {model!r}")
     t = curve.times
     v = curve.values
-    if t.size < MIN_FIT_POINTS:
-        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a decay model")
+    distinct = np.unique(t)
+    if distinct.size < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points at distinct times to fit a decay model, got {distinct.size}")
     if np.any(t < 0):
         raise ValueError("decay times must be nonnegative")
     g_lo, g_hi = DEFAULT_STRETCH_BOUNDS[model]
@@ -255,7 +257,7 @@ def fit_decay(curve: DecayCurve, model: str = "stretched") -> FitResult:
         lower = np.array([0.0, log_lo, g_lo])
         upper = np.array([10.0 * scale, log_hi, g_hi])
     else:
-        f_max = 0.5 / max(np.min(np.diff(np.unique(t))), 1e-30)
+        f_max = 0.5 / max(np.min(np.diff(distinct)), 1e-30)
         lower = np.array([0.0, log_lo, g_lo, 0.0, -2.0 * scale])
         upper = np.array([10.0 * scale, log_hi, g_hi, f_max, 2.0 * scale])
     g_init = float(np.clip(1.0, g_lo + 1e-6, g_hi - 1e-6))

@@ -314,8 +314,7 @@ def _run_figA4(profile: str, outdir: Path) -> list[Path]:
         seq = builtin(seq_name)
         system = SpinSystem.create(sample_couplings(seed, n_spins, DEFAULT_COUPLING_SIGMA_HZ))
         for tau in taus:
-            series = magnus_series(system, seq, tau, max(orders))
-            fidelities = nth_order_fidelities(system, seq, tau, orders, series=series)
+            fidelities = nth_order_fidelities(system, seq, tau, orders)
             for order, f in zip(orders, fidelities):
                 rows.append(
                     {
@@ -333,8 +332,7 @@ def _run_figA4(profile: str, outdir: Path) -> list[Path]:
     tau_c = 0.466 / (frobenius_magnitude(h) / np.sqrt(h.shape[0]))
     n_max = 70 if paper else 16
     seq = builtin("WHH")
-    series = magnus_series(system, seq, tau_c, n_max)
-    fidelities = nth_order_fidelities(system, seq, tau_c, range(n_max + 1), series=series)
+    fidelities = nth_order_fidelities(system, seq, tau_c, range(n_max + 1))
     for order, f in enumerate(fidelities):
         rows.append(
             {

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from spinweave import control
 from spinweave.control import (
     DISORDER_SEED_OFFSET,
+    ConfigError,
     ErrorModel,
     IDEAL,
     NumericalDiagnosticError,
@@ -1150,8 +1151,10 @@ def test_resolve_threads_env(monkeypatch):
 
 @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
 def test_resolve_threads_rejects_bad_env(monkeypatch, value):
+    # a ConfigError, which the command group maps to exit 2, is still a ValueError
+    assert issubclass(ConfigError, ValueError)
     monkeypatch.setenv("SPINWEAVE_THREADS", value)
-    with pytest.raises(ValueError, match="SPINWEAVE_THREADS must be an integer >= 1"):
+    with pytest.raises(ConfigError, match="SPINWEAVE_THREADS must be an integer >= 1"):
         resolve_threads()
     assert resolve_threads(2) == 2
 
@@ -1159,7 +1162,7 @@ def test_resolve_threads_rejects_bad_env(monkeypatch, value):
 @pytest.mark.parametrize("threads", [0, -3, 2.0, True])
 def test_resolve_threads_rejects_bad_argument(threads):
     # 0 and -3 were once clamped to 1 without a word
-    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+    with pytest.raises(ConfigError, match="threads must be an integer >= 1"):
         resolve_threads(threads)
 
 

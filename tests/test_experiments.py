@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -221,6 +223,22 @@ class TestFitDecay:
         t = np.linspace(0, 1, 5)
         with pytest.raises(ValueError, match="6 points"):
             fit_decay(DecayCurve(t, np.exp(-t), "avg"))
+
+    @pytest.mark.parametrize("time", [3e-6, 0.0])
+    def test_requires_six_distinct_times(self, time):
+        # eight samples at one time once fit (converged=True), or at t = 0 warned
+        # about log(0) and ended in "least-squares fit failed from every starting point"
+        curve = DecayCurve(np.full(8, time), np.linspace(1.0, 0.5, 8), "avg")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="6 points at distinct times"):
+                fit_decay(curve)
+
+    def test_six_distinct_times_among_eight_samples_fit(self):
+        t = np.array([0.0, 0.0, 0.1, 0.2, 0.2, 0.4, 0.6, 0.8])
+        fit = fit_decay(DecayCurve(t, np.exp(-t / 0.3), "avg"))
+        assert fit.converged
+        assert fit.t2_eff == pytest.approx(0.3, rel=1e-3)
 
     def test_rejects_non_finite_point(self):
         # one nan point once ran eight solves before "decay fit failed from every starting point"

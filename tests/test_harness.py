@@ -480,15 +480,28 @@ class TestCli:
             (["exp", "autocorr", "--seq", "WHH", "--offset-hz", "nan"], "--offset-hz"),
             (["exp", "mqc", "--tau-dq", "nan"], "--tau-dq"),
             (["exp", "mqc", "--tau-dq", "-1e-4"], "--tau-dq"),
+            # each of the next ones once ended in a traceback with exit 1; {tmp} holds
+            # a regular file "afile", a non-UTF-8 config and a pulses-only cycle (M = 0)
+            (["sweep", "--set", "n_spins=2", "--set", "n_coupling_sets=1", "--output", "{tmp}/afile/x.csv"], "cannot write result file"),
+            (["exp", "autocorr", "--seq", "WHH", "--spins", "2", "--output", "{tmp}/afile/x.csv"], "cannot write result file"),
+            (["exp", "mqc", "--spins", "2", "--output", "{tmp}/afile/x.csv"], "cannot write result file"),
+            (["aht", "terms", "--seq", "WHH", "--spins", "2", "--output", "{tmp}/afile/x.json"], "cannot write result file"),
+            (["sweep", "--config", "{tmp}/latin1.json"], "config file"),
+            (["exp", "autocorr", "--seq", "{tmp}/pulses.seq", "--fit", "stretched"], "--fit needs at least 6"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, args, named):
-        out = ["--output", str(tmp_path / "out.csv")]
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "latin1.json").write_bytes('{"n_spins": 2, "label": "\u00e9"}'.encode("latin-1"))
+        (tmp_path / "pulses.seq").write_text("x - x - x - x\n")
+        inputs = sorted(tmp_path.iterdir())
+        args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+        out = [] if "--output" in args else ["--output", str(tmp_path / "out.csv")]
         result = self.runner.invoke(main, args + out)
         assert result.exit_code == 2, result.output
         assert named in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == inputs
 
     def test_exp_autocorr_overflowing_pulse_drive_is_finite(self, tmp_path):
         # the drive (pi/2) / pulse_width overflows; the pulse is built from its angle
