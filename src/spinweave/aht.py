@@ -7,11 +7,11 @@ exponential-matching recursion (Dyson terms in, Magnus terms out).
 
 For delta pulses the toggling Hamiltonian is exactly piecewise constant, so
 every integral is evaluated in closed form; there is no quadrature error
-even at high order.  With cardinal phases each segment is read off the
-frame matrix (Choi et al., PRX 10, 031002 (2020)): ``H_D`` turned to the
-window's axis, plus the offsets turned to its signed axis.  Finite-width
-pulses are sliced into :data:`PULSE_SLICES` short constant sub-segments
-of dense rotations, which is a documented approximation.  Sums accumulate
+even at high order.  Finite-width pulses are sliced into
+:data:`PULSE_SLICES` short constant sub-segments, a documented
+approximation.  Every segment is read off the image ``n`` of S_z under
+the pulses before it (with cardinal delta pulses, the frame matrix of
+Choi et al., PRX 10, 031002 (2020)), with no dense rotation.  Sums accumulate
 in plain floating point; their roundoff shows in each term's recorded
 hermiticity residual, and Dyson or Magnus terms that overflow raise
 :class:`~spinweave.operators.NumericalDiagnosticError`.
@@ -44,15 +44,8 @@ from .operators import (
     frobenius_magnitude,
     hermiticity_defect,
 )
-from .sequences import PulseSequence, _toggling_axes, schedule, validate_cyclic
-from .spins import (
-    _PAIR_FACTORS,
-    SpinSystem,
-    _flip_sum,
-    _pair_stack,
-    collective_rotation,
-    internal_hamiltonian,
-)
+from .sequences import PulseSequence, _toggling_frames, schedule, validate_cyclic
+from .spins import SpinSystem, _bit_table, _flip_sum, _pair_stack
 
 __all__ = [
     "TogglingSegment",
@@ -90,8 +83,8 @@ class TogglingSegment:
     duration: float  # seconds
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("segment duration must be positive")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"segment duration must be positive and finite, got {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -135,72 +128,51 @@ def toggling_segments(
 ) -> list[TogglingSegment]:
     """Piecewise-constant toggling-frame Hamiltonian over one cycle.
 
-    ``H`` is the internal Hamiltonian of ``system``.  For delta pulses each
-    delay window becomes one segment with ``H_k = R_k^dag H R_k``, ``R_k``
-    the accumulated pulse rotation.  With cardinal phases that frame turns
-    S_z to a signed axis ``s a`` (:func:`spinweave.sequences._toggling_axes`),
-    so the segment is read off the frame matrix as
-    ``H_D^(a) + s sum_i 2 pi a_i S_a^i``, built from the pair tables with
-    the per-spin offsets ``a_i``.  It is ``float64`` unless it holds an
-    offset turned to y, and windows on one signed axis share one read-only
-    matrix.  Finite-width pulses, and pulses of any other phase, are walked
-    with dense rotations: each pulse then contributes :data:`PULSE_SLICES`
-    sub-segments, sampled at slice midpoints.
+    Each free step is one segment, and each finite-width pulse
+    :data:`PULSE_SLICES`, sampled at slice midpoints.  A segment is
+    ``u^dag H_int u``, ``u`` the pulses before it, which turn S_z to a unit
+    vector ``n`` (:func:`spinweave.sequences._toggling_frames`); as
+    ``S^i . S^j`` is invariant, that is :func:`_toggled_hamiltonian` of
+    ``n``, for any phase and slice.  Segments with one ``n`` share one
+    read-only matrix.
     """
     validate_cyclic(seq)
-    steps = schedule(seq, tau, pulse_width)
-    axes = _toggling_axes(steps) if pulse_width == 0.0 else None
-    segments = _rotated_segments(system, steps, pulse_width) if axes is None else _frame_segments(system, axes)
+    toggled: dict[tuple, np.ndarray] = {}
+    segments = []
+    for n, seconds in _toggling_frames(schedule(seq, tau, pulse_width), pulse_width, PULSE_SLICES):
+        key = tuple(n.tolist())
+        if key not in toggled:
+            toggled[key] = _toggled_hamiltonian(system, n)
+            toggled[key].flags.writeable = False
+        segments.append(TogglingSegment(toggled[key], seconds))
     if not segments:
         raise ValueError("sequence produced no toggling segments")
     return segments
 
 
-def _frame_segments(system: SpinSystem, axes: list[tuple[int, int, float]]) -> list[TogglingSegment]:
-    """Delta-pulse segments of a cardinal-phase schedule, from its toggling axes."""
-    couplings, offsets_hz = system.couplings_hz[None], system.total_offsets_hz
-    toggled: dict[tuple[int, int], np.ndarray] = {}
-    segments = []
-    for axis, sign, duration in axes:
-        if (axis, sign) not in toggled:
-            name = "xyz"[axis]
-            if name == "z":
-                h = _pair_stack(couplings, _PAIR_FACTORS["z"], sign * offsets_hz[None], np.float64)[0]
-            else:
-                h = _pair_stack(couplings, _PAIR_FACTORS[name], dtype=np.float64)[0]
-                # 2 pi a_i S_a^i flips spin i with pi a_i (x), or with
-                # +i pi a_i from up to down and -i pi a_i back (y)
-                half = (np.pi * sign) * offsets_hz
-                if half.any():
-                    up, down = (half, half) if name == "x" else (1j * half, -1j * half)
-                    h = h + _flip_sum(system.n_spins, up, down)
-            h.flags.writeable = False
-            toggled[axis, sign] = h
-        segments.append(TogglingSegment(toggled[axis, sign], duration))
-    return segments
+def _toggled_hamiltonian(system: SpinSystem, n: np.ndarray) -> np.ndarray:
+    """``H_D(n) + sum_i 2 pi a_i n . S^i``, H_int with S_z turned to the unit vector ``n``; ``float64`` unless an element is complex.
 
-
-def _rotated_segments(system: SpinSystem, steps: list[tuple[str, float]], pulse_width: float) -> list[TogglingSegment]:
-    """Segments of any schedule, from dense pulse rotations ``u_rf^dag H u_rf``."""
-    h_int = internal_hamiltonian(system)
-    n_spins = system.n_spins
-    segments: list[TogglingSegment] = []
-    u_rf = np.eye(system.dim, dtype=np.complex128)
-    for kind, value in steps:
-        if kind == "free":
-            h_toggled = u_rf.conj().T @ h_int @ u_rf
-            segments.append(TogglingSegment(h_toggled, value))
-            continue
-        if pulse_width > 0.0:
-            dt = pulse_width / PULSE_SLICES
-            for k in range(PULSE_SLICES):
-                angle = (np.pi / 2) * (k + 0.5) / PULSE_SLICES
-                u_mid = collective_rotation(n_spins, value, angle) @ u_rf
-                segments.append(
-                    TogglingSegment(u_mid.conj().T @ h_int @ u_mid, dt)
-                )
-        u_rf = collective_rotation(n_spins, value, np.pi / 2) @ u_rf
-    return segments
+    With ``nu = n_x + i n_y``, ``n . S = n_z S_z + (conj(nu) S_+ + nu S_-) / 2``,
+    so the pairs take the factors of :data:`spinweave.spins._PAIR_FACTORS`
+    turned to ``n``, and the one-spin flips of spin j, per state,
+    ``c_j = 2 pi a_j + 3 n_z sum_i d_ij m_i`` (d in rad/s) times ``nu / 2``
+    down and ``conj(nu) / 2`` up.
+    """
+    n_z, nu = n[2], complex(n[0], n[1])
+    flip_flop, dq = 0.75 * abs(nu) ** 2 - 0.5, 0.75 * nu * nu
+    k, offsets = system.n_spins, system.total_offsets_hz
+    half = np.pi * (offsets + 3.0 * n_z * ((0.5 - _bit_table(k)) @ system.couplings_hz))  # c_j / 2
+    flips = nu != 0 and half.any()
+    # an element is complex only through a complex double-quantum factor or a flip with n_y
+    real = dq.imag == 0 and (nu.imag == 0 or not flips)
+    if real:
+        nu, dq = nu.real, dq.real
+    factors = ((3 * n_z * n_z - 1) / 2, flip_flop, dq, dq.conjugate())
+    h = _pair_stack(system.couplings_hz[None], factors, n_z * offsets[None] if n_z else None, np.float64 if real else np.complex128)[0]
+    if flips:
+        h += _flip_sum(k, half * nu, half * nu.conjugate())
+    return h
 
 
 def average_h(segments: list[TogglingSegment], order: int) -> Operator:
@@ -212,6 +184,8 @@ def average_h(segments: list[TogglingSegment], order: int) -> Operator:
     """
     if order not in (0, 1):
         raise ValueError("closed forms available for orders 0 and 1 only")
+    if not segments:
+        raise ValueError("need at least one segment")
     t_c = sum(s.duration for s in segments)
     if order == 0:
         acc = np.zeros_like(segments[0].hamiltonian)
@@ -250,6 +224,8 @@ def dyson_terms(segments: list[TogglingSegment], n_max: int) -> list[Operator]:
         raise ValueError("n_max must be >= 1")
     if n_max > _HARD_ORDER_CAP + 1:
         raise ValueError(f"n_max capped at {_HARD_ORDER_CAP + 1}")
+    if not segments:
+        raise ValueError("need at least one segment")
     dim = segments[0].hamiltonian.shape[0]
     dtype = np.result_type(np.float64, *(seg.hamiltonian for seg in segments))
     width = n_max * dim

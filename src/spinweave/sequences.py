@@ -16,6 +16,7 @@ conjugates all derived quantities without changing any reported magnitude.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,24 +277,41 @@ class FrameMatrix:
         return self.entries.sum(axis=1)
 
 
+def _frame_rotation(phase_deg: float, angle: float) -> np.ndarray:
+    """The rotation ``M`` by ``-angle`` about ``a = (cos phi, sin phi, 0)``: ``u^dag (v . S) u = (M v) . S`` for ``u = exp(-i angle S_phi)``."""
+    phi = np.deg2rad(phase_deg)
+    a = np.array([np.cos(phi), np.sin(phi), 0.0])
+    cross = np.array([[0.0, 0.0, a[1]], [0.0, 0.0, -a[0]], [-a[1], a[0], 0.0]])  # cross @ v = a x v
+    return np.cos(angle) * np.eye(3) + (1.0 - np.cos(angle)) * np.outer(a, a) - np.sin(angle) * cross
+
+
+def _toggling_frames(steps: list[tuple[str, float]], pulse_width: float = 0.0, slices: int = 0) -> Iterator[tuple[np.ndarray, float]]:
+    """The toggling frame of a :func:`schedule`: ``(n, seconds)`` per free step and per pulse slice.
+
+    ``u^dag S_z u = n . S``, ``u`` the pulses so far; slice k of ``slices``
+    adds ``(k + 1/2) / slices`` of its pulse's pi/2.  Whole cardinal pulses
+    turn the frame by :data:`_FRAME_ROTATIONS`, so a cardinal delta-pulse
+    ``n`` is an exact ``int64`` signed axis; others use :func:`_frame_rotation`.
+    """
+    frame = np.eye(3, dtype=np.int64)
+    for kind, value in steps:
+        if kind == "free":
+            yield frame[:, 2], value
+            continue
+        for k in range(slices if pulse_width > 0.0 else 0):
+            yield frame @ _frame_rotation(value, (np.pi / 2) * (k + 0.5) / slices)[:, 2], pulse_width / slices
+        frame = frame @ (_FRAME_ROTATIONS[value] if value in _FRAME_ROTATIONS else _frame_rotation(value, np.pi / 2))
+
+
 def _toggling_axes(steps: list[tuple[str, float]]) -> list[tuple[int, int, float]] | None:
     """The toggling frame of a delta-pulse :func:`schedule`: ``(axis, sign, seconds)`` per free step.
 
-    ``sign * axis`` (0, 1, 2 for x, y, z) is the image of S_z under the
-    cardinal pulses before the step, from the exact integer product of
-    :data:`_FRAME_ROTATIONS`.  ``None`` if a pulse phase is not cardinal.
+    ``sign * axis`` (0, 1, 2 for x, y, z) is the signed axis ``n`` of
+    :func:`_toggling_frames`.  ``None`` if a pulse phase is not cardinal.
     """
-    frame = np.eye(3, dtype=np.int64)
-    axes = []
-    for kind, value in steps:
-        if kind == "pulse":
-            if value not in _FRAME_ROTATIONS:
-                return None
-            frame = frame @ _FRAME_ROTATIONS[value]
-        else:
-            axis = int(np.flatnonzero(frame[:, 2])[0])
-            axes.append((axis, int(frame[axis, 2]), value))
-    return axes
+    if any(kind == "pulse" and value not in _FRAME_ROTATIONS for kind, value in steps):
+        return None
+    return [(int(np.flatnonzero(n)[0]), int(n.sum()), seconds) for n, seconds in _toggling_frames(steps)]
 
 
 def frame_matrix(seq: PulseSequence) -> FrameMatrix:

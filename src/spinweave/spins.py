@@ -17,9 +17,10 @@ S_z, so it is block-diagonal once the basis is sorted by magnetization
 sector; :func:`magnetization_sectors` gives that ordering and the row span
 of each sector.  One builder, ``_pair_stack``, writes every two-spin
 operator of the package from cached per-N pair tables (each pair's
-``2 m_i m_j`` diagonal, flip-flop and double-quantum elements), with the
-factors of ``_PAIR_FACTORS``: ``H_D`` with its axis turned to x, y or z,
-and ``H_DQ``, plus z offsets.  It takes a member stack as arrays, (B, n, n)
+``2 m_i m_j`` diagonal, flip-flop and double-quantum lowering and raising
+elements), with the factors of ``_PAIR_FACTORS``: ``H_D`` with its axis
+turned to x, y, z, or, for the Magnus segments, any unit vector, and
+``H_DQ``, plus z offsets.  It takes a member stack as arrays, (B, n, n)
 couplings and (B, n) offsets, so the cycle kernel builds the H_int of a
 whole stack, or the toggled ``H_D^(x,y,z)`` whose global-parity blocks
 (:class:`_ParityBlocks`) it walks for ideal, offset-free cycles, in a few
@@ -106,8 +107,8 @@ def embedded_spin(n_spins: int, site: int, axis: str) -> Operator:
 def _flip_sum(n_spins: int, up: npt.ArrayLike, down: npt.ArrayLike) -> Operator:
     """``sum_i o_i``, in one scatter, for the one-spin flip operators ``o_i``.
 
-    ``<down|o_i|up> = up[i]`` and ``<up|o_i|down> = down[i]``; a scalar
-    serves every spin.  The result has the dtype of ``up`` and ``down``.
+    ``<down|o_i|up> = up[i]`` and ``<up|o_i|down> = down[i]``, broadcast
+    over (state, spin).  The result has the dtype of ``up`` and ``down``.
     """
     dim = 1 << n_spins
     states = np.arange(dim)[:, None]
@@ -306,7 +307,8 @@ class _PairTables:
             then ``m_i`` of each spin.
         elements: ``(rows, cols, pair)`` of the flip-flop elements, one per
             pair and state whose two spins differ, then of the
-            double-quantum elements, where the two spins are equal:
+            double-quantum elements from the states whose two spins are
+            both up, which they lower, then both down, which they raise:
             ``h[rows, cols]`` takes a multiple of the coupling of pair
             ``pair``.  No two pairs share an element.
     """
@@ -323,9 +325,10 @@ def _pair_tables(n_spins: int) -> _PairTables:
     i, j = np.triu_indices(n_spins, k=1)
     diagonal = np.concatenate([2.0 * m_values[:, i] * m_values[:, j], m_values], axis=1).T.copy()
     masks = (1 << (n_spins - 1 - i)) | (1 << (n_spins - 1 - j))
+    down = bits[:, i] + bits[:, j]
     elements = []
-    for equal in (False, True):  # flip-flop elements, then double-quantum ones
-        states, pair = np.nonzero((bits[:, i] == bits[:, j]) == equal)
+    for count in (1, 0, 2):  # flip-flop elements, then double-quantum lowering and raising
+        states, pair = np.nonzero(down == count)
         elements.append((states ^ masks[pair], states, pair))
     for arr in (i, j, diagonal, *(a for e in elements for a in e)):
         arr.flags.writeable = False
@@ -333,34 +336,36 @@ def _pair_tables(n_spins: int) -> _PairTables:
 
 
 # Per operator, the factors a pair's coupling d takes on its 2 m_i m_j
-# diagonal, flip-flop and double-quantum elements: H_D with its axis
-# turned to x, y or z, d (3 S_a^i S_a^j - S^i . S^j), and H_DQ.
+# diagonal, flip-flop, and double-quantum lowering and raising elements:
+# H_D turned to x, y or z, d (3 S_a^i S_a^j - S^i . S^j), and H_DQ.  H_D
+# turned to a unit vector n, with nu = n_x + i n_y, takes
+# ((3 n_z^2 - 1) / 2, 3 |nu|^2 / 4 - 1/2, 3 nu^2 / 4, 3 conj(nu)^2 / 4).
 _PAIR_FACTORS = {
-    "x": (-0.5, 0.25, 0.75),
-    "y": (-0.5, 0.25, -0.75),
-    "z": (1.0, -0.5, 0.0),
-    "dq": (0.0, 0.0, 0.25),
+    "x": (-0.5, 0.25, 0.75, 0.75),
+    "y": (-0.5, 0.25, -0.75, -0.75),
+    "z": (1.0, -0.5, 0.0, 0.0),
+    "dq": (0.0, 0.0, 0.25, 0.25),
 }
 
 
 def _pair_stack(
-    couplings_hz: np.ndarray, factors: tuple[float, float, float], offsets_hz: np.ndarray | None = None, dtype=np.complex128
+    couplings_hz: np.ndarray, factors: tuple[float, complex, complex, complex], offsets_hz: np.ndarray | None = None, dtype=np.complex128
 ) -> np.ndarray:
     """The (B, d, d) pair operator of (B, n, n) couplings, plus ``sum_i a_i S_z^i`` of (B, n) offsets, in rad/s.
 
-    ``factors`` is an entry of :data:`_PAIR_FACTORS`.  Every element is
-    added to zeros, so a zero coupling leaves +0.0; the diagonal sums its
-    pair terms, then its offset terms, in table order.  Every element is
-    real, so a ``float64`` stack holds the real parts of the complex one.
-    Finite inputs whose rad/s elements overflow raise
-    :class:`NumericalDiagnosticError`.
+    ``factors`` are the diagonal, flip-flop, double-quantum lowering and
+    raising factors, as in :data:`_PAIR_FACTORS`; the diagonal one is real.
+    Every element is added to zeros, so a zero coupling leaves +0.0; the
+    diagonal sums its pair terms, then its offset terms, in table order.
+    With real factors every element is real, so a ``float64`` stack holds
+    the real parts of the complex one.  Finite inputs whose rad/s elements
+    overflow raise :class:`NumericalDiagnosticError`.
     """
     batch, n = couplings_hz.shape[:2]
     tables = _pair_tables(n)
     dim = 1 << n
     with np.errstate(over="ignore", invalid="ignore"):
         d = TWO_PI * couplings_hz[:, tables.pairs[0], tables.pairs[1]]
-        # the diagonal factors are powers of two, so scaling each term scales the sum exactly
         coefficients = factors[0] * d
         if offsets_hz is not None:
             coefficients = np.concatenate([coefficients, TWO_PI * offsets_hz], axis=1)

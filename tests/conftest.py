@@ -9,6 +9,13 @@ from spinweave.spins import SpinSystem, embedded_spin
 settings.register_profile("suite", deadline=None, max_examples=25)
 settings.load_profile("suite")
 
+# cyclic DSL cycles with non-cardinal phases
+NON_CARDINAL = (
+    "tau - p45 - 2tau - -p45 - tau",
+    "tau - x - tau - p45 - 2tau - -p45 - tau - -x - tau",
+    "tau - p30 - tau - p120 - 2tau - p300 - tau - p210 - tau",
+)
+
 
 def random_hermitian(seed: int, dim: int, scale: float = 1.0) -> np.ndarray:
     rng = np.random.default_rng(seed)

@@ -23,6 +23,7 @@ from spinweave.operators import frobenius_magnitude
 from spinweave.sequences import (
     BUILTIN_NAMES,
     NonCyclicSequenceError,
+    _toggling_frames,
     builtin,
     parse_sequence,
     schedule,
@@ -39,7 +40,7 @@ from spinweave.spins import (
     sample_disorder,
 )
 
-from conftest import random_hermitian
+from conftest import NON_CARDINAL, random_hermitian
 
 
 def random_system(seed, n=3):
@@ -83,9 +84,16 @@ class TestTogglingSegments:
         assert len(segs) == 5 + 4 * PULSE_SLICES
         assert sum(s.duration for s in segs) == pytest.approx(seq.cycle_time(tau))
 
-    def test_duration_positive(self):
-        with pytest.raises(ValueError):
-            TogglingSegment(np.eye(2, dtype=complex), 0.0)
+    @pytest.mark.parametrize("duration", [0.0, -1e-6, math.nan, math.inf])
+    def test_duration_positive(self, duration):
+        with pytest.raises(ValueError, match="segment duration must be positive"):
+            TogglingSegment(np.eye(2, dtype=complex), duration)
+
+    def test_empty_segment_list(self):
+        with pytest.raises(ValueError, match="need at least one segment"):
+            average_h([], 0)
+        with pytest.raises(ValueError, match="need at least one segment"):
+            dyson_terms([], 2)
 
 
 def reference_toggling_segments(system, seq, tau, pulse_width=0.0):
@@ -123,7 +131,7 @@ def offset_case(n, offsets):
 
 
 class TestFrameSegments:
-    """Delta-pulse cardinal segments read off the frame matrix, against the dense walk."""
+    """Every segment, read off the frame vector n, against the dense walk."""
 
     @pytest.mark.parametrize("offsets", ["none", "global", "disorder"])
     @pytest.mark.parametrize("n", [4, 5])
@@ -142,24 +150,40 @@ class TestFrameSegments:
                 if offsets == "none":
                     assert not on_y
 
-    @pytest.mark.parametrize(
-        "text, pulse_width",
-        [
-            ("tau - -x - tau - y - 2tau - -y - tau - x - tau", 5e-7),
-            ("tau - p45 - 2tau - -p45 - tau", 0.0),
-            ("tau - x - tau - p45 - 2tau - -p45 - tau - -x - tau", 0.0),
-        ],
-    )
-    def test_dense_walk_kept_bit_for_bit(self, text, pulse_width):
-        system = offset_case(4, "disorder")
+    @pytest.mark.parametrize("offsets", ["none", "global", "disorder"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_any_phase_and_width_match_dense_walk(self, n, offsets):
+        # finite widths and non-cardinal phases read their frame vector too
+        system = offset_case(n, offsets)
+        scale = frobenius_magnitude(internal_hamiltonian(system))
+        cases = [(builtin(name), width) for name in ("WHH", "MREV8", "BR24", "CORY48", "YXX24") for width in (0.0, 5e-7, 1e-6)]
+        cases += [(parse_sequence(text), width) for text in NON_CARDINAL for width in (0.0, 1e-6)]
+        for seq, width in cases:
+            segs = toggling_segments(system, seq, 3e-6, width)
+            reference = reference_toggling_segments(system, seq, 3e-6, width)
+            assert [s.duration for s in segs] == [s.duration for s in reference], (seq.name, width)
+            for seg, ref in zip(segs, reference):
+                assert np.abs(seg.hamiltonian - ref.hamiltonian).max() <= 1e-14 * scale, (seq.name, width)
+                if seg.hamiltonian.dtype == np.float64:
+                    assert np.abs(ref.hamiltonian.imag).max() <= 1e-14 * scale, (seq.name, width)
+
+    @pytest.mark.parametrize("width", [0.0, 1e-6])
+    @pytest.mark.parametrize("text", ["tau - x - tau - -x - tau - x - tau - -x - tau", *NON_CARDINAL])
+    def test_one_matrix_per_frame_vector(self, text, width):
+        # one read-only matrix per distinct n, whether from a window or a pulse slice
         seq = parse_sequence(text)
-        segs = toggling_segments(system, seq, 3e-6, pulse_width)
-        reference = reference_toggling_segments(system, seq, 3e-6, pulse_width)
-        assert len(segs) == len(reference)
-        for seg, ref in zip(segs, reference):
-            assert seg.duration == ref.duration
-            assert seg.hamiltonian.dtype == ref.hamiltonian.dtype == np.complex128
-            assert np.array_equal(seg.hamiltonian, ref.hamiltonian)
+        frames = [tuple(n.tolist()) for n, _ in _toggling_frames(schedule(seq, 3e-6, width), width, PULSE_SLICES)]
+        segs = toggling_segments(offset_case(4, "disorder"), seq, 3e-6, width)
+        assert len(segs) == len(frames)
+        matrices = {}
+        for frame, seg in zip(frames, segs):
+            assert not seg.hamiltonian.flags.writeable
+            assert matrices.setdefault(frame, seg.hamiltonian) is seg.hamiltonian
+        assert len({id(s.hamiltonian) for s in segs}) == len(matrices)
+        if text.startswith("tau - x - tau - -x"):
+            # windows on z and y; the second x and -x pulses repeat the slices of the first
+            assert len(segs) == 5 + 4 * PULSE_SLICES * (width > 0)
+            assert len(matrices) <= 2 + 2 * PULSE_SLICES * (width > 0)
 
 
 class TestAverageH:
