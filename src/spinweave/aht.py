@@ -11,7 +11,9 @@ even at high order.  Finite-width pulses are sliced into
 :data:`PULSE_SLICES` short constant sub-segments, a documented
 approximation.  Every segment is read off the image ``n`` of S_z under
 the pulses before it (with cardinal delta pulses, the frame matrix of
-Choi et al., PRX 10, 031002 (2020)), with no dense rotation.  Sums accumulate
+Choi et al., PRX 10, 031002 (2020)), with no dense rotation: its pairs
+take the one pair-operator rule :func:`spinweave.spins._pair_factors`
+of ``n``, and it has the dtype of its elements.  Sums accumulate
 in plain floating point; their roundoff shows in each term's recorded
 hermiticity residual, and Dyson or Magnus terms that overflow raise
 :class:`~spinweave.operators.NumericalDiagnosticError`.
@@ -45,7 +47,7 @@ from .operators import (
     hermiticity_defect,
 )
 from .sequences import PulseSequence, _toggling_frames, schedule, validate_cyclic
-from .spins import SpinSystem, _bit_table, _flip_sum, _pair_stack
+from .spins import SpinSystem, _bit_table, _flip_sum, _pair_factors, _pair_stack
 
 __all__ = [
     "TogglingSegment",
@@ -151,27 +153,21 @@ def toggling_segments(
 
 
 def _toggled_hamiltonian(system: SpinSystem, n: np.ndarray) -> np.ndarray:
-    """``H_D(n) + sum_i 2 pi a_i n . S^i``, H_int with S_z turned to the unit vector ``n``; ``float64`` unless an element is complex.
+    """``H_D(n) + sum_i 2 pi a_i n . S^i``, H_int with S_z turned to the unit vector ``n``, in the dtype of its elements.
 
-    With ``nu = n_x + i n_y``, ``n . S = n_z S_z + (conj(nu) S_+ + nu S_-) / 2``,
-    so the pairs take the factors of :data:`spinweave.spins._PAIR_FACTORS`
-    turned to ``n``, and the one-spin flips of spin j, per state,
+    The pairs take :func:`spinweave.spins._pair_factors` of ``n``.  With
+    ``nu = n_x + i n_y``, ``n . S = n_z S_z + (conj(nu) S_+ + nu S_-) / 2``,
+    so the one-spin flips of spin j take, per state,
     ``c_j = 2 pi a_j + 3 n_z sum_i d_ij m_i`` (d in rad/s) times ``nu / 2``
-    down and ``conj(nu) / 2`` up.
+    down and ``conj(nu) / 2`` up, real when ``nu`` is.
     """
     n_z, nu = n[2], complex(n[0], n[1])
-    flip_flop, dq = 0.75 * abs(nu) ** 2 - 0.5, 0.75 * nu * nu
     k, offsets = system.n_spins, system.total_offsets_hz
+    h = _pair_stack(system.couplings_hz[None], _pair_factors(n), n_z * offsets[None] if n_z else None)[0]
     half = np.pi * (offsets + 3.0 * n_z * ((0.5 - _bit_table(k)) @ system.couplings_hz))  # c_j / 2
-    flips = nu != 0 and half.any()
-    # an element is complex only through a complex double-quantum factor or a flip with n_y
-    real = dq.imag == 0 and (nu.imag == 0 or not flips)
-    if real:
-        nu, dq = nu.real, dq.real
-    factors = ((3 * n_z * n_z - 1) / 2, flip_flop, dq, dq.conjugate())
-    h = _pair_stack(system.couplings_hz[None], factors, n_z * offsets[None] if n_z else None, np.float64 if real else np.complex128)[0]
-    if flips:
-        h += _flip_sum(k, half * nu, half * nu.conjugate())
+    if nu and half.any():
+        nu = nu.real if nu.imag == 0 else nu
+        h = h + _flip_sum(k, half * nu, half * nu.conjugate())
     return h
 
 

@@ -56,7 +56,7 @@ from .sequences import (
 from .spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
-    _PAIR_FACTORS,
+    _pair_factors,
     _pair_stack,
     _parity_blocks,
     _parity_stack_blocks,
@@ -264,7 +264,7 @@ class _CycleKernel:
         self.offset_free = error == IDEAL and not offsets_hz.any()
         self.tau, self.steps = None, {}
         if not error.is_delta:
-            h_int = _pair_stack(couplings_hz, _PAIR_FACTORS["z"], offsets_hz)
+            h_int = _pair_stack(couplings_hz, _pair_factors((0, 0, 1)), offsets_hz)
             self.free = HermitianPropagator(h_int, magnetization_sectors(self.n_spins))
             _warn_if_weak(error, float(self.free.spectral_norm.max()))
             order = self.free.layout.order
@@ -273,7 +273,7 @@ class _CycleKernel:
     @functools.cached_property
     def free(self) -> HermitianPropagator:
         """The H_int stack factored by magnetization sector; ``__init__`` sets it for finite pulses."""
-        return HermitianPropagator(_pair_stack(self.couplings_hz, _PAIR_FACTORS["z"], self.offsets_hz), magnetization_sectors(self.n_spins))
+        return HermitianPropagator(_pair_stack(self.couplings_hz, _pair_factors((0, 0, 1)), self.offsets_hz), magnetization_sectors(self.n_spins))
 
     @functools.cached_property
     def parity(self) -> HermitianPropagator:
@@ -284,7 +284,7 @@ class _CycleKernel:
         """
         couplings, blocks = self.couplings_hz, _parity_blocks(self.n_spins)
         with np.errstate(over="ignore", invalid="ignore"):
-            h = np.stack([blocks.from_standard(_pair_stack(couplings, _PAIR_FACTORS[a], dtype=np.float64)) for a in "xyz"], axis=1)
+            h = np.stack([blocks.from_standard(_pair_stack(couplings, _pair_factors(axis))) for axis in np.eye(3)], axis=1)
         if not np.isfinite(h).all():
             raise NumericalDiagnosticError("parity blocks of H_D overflow in rad/s")
         return HermitianPropagator(h.reshape(-1, *h.shape[-2:]))

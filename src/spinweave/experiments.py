@@ -197,12 +197,10 @@ def _fit_model(model: str, t: np.ndarray, params: np.ndarray) -> np.ndarray:
 
 def _dominant_frequency(t: np.ndarray, v: np.ndarray) -> float:
     dt = np.diff(t)
-    if dt.size == 0 or not np.allclose(dt, dt[0], rtol=1e-6, atol=0.0):
-        return 0.25 / max(t.max(), 1e-30)
+    if not np.allclose(dt, dt[0], rtol=1e-6, atol=0.0):
+        return 0.25 / t.max()
     spectrum = np.abs(np.fft.rfft(v - v.mean()))
     freqs = np.fft.rfftfreq(v.size, d=dt[0])
-    if spectrum[1:].size == 0:
-        return 0.25 / t.max()
     return float(freqs[1:][np.argmax(spectrum[1:])])
 
 

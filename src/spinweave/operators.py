@@ -7,10 +7,12 @@ Conventions used throughout the package:
   2*pi at module boundaries.
 * Propagators are unitary and dimensionless; evolution under a Hamiltonian
   ``h`` for time ``t`` is ``exp(-i h t)``.
-* Everything is dense ``complex128``, except that a real (real
-  symmetric) generator stays real, so :class:`HermitianPropagator`
-  factors it by a real ``eigh``; its propagators are complex.  Dimensions
-  are powers of two up to ``2**MAX_SPINS``; exponentials of general
+* Everything is dense ``complex128``, except real Hamiltonians: the
+  builders of :mod:`spinweave.spins` return ``float64`` wherever their
+  factors are real, and a real (real symmetric) generator stays real, so
+  :class:`HermitianPropagator` factors it by a real ``eigh``; its
+  propagators are complex.  Dimensions are powers of two up to
+  ``2**MAX_SPINS``; exponentials of general
   Hamiltonians and unitary roots go through exact eigendecompositions,
   which at these sizes is both precise and cheap, and lets a single
   factorization serve repeated evolution times.  Ideal collective RF

@@ -145,8 +145,6 @@ def parse_sequence(text: str, name: str = "custom") -> PulseSequence:
         events.append(_parse_token(raw, position))
     if negate_next:
         raise SequenceParseError("dangling '-' at end of sequence", position + 1)
-    if not events:
-        raise SequenceParseError("empty sequence", 0)
     return PulseSequence(name=name, events=tuple(events))
 
 
@@ -245,14 +243,17 @@ def validate_cyclic(seq: PulseSequence) -> int:
     return 1 if sign > 0 else -1
 
 
+def _frame_rotation(phase_deg: float, angle: float) -> np.ndarray:
+    """The rotation ``M`` by ``-angle`` about ``a = (cos phi, sin phi, 0)``: ``u^dag (v . S) u = (M v) . S`` for ``u = exp(-i angle S_phi)``."""
+    phi = np.deg2rad(phase_deg)
+    a = np.array([np.cos(phi), np.sin(phi), 0.0])
+    cross = np.array([[0.0, 0.0, a[1]], [0.0, 0.0, -a[0]], [-a[1], a[0], 0.0]])  # cross @ v = a x v
+    return np.cos(angle) * np.eye(3) + (1.0 - np.cos(angle)) * np.outer(a, a) - np.sin(angle) * cross
+
+
 # Vector rotations applied to the toggling-frame image of S_z by each
-# cardinal pi/2 pulse (exact integer arithmetic).
-_FRAME_ROTATIONS = {
-    0.0: np.array([[1, 0, 0], [0, 0, 1], [0, -1, 0]], dtype=np.int64),  # +x
-    180.0: np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=np.int64),  # -x
-    90.0: np.array([[0, 0, -1], [0, 1, 0], [1, 0, 0]], dtype=np.int64),  # +y
-    270.0: np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0]], dtype=np.int64),  # -y
-}
+# cardinal pi/2 pulse, rounded to exact integers.
+_FRAME_ROTATIONS = {phase: np.rint(_frame_rotation(phase, np.pi / 2)).astype(np.int64) for phase in CARDINAL_PHASES.values()}
 
 
 @dataclass(frozen=True)
@@ -275,14 +276,6 @@ class FrameMatrix:
 
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
-
-
-def _frame_rotation(phase_deg: float, angle: float) -> np.ndarray:
-    """The rotation ``M`` by ``-angle`` about ``a = (cos phi, sin phi, 0)``: ``u^dag (v . S) u = (M v) . S`` for ``u = exp(-i angle S_phi)``."""
-    phi = np.deg2rad(phase_deg)
-    a = np.array([np.cos(phi), np.sin(phi), 0.0])
-    cross = np.array([[0.0, 0.0, a[1]], [0.0, 0.0, -a[0]], [-a[1], a[0], 0.0]])  # cross @ v = a x v
-    return np.cos(angle) * np.eye(3) + (1.0 - np.cos(angle)) * np.outer(a, a) - np.sin(angle) * cross
 
 
 def _toggling_frames(steps: list[tuple[str, float]], pulse_width: float = 0.0, slices: int = 0) -> Iterator[tuple[np.ndarray, float]]:

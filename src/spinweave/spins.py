@@ -18,11 +18,15 @@ sector; :func:`magnetization_sectors` gives that ordering and the row span
 of each sector.  One builder, ``_pair_stack``, writes every two-spin
 operator of the package from cached per-N pair tables (each pair's
 ``2 m_i m_j`` diagonal, flip-flop and double-quantum lowering and raising
-elements), with the factors of ``_PAIR_FACTORS``: ``H_D`` with its axis
-turned to x, y, z, or, for the Magnus segments, any unit vector, and
-``H_DQ``, plus z offsets.  It takes a member stack as arrays, (B, n, n)
-couplings and (B, n) offsets, so the cycle kernel builds the H_int of a
-whole stack, or the toggled ``H_D^(x,y,z)`` whose global-parity blocks
+elements), plus z offsets, with one rule for the factors:
+``_pair_factors(n)`` of ``H_D`` with S_z turned to a unit vector ``n``
+(the axes x, y, z, or any ``n`` for the Magnus segments), and the one
+constant ``_DQ_FACTORS`` of ``H_DQ``.  A stack takes the dtype of its
+factors, so :func:`dipolar_hamiltonian`, :func:`internal_hamiltonian`,
+:func:`offset_hamiltonian` and :func:`dq_hamiltonian` return ``float64``.
+It takes a member stack as arrays, (B, n, n) couplings and (B, n)
+offsets, so the cycle kernel builds the H_int of a whole stack, or the
+toggled ``H_D^(x,y,z)`` whose global-parity blocks
 (:class:`_ParityBlocks`) it walks for ideal, offset-free cycles, in a few
 array operations; the one-system builders, such as :func:`dq_hamiltonian`
 (block-diagonal by :func:`parity_sectors`), are its B = 1 calls.
@@ -335,31 +339,37 @@ def _pair_tables(n_spins: int) -> _PairTables:
     return _PairTables((i, j), diagonal, tuple(elements))
 
 
-# Per operator, the factors a pair's coupling d takes on its 2 m_i m_j
-# diagonal, flip-flop, and double-quantum lowering and raising elements:
-# H_D turned to x, y or z, d (3 S_a^i S_a^j - S^i . S^j), and H_DQ.  H_D
-# turned to a unit vector n, with nu = n_x + i n_y, takes
-# ((3 n_z^2 - 1) / 2, 3 |nu|^2 / 4 - 1/2, 3 nu^2 / 4, 3 conj(nu)^2 / 4).
-_PAIR_FACTORS = {
-    "x": (-0.5, 0.25, 0.75, 0.75),
-    "y": (-0.5, 0.25, -0.75, -0.75),
-    "z": (1.0, -0.5, 0.0, 0.0),
-    "dq": (0.0, 0.0, 0.25, 0.25),
-}
+# H_DQ's factors on the 2 m_i m_j diagonal, flip-flop, and double-quantum
+# lowering and raising elements, as in _pair_factors.
+_DQ_FACTORS = (0.0, 0.0, 0.25, 0.25)
 
 
-def _pair_stack(
-    couplings_hz: np.ndarray, factors: tuple[float, complex, complex, complex], offsets_hz: np.ndarray | None = None, dtype=np.complex128
-) -> np.ndarray:
+def _pair_factors(n: npt.ArrayLike) -> tuple:
+    """The factors a pair's coupling d takes in ``H_D(n)``, H_D with S_z turned to the unit vector ``n``.
+
+    On the 2 m_i m_j diagonal, flip-flop, and double-quantum lowering and
+    raising elements, with ``nu = n_x + i n_y``: ``(3 n_z^2 - 1) / 2``,
+    ``3 |nu|^2 / 4 - 1/2``, ``3 nu^2 / 4`` and ``3 conj(nu)^2 / 4``, real
+    wherever ``nu^2`` is.  On an axis a of x, y, z that is
+    ``d (3 S_a^i S_a^j - S^i . S^j)``.
+    """
+    n_z, nu = n[2], complex(n[0], n[1])
+    dq = 0.75 * nu * nu
+    if dq.imag == 0:
+        dq = dq.real
+    return (3 * n_z * n_z - 1) / 2, 0.75 * abs(nu) ** 2 - 0.5, dq, dq.conjugate()
+
+
+def _pair_stack(couplings_hz: np.ndarray, factors: tuple, offsets_hz: np.ndarray | None = None) -> np.ndarray:
     """The (B, d, d) pair operator of (B, n, n) couplings, plus ``sum_i a_i S_z^i`` of (B, n) offsets, in rad/s.
 
     ``factors`` are the diagonal, flip-flop, double-quantum lowering and
-    raising factors, as in :data:`_PAIR_FACTORS`; the diagonal one is real.
-    Every element is added to zeros, so a zero coupling leaves +0.0; the
-    diagonal sums its pair terms, then its offset terms, in table order.
-    With real factors every element is real, so a ``float64`` stack holds
-    the real parts of the complex one.  Finite inputs whose rad/s elements
-    overflow raise :class:`NumericalDiagnosticError`.
+    raising factors, as :func:`_pair_factors` or :data:`_DQ_FACTORS` give
+    them; the diagonal one is real.  The stack takes their dtype:
+    ``float64`` when all are real, else ``complex128``.  Every element is
+    added to zeros, so a zero coupling leaves +0.0; the diagonal sums its
+    pair terms, then its offset terms, in table order.  Finite inputs
+    whose rad/s elements overflow raise :class:`NumericalDiagnosticError`.
     """
     batch, n = couplings_hz.shape[:2]
     tables = _pair_tables(n)
@@ -373,7 +383,7 @@ def _pair_stack(
     # each off-diagonal element is one coupling times a factor of at most 1
     if not (np.isfinite(d).all() and np.isfinite(diagonal).all()):
         raise NumericalDiagnosticError("Hamiltonian elements overflow in rad/s")
-    h = np.zeros((batch, dim, dim), dtype=dtype)
+    h = np.zeros((batch, dim, dim), dtype=np.result_type(float, *factors))
     h.reshape(batch, -1)[:, :: dim + 1] += diagonal
     for factor, (rows, cols, pair) in zip(factors[1:], tables.elements):
         if factor:
@@ -459,35 +469,35 @@ def _parity_stack_blocks(u: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def dipolar_hamiltonian(system: SpinSystem) -> Operator:
-    """Secular dipolar Hamiltonian in rad/s.
+def dipolar_hamiltonian(system: SpinSystem) -> npt.NDArray[np.float64]:
+    """Secular dipolar Hamiltonian in rad/s, ``float64``.
 
     ``H_D = sum_{i<j} d_ij (3 S_z^i S_z^j - S^i . S^j)``, i.e. per pair
     ``d_ij (2 S_z^i S_z^j - (S_+^i S_-^j + S_-^i S_+^j)/2)``.  Traceless and
     commuting with the total z magnetization.
     """
-    return _pair_stack(system.couplings_hz[None], _PAIR_FACTORS["z"])[0]
+    return _pair_stack(system.couplings_hz[None], _pair_factors((0, 0, 1)))[0]
 
 
-def offset_hamiltonian(system: SpinSystem) -> Operator:
-    """Diagonal offset Hamiltonian ``sum_i a_i S_z^i`` in rad/s."""
+def offset_hamiltonian(system: SpinSystem) -> npt.NDArray[np.float64]:
+    """Diagonal offset Hamiltonian ``sum_i a_i S_z^i`` in rad/s, ``float64``."""
     n = system.n_spins
-    return _pair_stack(np.zeros((1, n, n)), _PAIR_FACTORS["z"], system.total_offsets_hz[None])[0]
+    return _pair_stack(np.zeros((1, n, n)), _pair_factors((0, 0, 1)), system.total_offsets_hz[None])[0]
 
 
-def internal_hamiltonian(system: SpinSystem) -> Operator:
-    """Full internal Hamiltonian ``H_D + H_offset`` in rad/s."""
-    return _pair_stack(system.couplings_hz[None], _PAIR_FACTORS["z"], system.total_offsets_hz[None])[0]
+def internal_hamiltonian(system: SpinSystem) -> npt.NDArray[np.float64]:
+    """Full internal Hamiltonian ``H_D + H_offset`` in rad/s, ``float64``."""
+    return _pair_stack(system.couplings_hz[None], _pair_factors((0, 0, 1)), system.total_offsets_hz[None])[0]
 
 
-def dq_hamiltonian(system: SpinSystem) -> Operator:
-    """Double-quantum Hamiltonian in rad/s.
+def dq_hamiltonian(system: SpinSystem) -> npt.NDArray[np.float64]:
+    """Double-quantum Hamiltonian in rad/s, ``float64``.
 
     ``H_DQ = (1/2) sum_{j<k} J_jk (S_x^j S_x^k - S_y^j S_y^k)``; connects
     basis states differing by two units of total z magnetization.  ``J``
     is the system's dipolar coupling matrix.
     """
-    return _pair_stack(system.couplings_hz[None], _PAIR_FACTORS["dq"])[0]
+    return _pair_stack(system.couplings_hz[None], _DQ_FACTORS)[0]
 
 
 def _philox(seed: int) -> np.random.Generator:

@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from spinweave.cli import main
-from spinweave.control import NumericalDiagnosticError
+from spinweave.control import NumericalDiagnosticError, nth_order_fidelities
 from spinweave.harness import (
     ConfigError,
     _sweep_preset,
@@ -16,6 +17,8 @@ from spinweave.harness import (
     sweep_rows_to_json,
     validate_config,
 )
+from spinweave.sequences import builtin
+from spinweave.spins import DEFAULT_COUPLING_SIGMA_HZ, SpinSystem, dipolar_hamiltonian, sample_couplings
 
 TINY_SWEEP = {
     "sequences": ["WHH"],
@@ -249,6 +252,31 @@ class TestPresets:
         with pytest.raises(ConfigError, match="profile"):
             run_preset("fig2a", profile="huge", outdir=tmp_path)
 
+    def test_figA4_rows(self, tmp_path):
+        # panels a and b: WHH and BR24 at 4 taus x 3 orders, 4 spins of seed 2026;
+        # panel c: WHH orders 0..16, uniform 5 kHz couplings at |H| tau = 0.466
+        (path,) = run_preset("figA4", profile="ci", outdir=tmp_path)
+        doc = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"non-strict JSON {name}"))
+        rows = doc["rows"]
+        assert doc["config"] == {"preset": "figA4", "profile": "ci", "base_seed": 2026, "max_order": 16}
+        assert len(rows) == 41
+        assert all(0.0 <= r["fidelity"] <= 1.0 for r in rows)
+        seeded = SpinSystem.create(sample_couplings(2026, 4, DEFAULT_COUPLING_SIGMA_HZ))
+        uniform = SpinSystem.create(5000.0 * (np.ones((4, 4)) - np.eye(4)))
+        tau_c = 0.466 / (np.linalg.norm(dipolar_hamiltonian(uniform)) / 4.0)
+        panels = {
+            "a": ("WHH", seeded, (0, 2, 4), np.geomspace(2e-6, 2e-5, 4).tolist()),
+            "b": ("BR24", seeded, (0, 4, 6), np.geomspace(2e-6, 2e-5, 4).tolist()),
+            "c": ("WHH", uniform, tuple(range(17)), [tau_c]),
+        }
+        expected = [
+            (panel, name, tau, order, f)
+            for panel, (name, system, orders, taus) in panels.items()
+            for tau in taus
+            for order, f in zip(orders, nth_order_fidelities(system, builtin(name), tau, orders))
+        ]
+        assert [(r["panel"], r["sequence"], r["tau_s"], r["order"], r["fidelity"]) for r in rows] == expected
+
     def test_figA3_structure(self, tmp_path):
         (path,) = run_preset("figA3", profile="ci", outdir=tmp_path)
         doc = json.loads(path.read_text())
@@ -262,6 +290,26 @@ class TestPresets:
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
+
+    def test_sweep_json_output(self, tmp_path):
+        # --output x.json and --format json write the CSV's rows and the digest of the embedded config
+        args = ["sweep", "--set", "n_spins=2", "--set", "n_coupling_sets=2", "--set", 'sequences=["WHH"]']
+        args += ["--set", "sweep.parameter=tau_s", "--set", "sweep.grid=[2e-6,4e-6]", "--threads", "1"]
+        outputs = {"csv": ["--output", "s.csv"], "suffix": ["--output", "s.json"], "format": ["--output", "s.out", "--format", "json"]}
+        for name, extra in outputs.items():
+            result = self.runner.invoke(main, args + [extra[0], str(tmp_path / extra[1]), *extra[2:]])
+            assert result.exit_code == 0, (name, result.output)
+        text = (tmp_path / "s.csv").read_text()
+        embedded, digest = embedded_config(text)
+        header, *cells = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+        for path in ("s.json", "s.out"):
+            doc = json.loads((tmp_path / path).read_text())
+            assert doc["config"] == embedded
+            assert doc["config_sha256"] == config_digest(doc["config"]) == digest
+            assert doc["columns"] == header
+            assert len(doc["rows"]) == len(cells) == 2
+            for row, csv_row in zip(doc["rows"], cells):
+                assert [type(v)(c) for v, c in zip(row, csv_row)] == row
 
     def test_seq_lint_builtin(self):
         result = self.runner.invoke(main, ["seq", "lint", "MREV8"])
@@ -488,18 +536,24 @@ class TestCli:
             (["aht", "terms", "--seq", "WHH", "--spins", "2", "--output", "{tmp}/afile/x.json"], "cannot write result file"),
             (["sweep", "--config", "{tmp}/latin1.json"], "config file"),
             (["exp", "autocorr", "--seq", "{tmp}/pulses.seq", "--fit", "stretched"], "--fit needs at least 6"),
+            (["aht", "terms", "--seq", "{tmp}/noncyclic.seq"], "is not cyclic"),
+            (["aht", "terms", "--seq", "WHH", "--orders", "73"], "order 73 exceeds the cap 72"),
+            (["sweep", "--set", "foo"], "--set expects KEY=VALUE"),
+            (["sweep", "--set", "n_spins=4", "--set", "n_spins.x=1"], "n_spins is not an object"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, tmp_path, args, named):
         (tmp_path / "afile").write_text("")
         (tmp_path / "latin1.json").write_bytes('{"n_spins": 2, "label": "\u00e9"}'.encode("latin-1"))
         (tmp_path / "pulses.seq").write_text("x - x - x - x\n")
+        (tmp_path / "noncyclic.seq").write_text("tau - x - tau\n")
         inputs = sorted(tmp_path.iterdir())
         args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
         out = [] if "--output" in args else ["--output", str(tmp_path / "out.csv")]
         result = self.runner.invoke(main, args + out)
         assert result.exit_code == 2, result.output
         assert named in result.output
+        assert result.output.count("Error:") == 1 and "Traceback" not in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert sorted(tmp_path.iterdir()) == inputs
 

@@ -58,6 +58,7 @@ class TestExpmHermitian:
 
 
 def sector_stack(n_spins: int, members: int) -> np.ndarray:
+    """A complex (members, d, d) stack of internal Hamiltonians with disorder."""
     return np.stack(
         [
             internal_hamiltonian(
@@ -68,7 +69,7 @@ def sector_stack(n_spins: int, members: int) -> np.ndarray:
             )
             for k in range(members)
         ]
-    )
+    ).astype(np.complex128)
 
 
 class TestHermitianPropagator:
@@ -139,8 +140,8 @@ class TestHermitianPropagator:
             assert np.abs(real.at(t) - twin.at(t)).max() < 1e-14
         h = internal_hamiltonian(SpinSystem.create(sample_couplings(6, 4, 1000.0)))
         sectors = magnetization_sectors(4)
-        real = HermitianPropagator(h.real, sectors)
-        assert np.abs(real.at(2e-5) - HermitianPropagator(h, sectors).at(2e-5)).max() < 1e-14
+        real = HermitianPropagator(h, sectors)
+        assert np.abs(real.at(2e-5) - HermitianPropagator(h.astype(complex), sectors).at(2e-5)).max() < 1e-14
 
     def test_rejects_a_real_asymmetric_input(self):
         h = np.random.default_rng(10).normal(size=(8, 8))

@@ -372,6 +372,20 @@ class TestSchedule:
         steps = schedule(builtin("YXX24"), 4e-6, 4e-6)
         assert all(kind == "pulse" for kind, _ in steps)
 
+    def test_pulses_alone_take_no_width(self):
+        # four x pulses make -I with no delay window to hold a finite pulse
+        seq = parse_sequence("x - x - x - x")
+        assert schedule(seq, 4e-6) == [("pulse", 0.0)] * 4
+        with pytest.raises(ValueError, match="need at least one delay window"):
+            schedule(seq, 4e-6, 1e-6)
+
+    def test_leading_pulse_width_must_fit_the_trailing_window(self):
+        # the 2tau window holds the -x pulse; the trailing tau cannot lend the leading pulse its width
+        seq = parse_sequence("x - 2tau - -x - tau")
+        assert schedule(seq, 4e-6, 4e-6) == [("pulse", 0.0), ("free", 4e-6), ("pulse", 180.0)]
+        with pytest.raises(ValueError, match="does not fit in the trailing"):
+            schedule(seq, 4e-6, 5e-6)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             schedule(builtin("WHH"), 0.0)

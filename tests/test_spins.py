@@ -8,7 +8,8 @@ from spinweave.operators import commutator, expm_hermitian, frobenius_magnitude
 from spinweave.spins import (
     DEFAULT_COUPLING_SIGMA_HZ,
     SpinSystem,
-    _PAIR_FACTORS,
+    _DQ_FACTORS,
+    _pair_factors,
     _pair_stack,
     _parity_blocks,
     collective_operator,
@@ -184,7 +185,7 @@ class TestPairTableBuild:
     def test_stack_members_equal_single_builds(self, n_spins):
         systems = [self.random_system(n_spins, 400 + 10 * n_spins + k) for k in range(5)]
         couplings = np.stack([s.couplings_hz for s in systems])
-        stack = _pair_stack(couplings, _PAIR_FACTORS["z"], np.stack([s.total_offsets_hz for s in systems]))
+        stack = _pair_stack(couplings, _pair_factors((0, 0, 1)), np.stack([s.total_offsets_hz for s in systems]))
         assert stack.shape == (5, 1 << n_spins, 1 << n_spins)
         for member, system in zip(stack, systems):
             assert np.array_equal(member, internal_hamiltonian(system))
@@ -414,7 +415,7 @@ class TestParityBlocks:
     def test_toggled_blocks_match_embedded_spin_projection(self, n_spins):
         couplings = np.stack([sample_couplings(60 + n_spins + k, n_spins) for k in range(2)])
         parity = _parity_blocks(n_spins)
-        blocks = np.stack([parity.from_standard(_pair_stack(couplings, _PAIR_FACTORS[a])) for a in "xyz"], axis=1)
+        blocks = np.stack([parity.from_standard(_pair_stack(couplings, _pair_factors(axis))) for axis in np.eye(3)], axis=1)
         basis = butterfly_basis(n_spins)
         k = basis.shape[-1]
         assert blocks.shape == (2, 3, len(basis), k, k)
@@ -453,8 +454,8 @@ class TestPairStack:
     @pytest.mark.parametrize("n_spins", [2, 3, 4, 5, 6])
     def test_dq_factors_match_embedded_spin_oracle(self, n_spins):
         couplings = np.stack([sample_couplings(80 + n_spins + k, n_spins) for k in range(3)])
-        h = _pair_stack(couplings, _PAIR_FACTORS["dq"])
-        assert h.shape == (3, 1 << n_spins, 1 << n_spins) and h.dtype == np.complex128
+        h = _pair_stack(couplings, _DQ_FACTORS)
+        assert h.shape == (3, 1 << n_spins, 1 << n_spins) and h.dtype == np.float64
         s = self.spins(n_spins)
         for member, c in zip(h, couplings):
             oracle = sum(
@@ -468,8 +469,8 @@ class TestPairStack:
     def test_z_with_offsets_matches_embedded_spin_oracle(self, n_spins):
         couplings = np.stack([sample_couplings(90 + n_spins + k, n_spins) for k in range(3)])
         offsets = np.random.default_rng(n_spins).normal(0.0, 500.0, size=(3, n_spins))
-        h = _pair_stack(couplings, _PAIR_FACTORS["z"], offsets)
-        assert h.shape == (3, 1 << n_spins, 1 << n_spins) and h.dtype == np.complex128
+        h = _pair_stack(couplings, _pair_factors((0, 0, 1)), offsets)
+        assert h.shape == (3, 1 << n_spins, 1 << n_spins) and h.dtype == np.float64
         s = self.spins(n_spins)
         for member, c, a in zip(h, couplings, offsets):
             oracle = sum(
@@ -487,20 +488,35 @@ class TestPairStack:
         for couplings in (np.zeros((n_spins, n_spins)), partly):
             system = SpinSystem.create(couplings)
             built = [internal_hamiltonian(system), dq_hamiltonian(system)]
-            built += [parity.from_standard(_pair_stack(couplings[None], _PAIR_FACTORS[a])) for a in "xyz"]
+            built += [parity.from_standard(_pair_stack(couplings[None], _pair_factors(axis))) for axis in np.eye(3)]
             for h in built:
                 parts = h.view(np.float64)
                 assert not np.any((parts == 0.0) & np.signbit(parts))
 
     @pytest.mark.parametrize("n_spins", [2, 3, 4, 5])
     def test_real_stack_is_the_real_part_of_the_complex_one(self, n_spins):
+        # a stack takes the dtype of its factors; the same factors as complex numbers give its complex twin
         couplings = np.stack([sample_couplings(110 + n_spins + k, n_spins) for k in range(2)])
         offsets = np.random.default_rng(n_spins).normal(0.0, 500.0, size=(2, n_spins))
-        for a, extra in (("x", None), ("y", None), ("z", offsets), ("dq", None)):
-            built = _pair_stack(couplings, _PAIR_FACTORS[a], extra)
-            real = _pair_stack(couplings, _PAIR_FACTORS[a], extra, dtype=np.float64)
-            assert real.dtype == np.float64 and not built.imag.any()
+        x, y, z = (_pair_factors(axis) for axis in np.eye(3))
+        for factors, extra in ((x, None), (y, None), (z, offsets), (_DQ_FACTORS, None)):
+            built = _pair_stack(couplings, tuple(map(complex, factors)), extra)
+            real = _pair_stack(couplings, factors, extra)
+            assert real.dtype == np.float64 and built.dtype == np.complex128 and not built.imag.any()
             assert np.array_equal(real, built.real)
+
+    def test_axis_factors(self):
+        # the rows H_D^(x,y,z) took before the factors were read off the frame vector, bit for bit
+        # on the signed int64 axes of the frame walk and the float axes of the kernel
+        rows = {0: (-0.5, 0.25, 0.75, 0.75), 1: (-0.5, 0.25, -0.75, -0.75), 2: (1.0, -0.5, 0.0, 0.0)}
+        axes = np.eye(3, dtype=np.int64)
+        for axis, row in rows.items():
+            for n in (axes[axis], -axes[axis], np.eye(3)[axis]):
+                factors = _pair_factors(n)
+                assert not any(isinstance(f, complex) for f in factors)
+                assert np.array(factors).tobytes() == np.array(row).tobytes(), n
+            # a float -e_z leaves nu = -0 - 0i and a double-quantum factor of -0.0, which no stack writes
+            assert np.array_equal(_pair_factors(-np.eye(3)[axis]), row)
 
 
 def test_kron_power_equals_repeated_kron():
